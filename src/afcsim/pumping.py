@@ -12,12 +12,9 @@ integrates the per-bin rate equations
     dn_h/dt = bh n_e / T1 - n_h / t_short
 
 where ``dev_z`` is the deviation of the Zeeman populations from their
-thermal partition of the current ground pool.  The rate constants span four
-orders of magnitude (ms optical decay versus multi-second spin relaxation),
-so the integrator splits each step: the optical subsystem is advanced with
-an exact exponential propagator, the slow relaxation channels with exact
-per-channel decay factors, arranged palindromically for second-order
-accuracy.
+thermal partition of the current ground pool.  While the pump is constant
+these equations are linear and the same in every bin up to the pump rate,
+so each interval is advanced with the exact per-bin 4x4 propagator.
 
 The two TLS channels (grating fill and spectral diffusion) are driven by
 the pump power coupled into the waveguide: the host matrix absorbs a small
@@ -35,6 +32,8 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy import sparse
+from scipy.linalg import expm
 from scipy.special import voigt_profile
 
 from .core import (
@@ -52,7 +51,7 @@ from .errors import (
     NonPositivePower,
     StepSizeUnderflow,
 )
-from .relaxation import TlsParams, flipflop_lifetime
+from .relaxation import TlsParams, flipflop_lifetime, tls_fill_rate
 
 _SHAPES = ("tophat", "gaussian")
 
@@ -329,85 +328,46 @@ def pump_rate_profile(segment: PumpSegment, grid: FrequencyGrid,
 # Time evolution
 # ---------------------------------------------------------------------------
 
-class _OpticalPropagator:
-    """Exact per-bin propagator of the stiff optical subsystem (n_g, n_e)
-    including branching outflow into the shelves."""
+def _local_propagators(rate: np.ndarray, params: MaterialParams, spin_rate: float,
+                       frac_upper: float, dt: float) -> np.ndarray:
+    """Exact per-bin propagators ``exp(A dt)`` of the local rate equations.
 
-    def __init__(self, rate: np.ndarray, params: MaterialParams, dt: float):
-        a = 1.0 / params.t1_opt
-        beta = params.beta_zeeman + params.beta_shf
-        r = rate
-        c = r + (1.0 - beta) * a
-        s = np.sqrt(a * a + 4.0 * r * c)
-        lam1 = 0.5 * (-(2.0 * r + a) + s)
-        lam2 = 0.5 * (-(2.0 * r + a) - s)
-        e1 = np.exp(lam1 * dt)
-        e2 = np.exp(lam2 * dt)
-        psi = 0.5 * (e1 + e2)
-        phi = (e1 - e2) / s
-        self.gg = psi + 0.5 * a * phi
-        self.ge = c * phi
-        self.eg = r * phi
-        self.ee = psi - 0.5 * a * phi
-        self.beta = beta
-        if beta > 0:
-            self.frac_z = params.beta_zeeman / beta
-            self.frac_h = params.beta_shf / beta
-        else:
-            self.frac_z = self.frac_h = 0.0
-
-    def apply(self, n_g, n_z, n_h, n_e):
-        g_new = self.gg * n_g + self.ge * n_e
-        e_new = self.eg * n_g + self.ee * n_e
-        if self.beta > 0:
-            shelf = n_g + n_e - g_new - e_new
-            np.maximum(shelf, 0.0, out=shelf)
-            n_z += self.frac_z * shelf
-            n_h += self.frac_h * shelf
-        n_g[:] = g_new
-        n_e[:] = e_new
-
-
-def _shf_release(n_g, n_h, decay: float):
-    released = n_h * (1.0 - decay)
-    n_h *= decay
-    n_g += released
-
-
-def _spin_relax(n_g, n_z, frac_upper: float, factor: float):
-    dev = n_z - frac_upper * (n_g + n_z)
-    delta = dev * (1.0 - factor)
-    n_z -= delta
-    n_g += delta
-
-
-def _laplacian(arr: np.ndarray) -> np.ndarray:
-    """Discrete Laplacian with reflective boundaries; sums to zero."""
-    lap = np.empty_like(arr)
-    lap[1:-1] = arr[:-2] - 2.0 * arr[1:-1] + arr[2:]
-    lap[0] = arr[1] - arr[0]
-    lap[-1] = arr[-2] - arr[-1]
-    return lap
-
-
-def _diffuse(arrays, var: float, bin_width: float):
-    """Spread the given variance onto each array with reflective boundaries.
-
-    Applies the heat kernel through second order, exp(aL) ~ I + aL +
-    (aL)^2/2, in sub-steps: the kernel variance is exact per application and
-    the remaining deficit against the true Gaussian semigroup is third order
-    in the sub-step coefficient, so recorded populations converge
-    quadratically with the integrator step.
+    Returns an ``(n_bins, 4, 4)`` stack acting on columns (g, z, h, e); one
+    batched ``expm`` covers the distinct pump rates.  ``spin_rate`` is the
+    spin relaxation plus TLS fill rate pulling ``dev_z`` to zero.
     """
-    a_total = var / (2.0 * bin_width * bin_width)
-    if a_total <= 0.0:
-        return
-    n_sub = max(1, int(np.ceil(a_total / 0.2)))
-    a = a_total / n_sub
-    for _ in range(n_sub):
-        for arr in arrays:
-            lap = _laplacian(arr)
-            arr += a * lap + (0.5 * a * a) * _laplacian(lap)
+    a = 1.0 / params.t1_opt
+    s = 1.0 / params.t_short
+    bz, bh = params.beta_zeeman, params.beta_shf
+    k, f = spin_rate, frac_upper
+    relax = np.array([[-k * f, k * (1.0 - f), s, (1.0 - bz - bh) * a],
+                      [k * f, -k * (1.0 - f), 0.0, bz * a],
+                      [0.0, 0.0, -s, bh * a],
+                      [0.0, 0.0, 0.0, -a]])
+    pump = np.array([[-1.0, 0.0, 0.0, 1.0], [0.0] * 4, [0.0] * 4, [1.0, 0.0, 0.0, -1.0]])
+    rates, which = np.unique(rate, return_inverse=True)
+    return expm((relax + rates[:, None, None] * pump) * dt)[which]
+
+
+def _heat_kernel(n: int, coeff: float) -> sparse.csr_matrix:
+    """Banded n x n heat kernel for ``exp(coeff L)`` with reflective boundaries.
+
+    Applies exp(aL) ~ I + aL + (aL)^2/2 in sub-steps of a <= 0.2: the kernel
+    variance is exact per sub-step and the remaining deficit against the
+    true Gaussian semigroup is third order in the sub-step coefficient, so
+    recorded populations converge quadratically with the integrator step.
+    """
+    main = np.full(n, -2.0)
+    main[0] += 1.0
+    main[-1] += 1.0
+    lap = sparse.diags([np.ones(n - 1), main, np.ones(n - 1)], [-1, 0, 1], format="csr")
+    n_sub = max(1, int(np.ceil(coeff / 0.2)))
+    a = coeff / n_sub
+    sub = sparse.identity(n, format="csr") + a * lap + (0.5 * a * a) * (lap @ lap)
+    kernel = sub
+    for _ in range(n_sub - 1):
+        kernel = kernel @ sub
+    return kernel.tocsr()
 
 
 def evolve(state: EnsembleState, seq: PumpSequence, params: MaterialParams,
@@ -418,11 +378,17 @@ def evolve(state: EnsembleState, seq: PumpSequence, params: MaterialParams,
 
     ``record_times`` are measured from the start of the sequence, must be
     sorted and lie within the total duration.  The input state is not
-    modified.  Step sizes default to a sixty-fourth of the optical lifetime
-    while pump light is on and a hundredth of the shelf lifetime in the
-    dark; every substep is exact per channel, so the defaults are set by
-    the second-order splitting error alone (halving them moves recorded
-    populations by less than 1e-6).
+    modified.  While the pump is constant each bin's four populations
+    follow a linear 4x4 generator, whose exact propagator is applied.  An
+    interval without spectral diffusion (the dark, or TLS off) is therefore
+    exact: it takes one application per record interval and no steps.  With
+    diffusion, steps of about ``dt_lit`` (pump on; default a sixty-fourth of
+    the optical lifetime) or ``dt_dark`` (default a hundredth of the shelf
+    lifetime) Strang-split the local flow and the heat kernel.  Against the
+    exact propagator that split is off by less than 5e-5 in population on
+    fig5's hole pair at 1e-4 W (4.0e-5 at the end of the burn, 2.4e-5 after
+    the wait), and halving both steps moves it by less than that (3.0e-5);
+    on the 0.2 GHz comb of fig4 it is off by less than 1e-3 (6.3e-4).
     """
     record_times = list(record_times)
     if any(t < 0 for t in record_times) or record_times != sorted(record_times):
@@ -438,28 +404,21 @@ def evolve(state: EnsembleState, seq: PumpSequence, params: MaterialParams,
     if dt_lit <= 1e-12 or dt_dark <= 1e-12:
         raise StepSizeUnderflow("step size must exceed 1e-12 s")
 
-    work = state.copy()
-    n_g, n_z, n_h, n_e = work.n_g, work.n_z, work.n_h, work.n_e
-    grid = work.grid
-    dnu = grid.bin_width
+    grid = state.grid
+    n, dnu = grid.n_bins, grid.bin_width
+    pops = np.stack([state.n_g, state.n_z, state.n_h, state.n_e], axis=1)
 
     pol = boltzmann_polarization(params.b_field, params.temperature, params.g_factor)
     frac_upper = (1.0 - pol) / 2.0
-    t_long = flipflop_lifetime(params.b_field, params.temperature, params)
-    shf_rate = 1.0 / params.t_short
+    spin_dark = 1.0 / flipflop_lifetime(params.b_field, params.temperature, params)
 
-    # intervals: (duration, rate array or None, incident power); the TLS
-    # channels are driven by the power coupled into the waveguide, which the
-    # host matrix samples independently of how transparent the erbium line
-    # has become
+    # intervals: (duration, rate array, incident power); the TLS channels are
+    # driven by the power coupled into the waveguide, which the host matrix
+    # samples independently of how transparent the erbium line has become
     intervals = [(seg.duration, pump_rate_profile(seg, grid, params), seg.total_power)
                  for seg in seq.segments]
     if seq.dark_after > 0:
-        intervals.append((seq.dark_after, None, 0.0))
-
-    def clamp():
-        for arr in (n_g, n_z, n_h, n_e):
-            np.clip(arr, 0.0, 1.0, out=arr)
+        intervals.append((seq.dark_after, np.zeros(n), 0.0))
 
     snapshots = []
     rec_iter = iter(record_times)
@@ -470,48 +429,42 @@ def evolve(state: EnsembleState, seq: PumpSequence, params: MaterialParams,
     def take_snapshots_at(t):
         nonlocal next_rec
         while next_rec is not None and next_rec <= t + eps:
-            snapshots.append(work.copy())
+            g, z, h, e = pops.T.copy()
+            snapshots.append(EnsembleState(grid, state.weight.copy(), g, z, h, e))
             next_rec = next(rec_iter, None)
 
     take_snapshots_at(0.0)
 
     for duration, rate, power in intervals:
         seg_end = now + duration
-        lit = rate is not None and np.any(rate > 0)
-        dt_target = dt_lit if lit else dt_dark
-        fill = tls.kappa_fill * power
+        dt_target = dt_lit if np.any(rate > 0) else dt_dark
+        spin_rate = spin_dark + tls_fill_rate(power, tls)
         var_rate = tls.kappa_diff * power
+        diffusive = var_rate > 0
         while now < seg_end - eps:
             # advance to the next record time or the segment end
             if next_rec is not None and now + eps < next_rec < seg_end - eps:
                 stop = next_rec
             else:
                 stop = seg_end
-            n_steps = max(1, int(np.ceil((stop - now) / dt_target - 1e-9)))
+            n_steps = 1
+            if diffusive:
+                n_steps = max(1, int(np.ceil((stop - now) / dt_target - 1e-9)))
             dt = (stop - now) / n_steps
-            if dt <= 1e-13:
-                raise StepSizeUnderflow(f"step collapsed to {dt} s")
-
-            prop = _OpticalPropagator(rate if lit else np.zeros_like(n_g), params, dt)
-            shf_half = np.exp(-0.5 * dt * shf_rate)
-            spin_half = np.exp(-0.5 * dt * (1.0 / t_long + fill))
-            half_var = 0.5 * var_rate * dt
-            pops = (n_g, n_z, n_h, n_e)
-
-            for _ in range(n_steps):
-                if half_var > 0:
-                    _diffuse(pops, half_var, dnu)
-                _shf_release(n_g, n_h, shf_half)
-                _spin_relax(n_g, n_z, frac_upper, spin_half)
-                prop.apply(n_g, n_z, n_h, n_e)
-                _spin_relax(n_g, n_z, frac_upper, spin_half)
-                _shf_release(n_g, n_h, shf_half)
-                if half_var > 0:
-                    _diffuse(pops, half_var, dnu)
-                clamp()
+            local = _local_propagators(rate, params, spin_rate, frac_upper, dt)
+            if diffusive:
+                # Strang steps D L D with the half-steps of adjacent steps merged
+                k_half = _heat_kernel(n, var_rate * dt / (4.0 * dnu * dnu))
+                k_full = k_half @ k_half
+                pops = k_half @ pops
+            for i in range(n_steps):
+                pops = np.einsum("nij,nj->ni", local, pops)
+                if diffusive:
+                    pops = (k_full if i < n_steps - 1 else k_half) @ pops
+                np.clip(pops, 0.0, 1.0, out=pops)
 
             now = stop
-            if not np.isfinite(n_g).all():
+            if not np.isfinite(pops).all():
                 raise NonFiniteState(f"state diverged at t={now}")
             take_snapshots_at(now)
         now = seg_end

@@ -40,7 +40,6 @@ from .fitting import (
     LogTransform,
     ParametricModel,
     fit_curve,
-    model_lorentzian_dip,
 )
 from .pumping import PumpSequence, build_hole_sequence, evolve
 from .relaxation import TlsParams
@@ -560,8 +559,9 @@ def hole_decay_experiment(b_field: float, delays: Sequence[float],
     optical lifetimes so the excited level has emptied before readout.  The
     burn and the dark relaxation are simulated once; readout noise uses
     per-delay seeds spawned from ``seed``.  A delay whose hole has sunk
-    below the noise floor (:class:`NoHoleFound`) is left out of the curve
-    and listed with the reason in ``DecayCurve.dropped``.
+    below the noise floor (:class:`NoHoleFound`) or whose hole fit does not
+    converge (:class:`FitDiverged`) is left out of the curve and listed with
+    the reason in ``DecayCurve.dropped``.
     """
     delays = np.asarray(sorted(delays), dtype=float)
     if delays.size == 0:
@@ -589,7 +589,7 @@ def hole_decay_experiment(b_field: float, delays: Sequence[float],
                                  noise_rel=noise_rel, repeats=repeats, seed=child)
         try:
             metrics = measure_hole(spect, detuning, min_depth=floor)
-        except NoHoleFound as exc:
+        except (NoHoleFound, FitDiverged) as exc:
             dropped.append((float(delay), str(exc)))
             continue
         kept.append(delay)

@@ -19,8 +19,8 @@ readout (spectra are read after the excited level has decayed).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence, Union
+from dataclasses import dataclass, replace
+from typing import Callable, Union
 
 import numpy as np
 from scipy.constants import physical_constants

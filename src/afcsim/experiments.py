@@ -55,7 +55,6 @@ from .readout import (
     analyze_comb,
     hole_decay_experiment,
     measure_hole,
-    simulate_readout,
     storage_time,
 )
 from .relaxation import TlsParams, flipflop_lifetime

@@ -11,8 +11,7 @@ depth reduced by the finesse and the background.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -41,7 +40,7 @@ from .fitting import (
     ParametricModel,
     fit_curve,
 )
-from .pumping import PumpSequence, build_hole_sequence, evolve
+from .pumping import build_hole_sequence, evolve
 from .relaxation import TlsParams
 
 
@@ -156,22 +155,17 @@ class DecayCurve:
 # ---------------------------------------------------------------------------
 
 def simulate_readout(state: EnsembleState, params: MaterialParams, span: float,
-                     sweep_time: float = 1e-3, repeats: int = 20,
-                     noise_rel: float = 0.0, seed=None,
+                     repeats: int = 20, noise_rel: float = 0.0, seed=None,
                      center: float = 0.0) -> AbsorptionSpectrum:
     """Frequency-sweep readout of ``span`` Hz around ``center``.
 
     Additive Gaussian detection noise of relative amplitude
     ``noise_rel / sqrt(repeats)`` (relative to the spectrum maximum) models
     the ``repeats``-fold averaged sweeps; the result is reproducible for a
-    fixed seed.  ``sweep_time`` documents the sweep speed of the protocol;
-    the optical depth model has no sweep-rate response, so it does not
-    affect the returned values.
+    fixed seed.
     """
     if repeats < 1:
         raise NonPositiveInput(f"repeats must be >= 1, got {repeats}")
-    if sweep_time <= 0:
-        raise NonPositiveInput(f"sweep_time must be > 0, got {sweep_time}")
     lo, hi = center - span / 2.0, center + span / 2.0
     if not state.grid.contains(lo, hi):
         raise SpanOutOfGrid(

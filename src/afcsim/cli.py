@@ -6,7 +6,8 @@ Verbs:
 * ``simulate {hole-decay|afc|backfill|pump-probe}``
 * ``fit {double-exp|flipflop|dip}``        fit CSV data, report JSON
 * ``report efficiency``                    comb pipeline + echo efficiency
-* ``reproduce {fig2|fig4|fig5|table1|all}`` standard scenario bundles
+* ``reproduce {fig2|fig4|fig5|table1|efficiency|all}`` standard scenario
+  bundles, one per entry of ``experiments.SCENARIOS``
 
 Flags take unit suffixes (``--field 350G``, ``--bandwidth 6.4GHz``,
 ``--spacing 50MHz``, ``--pump-power 0.15mW``).  The output root defaults to
@@ -107,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("reproduce", help="run a standard scenario bundle")
-    p.add_argument("target", choices=("fig2", "fig4", "fig5", "table1", "all"))
+    p.add_argument("target", choices=(*experiments.SCENARIOS, "all"))
     _add_common(p)
 
     return parser
@@ -199,15 +200,10 @@ def main(argv=None) -> int:
             return 0
         if args.command == "reproduce":
             config = _load_config(args)
-            runner = {"fig2": experiments.run_fig2,
-                      "fig4": experiments.run_fig4,
-                      "fig5": experiments.run_fig5,
-                      "table1": experiments.run_table1,
-                      "all": experiments.run_all}[args.target]
-            runner(config)
+            experiments.SCENARIOS.get(args.target, experiments.run_all)(config)
             print(f"wrote {args.target} artifacts to {config.resolve_outdir()}")
             return 0
-    except AfcSimError as exc:
+    except (AfcSimError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 2

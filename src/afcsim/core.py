@@ -165,10 +165,6 @@ class MaterialParams:
         superhyperfine shelves.  The remainder returns to the pumped level.
     peak_od : float
         Optical depth of the unburned line at full ground population.
-    er_density : float
-        Erbium number density (cm^-3).
-    c_isd : float
-        Instantaneous-spectral-diffusion coefficient (Hz cm^3 per excited ion).
     temperature : float
         Sample temperature (K).
     b_field : float
@@ -192,8 +188,6 @@ class MaterialParams:
     beta_zeeman: float = 0.4
     beta_shf: float = 0.1
     peak_od: float = 2.0
-    er_density: float = 3.6e19
-    c_isd: float = 2e-13
     temperature: float = 0.7
     b_field: float = 0.3
     pump_xsec: float = 6.0e14
@@ -213,8 +207,6 @@ class MaterialParams:
                 or self.beta_zeeman + self.beta_shf > 1:
             raise NonPositiveInput(
                 "branching fractions must satisfy 0 <= beta_zeeman + beta_shf <= 1")
-        if self.er_density < 0 or self.c_isd < 0:
-            raise NonPositiveInput("er_density and c_isd must be >= 0")
 
     def with_(self, **kwargs) -> "MaterialParams":
         """Copy with selected fields replaced."""

@@ -1,10 +1,13 @@
 """Scenario runners, configuration, manifests and artifact export.
 
-Each named scenario (``fig2``, ``fig4``, ``fig5``, ``table1``,
-``efficiency``) bundles a standard parameter set, simulates the
-corresponding protocol end to end, writes CSV/JSON/SVG artifacts and a
-manifest with content hashes.  Fixed config and seed give byte-identical
-data files.
+Each named scenario in :data:`SCENARIOS` (``fig2``, ``fig4``, ``table1``,
+``fig5``, ``efficiency``) bundles a standard parameter set and simulates the
+corresponding protocol end to end.  Its ``run_*`` function renders its
+CSV/SVG artifacts as text and hands them to one writer, which stores them
+with ``<name>_report.json`` and a ``<name>_manifest.json`` holding the
+config and the sha256 of every file.  :func:`run_all` and the CLI's
+``reproduce`` read the same table.  Fixed config and seed give
+byte-identical data files.
 
 The TLS coefficients follow a codified calibration: ``kappa_fill`` is set
 by the threefold drop of the probe-hole depth at maximum pump power and
@@ -247,11 +250,12 @@ def load_config(source) -> ExperimentConfig:
             if current not in _SECTIONS:
                 raise NonPositiveInput(f"unknown config section [{current}]")
             continue
-        if "=" not in line:
-            raise NonPositiveInput(f"cannot parse config line: {raw!r}")
-        key, _, value = line.partition("=")
+        try:
+            key, value = line.split("=", 1)
+            parsed = _parse_value(value)
+        except (ValueError, SyntaxError) as exc:
+            raise NonPositiveInput(f"cannot parse config line: {raw!r}") from exc
         key = key.strip()
-        parsed = _parse_value(value)
         if current is None:
             top[key] = parsed
         else:
@@ -280,41 +284,50 @@ def load_config(source) -> ExperimentConfig:
 
 
 # ---------------------------------------------------------------------------
-# Manifest and export
+# Artifact text, export and the scenario writer
 # ---------------------------------------------------------------------------
 
-def _sha256(path: Path) -> str:
-    h = hashlib.sha256()
-    h.update(path.read_bytes())
-    return h.hexdigest()
+def _json_text(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-class ExperimentManifest:
-    """Collects scenario summaries and output files with content hashes."""
+def _table_csv(header: str, rows) -> str:
+    """CSV text: the scanned first column at 6 significant digits, the rest at 12."""
+    lines = [header]
+    for first, *rest in rows:
+        lines.append(",".join([f"{first:.6g}"] + [f"{v:.12g}" for v in rest]))
+    return "\n".join(lines) + "\n"
 
-    def __init__(self, config: ExperimentConfig):
-        from . import __version__
-        self.config_text = dump_config(config)
-        self.version = __version__
-        self.created = datetime.now(timezone.utc).isoformat(timespec="seconds")
-        self.scenarios: dict = {}
-        self.outputs: list = []
 
-    def add_output(self, path: Path) -> None:
-        self.outputs.append({"path": path.name, "sha256": _sha256(path)})
-
-    def add_summary(self, scenario: str, summary: dict) -> None:
-        self.scenarios[scenario] = summary
-
-    def write(self, path: Path) -> None:
-        doc = {
-            "version": self.version,
-            "created_utc": self.created,
-            "config": self.config_text,
-            "scenarios": self.scenarios,
-            "outputs": sorted(self.outputs, key=lambda o: o["path"]),
-        }
-        path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+def _render(artifact, fmt: str) -> str:
+    """Text of an artifact as ``csv``, ``json`` or ``svg`` (line-plot data)."""
+    if fmt == "csv":
+        if isinstance(artifact, (AbsorptionSpectrum, DecayCurve, CombMetrics)):
+            return artifact.to_csv()
+        if isinstance(artifact, HoleMetrics):
+            d = artifact.as_dict()
+            return ",".join(d) + "\n" + ",".join(f"{v:.12g}" for v in d.values()) + "\n"
+        raise UnsupportedFormat(f"no CSV form for {type(artifact).__name__}")
+    if fmt == "json":
+        if hasattr(artifact, "as_dict"):
+            return _json_text(artifact.as_dict())
+        if isinstance(artifact, AbsorptionSpectrum):
+            return _json_text({"detuning_hz": artifact.grid.centers.tolist(),
+                               "od": artifact.od.tolist()})
+        if isinstance(artifact, dict):
+            return _json_text(artifact)
+        raise UnsupportedFormat(f"no JSON form for {type(artifact).__name__}")
+    if fmt == "svg":
+        if isinstance(artifact, AbsorptionSpectrum):
+            return svgplot.line_plot(
+                [(artifact.grid.centers, artifact.od, "")],
+                xlabel="detuning (Hz)", ylabel="optical depth")
+        if isinstance(artifact, DecayCurve):
+            return svgplot.line_plot(
+                [(artifact.delays, artifact.areas, "")],
+                xlabel="delay (s)", ylabel="hole area (OD Hz)")
+        raise UnsupportedFormat(f"no SVG form for {type(artifact).__name__}")
+    raise UnsupportedFormat(f"unknown format {fmt!r}")
 
 
 def export(artifact, fmt: str, path) -> Path:
@@ -323,47 +336,36 @@ def export(artifact, fmt: str, path) -> Path:
     Returns the written path.  Output bytes depend only on the artifact
     contents.
     """
+    data = _render(artifact, fmt).encode()
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    if fmt == "csv":
-        if isinstance(artifact, AbsorptionSpectrum):
-            text = artifact.to_csv()
-        elif isinstance(artifact, DecayCurve):
-            text = artifact.to_csv()
-        elif isinstance(artifact, CombMetrics):
-            text = artifact.to_csv()
-        elif isinstance(artifact, HoleMetrics):
-            d = artifact.as_dict()
-            text = ",".join(d) + "\n" + ",".join(f"{v:.12g}" for v in d.values()) + "\n"
-        else:
-            raise UnsupportedFormat(f"no CSV form for {type(artifact).__name__}")
-        path.write_text(text, newline="\n")
-    elif fmt == "json":
-        if hasattr(artifact, "as_dict"):
-            doc = artifact.as_dict()
-        elif isinstance(artifact, AbsorptionSpectrum):
-            doc = {"detuning_hz": artifact.grid.centers.tolist(),
-                   "od": artifact.od.tolist()}
-        elif isinstance(artifact, dict):
-            doc = artifact
-        else:
-            raise UnsupportedFormat(f"no JSON form for {type(artifact).__name__}")
-        path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    elif fmt == "svg":
-        if isinstance(artifact, AbsorptionSpectrum):
-            svg = svgplot.line_plot(
-                [(artifact.grid.centers, artifact.od, "")],
-                xlabel="detuning (Hz)", ylabel="optical depth")
-        elif isinstance(artifact, DecayCurve):
-            svg = svgplot.line_plot(
-                [(artifact.delays, artifact.areas, "")],
-                xlabel="delay (s)", ylabel="hole area (OD Hz)")
-        else:
-            raise UnsupportedFormat(f"no SVG form for {type(artifact).__name__}")
-        path.write_text(svg, newline="\n")
-    else:
-        raise UnsupportedFormat(f"unknown format {fmt!r}")
+    path.write_bytes(data)
     return path
+
+
+def _write_scenario(config: ExperimentConfig, name: str, summary: dict,
+                    files: dict) -> None:
+    """Write a scenario's ``{file name: text}`` artifacts and its
+    ``<name>_report.json`` into the output directory, then
+    ``<name>_manifest.json``: version, write time, config text, the summary
+    and the sha256 of each of those files, sorted by name."""
+    from . import __version__
+    outdir = config.resolve_outdir()
+    outdir.mkdir(parents=True, exist_ok=True)
+    files = {**files, f"{name}_report.json": _json_text(summary)}
+    outputs = []
+    for file_name, text in sorted(files.items()):
+        data = text.encode()
+        (outdir / file_name).write_bytes(data)
+        outputs.append({"path": file_name, "sha256": hashlib.sha256(data).hexdigest()})
+    manifest = {
+        "version": __version__,
+        "created_utc": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+        "config": dump_config(config),
+        "scenarios": {name: summary},
+        "outputs": outputs,
+    }
+    (outdir / f"{name}_manifest.json").write_text(_json_text(manifest))
 
 
 # ---------------------------------------------------------------------------
@@ -371,18 +373,21 @@ def export(artifact, fmt: str, path) -> Path:
 # ---------------------------------------------------------------------------
 
 def _comb_background(bandwidth: float, params: MaterialParams, tls: TlsParams,
-                     spacing: float, pit_width: float, duration: float,
-                     wait: float, total_power: float, bin_width: float,
+                     comb, bin_width: float,
                      second_comb: Optional[dict] = None,
                      grid_lo: Optional[float] = None) -> tuple:
     """Burn one comb (optionally alongside a second one) and analyse it.
 
+    ``comb`` is the scenario's comb-protocol section (fig4, table1 or
+    efficiency), read for spacing, pit width, duration, wait and power.
     Returns ``(CombMetrics, AbsorptionSpectrum section)`` for the comb at
     zero detuning, assessed over the central +-100 MHz (bounded by the comb
     extent).  When a second comb is requested the total power is split
     between the two so the deposited pump energy matches the single-comb
     case.
     """
+    spacing, pit_width, duration = comb.spacing, comb.pit_width, comb.duration
+    total_power = comb.total_power
     half = bandwidth / 2.0
     lo = -half - 150e6 if grid_lo is None else grid_lo
     if second_comb is not None:
@@ -392,7 +397,7 @@ def _comb_background(bandwidth: float, params: MaterialParams, tls: TlsParams,
 
     if second_comb is None:
         seq = build_afc_sequence(bandwidth, spacing, pit_width, duration,
-                                 total_power, dark_after=wait)
+                                 total_power, dark_after=comb.wait)
     else:
         p_each = total_power / 2.0
         s1 = build_afc_sequence(bandwidth, spacing, pit_width, duration, p_each)
@@ -403,7 +408,7 @@ def _comb_background(bandwidth: float, params: MaterialParams, tls: TlsParams,
         leak = (s1.segments[0].carrier_leak + s2.segments[0].carrier_leak) * p_each
         seg = PumpSegment(duration=duration, features=features,
                           carrier_leak=leak / total_power, total_power=total_power)
-        seq = PumpSequence(segments=(seg,), dark_after=wait)
+        seq = PumpSequence(segments=(seg,), dark_after=comb.wait)
 
     final = evolve(state, seq, params, tls, [seq.total_duration])[0]
     spec = absorption_spectrum(final, params)
@@ -448,8 +453,6 @@ def run_fig2(config: ExperimentConfig, write: bool = True) -> dict:
     delays = np.geomspace(cfg.delay_min, cfg.delay_max, cfg.n_delays)
     seeds = np.random.SeedSequence(config.seed).spawn(len(cfg.fields_gauss))
 
-    outdir = config.resolve_outdir()
-    manifest = ExperimentManifest(config)
     dexp = model_double_exponential()
 
     curves, fits, records = {}, {}, {}
@@ -494,24 +497,14 @@ def run_fig2(config: ExperimentConfig, write: bool = True) -> dict:
         "flipflop_fit": ff_record,
     }
     if write:
-        outdir.mkdir(parents=True, exist_ok=True)
-        for field_g, curve in curves.items():
-            path = outdir / f"fig2_decay_{int(field_g)}G.csv"
-            export(curve, "csv", path)
-            manifest.add_output(path)
-        svg = svgplot.line_plot(
+        files = {f"fig2_decay_{int(f)}G.csv": _render(curves[f], "csv")
+                 for f in cfg.fields_gauss}
+        files["fig2_decays.svg"] = svgplot.line_plot(
             [(curves[f].delays, curves[f].areas, f"{int(f)} G")
              for f in cfg.fields_gauss],
             xlabel="delay (s)", ylabel="hole area (OD Hz)",
             title="spectral hole decay")
-        svg_path = outdir / "fig2_decays.svg"
-        svg_path.write_text(svg, newline="\n")
-        manifest.add_output(svg_path)
-        report = outdir / "fig2_report.json"
-        report.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-        manifest.add_output(report)
-        manifest.add_summary("fig2", summary)
-        manifest.write(outdir / "fig2_manifest.json")
+        _write_scenario(config, "fig2", summary, files)
     summary["curves"] = curves
     summary["fits"] = fits
     summary["flipflop_fit_result"] = ff_fit
@@ -526,9 +519,8 @@ def run_fig4(config: ExperimentConfig, write: bool = True) -> dict:
 
     rows = []
     for bw_ghz in cfg.bandwidths_ghz:
-        metrics, _ = _comb_background(
-            bw_ghz * 1e9, params, tls, cfg.spacing, cfg.pit_width,
-            cfg.duration, cfg.wait, cfg.total_power, config.bin_width)
+        metrics, _ = _comb_background(bw_ghz * 1e9, params, tls, cfg,
+                                      config.bin_width)
         rows.append((bw_ghz, metrics))
 
     d0s = [m.d0 for _, m in rows]
@@ -543,27 +535,15 @@ def run_fig4(config: ExperimentConfig, write: bool = True) -> dict:
         "d0_spread": float(max(d0s) - min(d0s)),
     }
     if write:
-        outdir = config.resolve_outdir()
-        outdir.mkdir(parents=True, exist_ok=True)
-        manifest = ExperimentManifest(config)
-        csv_path = outdir / "fig4_background.csv"
-        lines = ["bandwidth_ghz,d0,d_peak,tooth_fwhm_hz,finesse"]
-        for bw_ghz, m in rows:
-            lines.append(f"{bw_ghz:.6g},{m.d0:.12g},{m.d_peak:.12g},"
-                         f"{m.tooth_fwhm:.12g},{m.finesse:.12g}")
-        csv_path.write_text("\n".join(lines) + "\n", newline="\n")
-        manifest.add_output(csv_path)
-        svg_path = outdir / "fig4_background.svg"
-        svg_path.write_text(svgplot.line_plot(
-            [([r[0] for r in rows], d0s, "")],
-            xlabel="comb bandwidth (GHz)", ylabel="background d0 (OD)",
-            title="trough background vs bandwidth"), newline="\n")
-        manifest.add_output(svg_path)
-        report = outdir / "fig4_report.json"
-        report.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-        manifest.add_output(report)
-        manifest.add_summary("fig4", summary)
-        manifest.write(outdir / "fig4_manifest.json")
+        _write_scenario(config, "fig4", summary, {
+            "fig4_background.csv": _table_csv(
+                "bandwidth_ghz,d0,d_peak,tooth_fwhm_hz,finesse",
+                [(bw, m.d0, m.d_peak, m.tooth_fwhm, m.finesse) for bw, m in rows]),
+            "fig4_background.svg": svgplot.line_plot(
+                [([r[0] for r in rows], d0s, "")],
+                xlabel="comb bandwidth (GHz)", ylabel="background d0 (OD)",
+                title="trough background vs bandwidth"),
+        })
     summary["metrics"] = rows
     return summary
 
@@ -579,10 +559,8 @@ def run_table1(config: ExperimentConfig, write: bool = True) -> dict:
     for det_ghz in cfg.detunings_ghz:
         det = det_ghz * 1e9
         second = None if det == 0 else {"center_abs": det, "bandwidth": cfg.bandwidth}
-        metrics, _ = _comb_background(
-            cfg.bandwidth, params, config.tls, cfg.spacing, cfg.pit_width,
-            cfg.duration, cfg.wait, cfg.total_power, config.bin_width,
-            second_comb=second)
+        metrics, _ = _comb_background(cfg.bandwidth, params, config.tls, cfg,
+                                      config.bin_width, second_comb=second)
         d0s.append(metrics.d0)
 
     summary = {
@@ -605,13 +583,10 @@ def run_table1(config: ExperimentConfig, write: bool = True) -> dict:
         ctrl_tls = TlsParams.disabled()
         det = cfg.control_zeeman_ghz * 1e9
         grid_lo = -det - cfg.control_bandwidth2 / 2.0 - 100e6
-        ref, _ = _comb_background(
-            cfg.bandwidth, ctrl_params, ctrl_tls, cfg.spacing, cfg.pit_width,
-            cfg.duration, cfg.wait, cfg.total_power, config.bin_width,
-            grid_lo=grid_lo)
+        ref, _ = _comb_background(cfg.bandwidth, ctrl_params, ctrl_tls, cfg,
+                                  config.bin_width, grid_lo=grid_lo)
         overlap, _ = _comb_background(
-            cfg.bandwidth, ctrl_params, ctrl_tls, cfg.spacing, cfg.pit_width,
-            cfg.duration, cfg.wait, cfg.total_power, config.bin_width,
+            cfg.bandwidth, ctrl_params, ctrl_tls, cfg, config.bin_width,
             second_comb={"center_abs": det, "bandwidth": cfg.control_bandwidth2},
             grid_lo=grid_lo)
         summary["control"] = {
@@ -621,20 +596,10 @@ def run_table1(config: ExperimentConfig, write: bool = True) -> dict:
         }
 
     if write:
-        outdir = config.resolve_outdir()
-        outdir.mkdir(parents=True, exist_ok=True)
-        manifest = ExperimentManifest(config)
-        csv_path = outdir / "table1_backfill.csv"
-        lines = ["detuning_ghz,d0"]
-        for det_ghz, d0 in zip(cfg.detunings_ghz, d0s):
-            lines.append(f"{det_ghz:.6g},{d0:.12g}")
-        csv_path.write_text("\n".join(lines) + "\n", newline="\n")
-        manifest.add_output(csv_path)
-        report = outdir / "table1_report.json"
-        report.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-        manifest.add_output(report)
-        manifest.add_summary("table1", summary)
-        manifest.write(outdir / "table1_manifest.json")
+        _write_scenario(config, "table1", summary, {
+            "table1_backfill.csv": _table_csv(
+                "detuning_ghz,d0", zip(cfg.detunings_ghz, d0s)),
+        })
     return summary
 
 
@@ -677,28 +642,17 @@ def run_fig5(config: ExperimentConfig, write: bool = True) -> dict:
         "probe_rel_drop": 1.0 - probe_depths[-1] / probe_depths[0],
     }
     if write:
-        outdir = config.resolve_outdir()
-        outdir.mkdir(parents=True, exist_ok=True)
-        manifest = ExperimentManifest(config)
-        csv_path = outdir / "fig5_holes.csv"
-        lines = ["pump_power_w,pump_depth,pump_fwhm_hz,probe_depth,probe_fwhm_hz"]
-        for p, pump, probe in rows:
-            lines.append(f"{p:.6g},{pump.depth:.12g},{pump.fwhm:.12g},"
-                         f"{probe.depth:.12g},{probe.fwhm:.12g}")
-        csv_path.write_text("\n".join(lines) + "\n", newline="\n")
-        manifest.add_output(csv_path)
-        svg_path = outdir / "fig5_holes.svg"
-        svg_path.write_text(svgplot.line_plot(
-            [(cfg.pump_powers, [d for d in pump_depths], "pump depth"),
-             (cfg.pump_powers, probe_depths, "probe depth")],
-            xlabel="pump power (W)", ylabel="hole depth (OD)",
-            title="pump-probe hole depths"), newline="\n")
-        manifest.add_output(svg_path)
-        report = outdir / "fig5_report.json"
-        report.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-        manifest.add_output(report)
-        manifest.add_summary("fig5", summary)
-        manifest.write(outdir / "fig5_manifest.json")
+        _write_scenario(config, "fig5", summary, {
+            "fig5_holes.csv": _table_csv(
+                "pump_power_w,pump_depth,pump_fwhm_hz,probe_depth,probe_fwhm_hz",
+                [(p, pump.depth, pump.fwhm, probe.depth, probe.fwhm)
+                 for p, pump, probe in rows]),
+            "fig5_holes.svg": svgplot.line_plot(
+                [(cfg.pump_powers, pump_depths, "pump depth"),
+                 (cfg.pump_powers, probe_depths, "probe depth")],
+                xlabel="pump power (W)", ylabel="hole depth (OD)",
+                title="pump-probe hole depths"),
+        })
     summary["rows"] = rows
     return summary
 
@@ -708,9 +662,8 @@ def run_efficiency(config: ExperimentConfig, write: bool = True) -> dict:
     and forward-recall efficiency."""
     cfg = config.efficiency
     params = config.material.with_(peak_od=cfg.peak_od)
-    metrics, section = _comb_background(
-        cfg.bandwidth, params, config.tls, cfg.spacing, cfg.pit_width,
-        cfg.duration, cfg.wait, cfg.total_power, config.bin_width)
+    metrics, section = _comb_background(cfg.bandwidth, params, config.tls, cfg,
+                                        config.bin_width)
     eta = afc_efficiency(metrics)
     summary = {
         "comb": metrics.as_dict(),
@@ -719,31 +672,23 @@ def run_efficiency(config: ExperimentConfig, write: bool = True) -> dict:
         "storage_time_s": storage_time(cfg.spacing),
     }
     if write:
-        outdir = config.resolve_outdir()
-        outdir.mkdir(parents=True, exist_ok=True)
-        manifest = ExperimentManifest(config)
-        spec_path = export(section, "csv", outdir / "efficiency_comb_section.csv")
-        manifest.add_output(spec_path)
-        svg_path = export(section, "svg", outdir / "efficiency_comb_section.svg")
-        manifest.add_output(svg_path)
-        report = outdir / "efficiency_report.json"
-        report.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-        manifest.add_output(report)
-        manifest.add_summary("efficiency", summary)
-        manifest.write(outdir / "efficiency_manifest.json")
+        _write_scenario(config, "efficiency", summary, {
+            "efficiency_comb_section.csv": _render(section, "csv"),
+            "efficiency_comb_section.svg": _render(section, "svg"),
+        })
     summary["metrics"] = metrics
     summary["section"] = section
     return summary
 
 
+# name -> runner; ``run_all`` and the CLI's ``reproduce`` choices read it
+SCENARIOS = {"fig2": run_fig2, "fig4": run_fig4, "table1": run_table1,
+             "fig5": run_fig5, "efficiency": run_efficiency}
+
+
 def run_all(config: ExperimentConfig, write: bool = True) -> dict:
-    return {
-        "fig2": run_fig2(config, write=write),
-        "fig4": run_fig4(config, write=write),
-        "table1": run_table1(config, write=write),
-        "fig5": run_fig5(config, write=write),
-        "efficiency": run_efficiency(config, write=write),
-    }
+    """Run every scenario in :data:`SCENARIOS`; returns ``{name: summary}``."""
+    return {name: run(config, write=write) for name, run in SCENARIOS.items()}
 
 
 # ---------------------------------------------------------------------------

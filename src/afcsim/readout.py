@@ -137,10 +137,6 @@ class DecayCurve:
             lines.append(f"{d:.9g},{a:.12g},{s:.12g}")
         return "\n".join(lines) + "\n"
 
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="\n") as fh:
-            fh.write(self.to_csv())
-
     def as_dict(self) -> dict:
         return {
             "delay_s": [float(v) for v in self.delays],

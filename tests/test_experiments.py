@@ -8,7 +8,7 @@ import pytest
 
 import afcsim as a
 import afcsim.experiments as ex
-from afcsim.cli import main as cli_main
+from afcsim.cli import build_parser, main as cli_main
 from afcsim.errors import NonPositiveInput, UnsupportedFormat
 from afcsim.readout import CombMetrics, DecayCurve, HoleMetrics
 from afcsim.units import parse_quantity
@@ -45,6 +45,13 @@ class TestConfig:
         path.write_text(ex.dump_config(ex.default_config()))
         cfg = ex.load_config(path)
         assert cfg == ex.default_config()
+
+    @pytest.mark.parametrize("value", ["0.7K", "warm"])
+    def test_malformed_value_names_the_line(self, value):
+        # "0.7K" is the unit-suffix style of the CLI flags; the file format
+        # takes bare numbers only
+        with pytest.raises(NonPositiveInput, match=f"temperature = {value}"):
+            ex.load_config(f"[material]\ntemperature = {value}\n")
 
 
 class TestUnits:
@@ -136,6 +143,27 @@ def tiny_config(outdir) -> ex.ExperimentConfig:
     return cfg
 
 
+def cut_config(outdir) -> ex.ExperimentConfig:
+    """Every scenario at two points with 50 ms burns: about 1 s in all."""
+    cfg = tiny_config(outdir)
+    cfg.fig2 = replace(cfg.fig2, fields_gauss=(350.0, 800.0))
+    cfg.fig4 = replace(cfg.fig4, bandwidths_ghz=(0.2, 0.4), duration=0.05)
+    cfg.table1 = replace(cfg.table1, detunings_ghz=(0.0, 1.0), duration=0.05)
+    cfg.efficiency = replace(cfg.efficiency, bandwidth=0.4e9, duration=0.05)
+    return cfg
+
+
+# data files of each scenario under cut_config; each also writes
+# <name>_report.json and <name>_manifest.json
+SCENARIO_FILES = {
+    "fig2": {"fig2_decay_350G.csv", "fig2_decay_800G.csv", "fig2_decays.svg"},
+    "fig4": {"fig4_background.csv", "fig4_background.svg"},
+    "table1": {"table1_backfill.csv"},
+    "fig5": {"fig5_holes.csv", "fig5_holes.svg"},
+    "efficiency": {"efficiency_comb_section.csv", "efficiency_comb_section.svg"},
+}
+
+
 class TestScenarioPlumbing:
     def test_fig2_manifest_and_determinism(self, tmp_path):
         out_a = tmp_path / "a"
@@ -191,6 +219,24 @@ class TestScenarioPlumbing:
             assert summary["t_long_fitted_s"] == [res["t_long"]]
             assert summary["flipflop_fields_gauss"] == [350.0]
         assert n_converged >= len(seeds) // 2
+
+    def test_run_all_writes_each_documented_file_set(self, tmp_path):
+        cfg = cut_config(tmp_path)
+        ex.run_all(cfg)
+        assert list(ex.SCENARIOS) == list(SCENARIO_FILES)
+        expected = set()
+        for name, data_files in SCENARIO_FILES.items():
+            outputs = data_files | {f"{name}_report.json"}
+            expected |= outputs | {f"{name}_manifest.json"}
+            manifest = json.loads((tmp_path / f"{name}_manifest.json").read_text())
+            assert [o["path"] for o in manifest["outputs"]] == sorted(outputs)
+            for entry in manifest["outputs"]:
+                data = (tmp_path / entry["path"]).read_bytes()
+                assert entry["sha256"] == hashlib.sha256(data).hexdigest()
+            report = json.loads((tmp_path / f"{name}_report.json").read_text())
+            assert manifest["scenarios"] == {name: report}
+            assert ex.load_config(manifest["config"]) == cfg
+        assert {p.name for p in tmp_path.iterdir()} == expected
 
     def test_fig5_runner_writes_expected_files(self, tmp_path):
         cfg = tiny_config(tmp_path)
@@ -259,6 +305,25 @@ class TestCli:
         doc = json.loads(capsys.readouterr().out)
         assert doc["pump_powers_w"][0] == pytest.approx(2e-5)
         assert doc["probe_depth"][0] > 0
+
+    def test_reproduce_writes_one_scenario(self, tmp_path):
+        for name in (*ex.SCENARIOS, "all"):
+            assert build_parser().parse_args(["reproduce", name]).target == name
+        cfg_path = tmp_path / "cfg.toml"
+        cfg_path.write_text(ex.dump_config(cut_config(tmp_path / "unused")))
+        out = tmp_path / "out"
+        rc = cli_main(["reproduce", "table1", "--config", str(cfg_path),
+                       "--outdir", str(out)])
+        assert rc == 0
+        assert {p.name for p in out.iterdir()} == {
+            "table1_backfill.csv", "table1_report.json", "table1_manifest.json"}
+
+    def test_reproduce_missing_config_exits_nonzero(self, tmp_path, capsys):
+        rc = cli_main(["reproduce", "table1", "--config",
+                       str(tmp_path / "missing.toml"), "--outdir", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert list(tmp_path.iterdir()) == []
 
     def test_outdir_env_variable(self, tmp_path, monkeypatch):
         monkeypatch.setenv("AFCSIM_OUTDIR", str(tmp_path / "envout"))

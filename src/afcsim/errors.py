@@ -70,6 +70,10 @@ class NonFiniteState(AfcSimError, RuntimeError):
     """Populations became NaN or infinite during time evolution."""
 
 
+class SpectrumOutsideContour(AfcSimError, RuntimeError):
+    """A generator's spectrum leaves the region the exp(tA) contour encloses."""
+
+
 class SingularJacobian(AfcSimError, RuntimeError):
     """Fit Jacobian is rank deficient at the current point."""
 

@@ -200,7 +200,9 @@ def _fmt_value(value):
     if isinstance(value, (tuple, list)):
         return "[" + ", ".join(_fmt_value(v) for v in value) + "]"
     if isinstance(value, str):
-        return f'"{value}"'
+        # an ASCII literal, so no character of the value ends the line
+        escaped = value.encode("unicode_escape").decode("ascii").replace('"', '\\"')
+        return f'"{escaped}"'
     return repr(value)
 
 
@@ -208,7 +210,7 @@ def dump_config(config: ExperimentConfig) -> str:
     """Serialise the configuration to a TOML-style key/value document."""
     lines = ["# afcsim experiment configuration", ""]
     lines.append(f"seed = {config.seed}")
-    lines.append(f'outdir = "{config.outdir}"')
+    lines.append(f"outdir = {_fmt_value(config.outdir)}")
     lines.append(f"bin_width = {config.bin_width!r}")
     for section, _ in _SECTIONS.items():
         obj = getattr(config, section)
@@ -228,11 +230,53 @@ def _parse_value(text: str):
     return ast.literal_eval(text)
 
 
+def _strip_comment(line: str) -> str:
+    """``line`` without a ``#`` comment; a ``#`` inside quotes is kept."""
+    quote = None
+    escaped = False
+    for i, char in enumerate(line):
+        if escaped:
+            escaped = False
+        elif quote and char == "\\":
+            escaped = True
+        elif char == quote:
+            quote = None
+        elif quote is None and char in "\"'":
+            quote = char
+        elif quote is None and char == "#":
+            return line[:i]
+    return line
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _typed(key: str, value, default):
+    """``value`` if it has the type of the field's ``default`` (an int passes
+    for a float, and a list of numbers for a tuple, as a tuple)."""
+    if isinstance(default, bool):
+        ok = isinstance(value, bool)
+    elif isinstance(default, int):
+        ok = isinstance(value, int) and not isinstance(value, bool)
+    elif isinstance(default, float):
+        ok = _is_number(value)
+    elif isinstance(default, tuple):
+        ok = isinstance(value, (list, tuple)) and all(_is_number(v) for v in value)
+        value = tuple(value) if ok else value
+    else:
+        ok = isinstance(value, type(default))
+    if not ok:
+        raise NonPositiveInput(
+            f"config key {key!r} must be {type(default).__name__}, got {value!r}")
+    return value
+
+
 def load_config(source) -> ExperimentConfig:
     """Parse a TOML-style document (path or text) into a configuration.
 
     Unknown keys are rejected so typos do not silently fall back to
-    defaults.
+    defaults, and every value must have the type of its field's default.
     """
     if isinstance(source, (str, Path)) and "\n" not in str(source):
         text = Path(source).read_text()
@@ -242,7 +286,7 @@ def load_config(source) -> ExperimentConfig:
     sections: dict = {name: {} for name in _SECTIONS}
     current = None
     for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
+        line = _strip_comment(raw).strip()
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
@@ -265,7 +309,7 @@ def load_config(source) -> ExperimentConfig:
     for key, value in top.items():
         if key not in ("seed", "outdir", "bin_width"):
             raise NonPositiveInput(f"unknown top-level config key {key!r}")
-        setattr(config, key, value)
+        setattr(config, key, _typed(key, value, getattr(config, key)))
     for name, cls in _SECTIONS.items():
         if not sections[name]:
             continue
@@ -276,9 +320,7 @@ def load_config(source) -> ExperimentConfig:
         current_obj = getattr(config, name)
         data = {f.name: getattr(current_obj, f.name) for f in fields(cls)}
         for key, value in sections[name].items():
-            if isinstance(data[key], tuple) and isinstance(value, list):
-                value = tuple(value)
-            data[key] = value
+            data[key] = _typed(key, value, data[key])
         setattr(config, name, cls(**data))
     return config
 

@@ -8,6 +8,8 @@ interval is one sparse linear system ``x' = A x``.  The oracle here builds
 scenarios' top operating points whose errors the ``evolve`` docstring states.
 """
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -15,7 +17,9 @@ from scipy.sparse.linalg import expm_multiply
 
 import afcsim as a
 from afcsim import experiments as ex
+from afcsim import pumping
 from afcsim.core import boltzmann_polarization
+from afcsim.errors import SpectrumOutsideContour
 from afcsim.relaxation import TlsParams, flipflop_lifetime
 
 # documented bounds on evolve's population error with spectral diffusion, at
@@ -23,6 +27,10 @@ from afcsim.relaxation import TlsParams, flipflop_lifetime
 # 0.2 GHz comb of fig4
 HOLE_BOUND = 5e-5
 COMB_BOUND = 1e-3
+# evolve's documented error with diffusion, from its contour solve, and the
+# per-bin mass drift
+EXACT_BOUND = 1e-10
+MASS_BOUND = 1e-12
 
 
 def generator(rate, power, params, tls, bin_width):
@@ -148,3 +156,89 @@ def test_fig5_top_power_within_documented_bound_and_step_halving():
                                   dt_lit=p.t1_opt / 128.0, dt_dark=p.t_short / 200.0))
     assert np.max(np.abs(default - exact(st, seq, p, config.tls, rec))) <= HOLE_BOUND
     assert np.max(np.abs(default - halved)) <= HOLE_BOUND
+
+
+@lru_cache(maxsize=None)
+def fig5_top_power_case():
+    """Evolved and exact populations of fig5's hole pair at 1e-4 W, recorded
+    at 1 ms, inside the burn, at its end and after the wait."""
+    config = ex.default_config()
+    cfg = config.fig5
+    p = config.material
+    g = a.make_grid(cfg.center - cfg.separation / 2.0 - 100e6,
+                    cfg.center + cfg.separation / 2.0 + 100e6, config.bin_width)
+    st = a.init_equilibrium_state(g, p)
+    seq = a.build_two_hole_sequence(
+        separation=cfg.separation, hole_width=cfg.hole_width,
+        pump_power=max(cfg.pump_powers), probe_power=cfg.probe_power,
+        center=cfg.center, burn_duration=cfg.duration, dark_after=cfg.wait)
+    rec = [1e-3, 0.1234, cfg.duration, seq.total_duration]
+    return (populations(a.evolve(st, seq, p, config.tls, rec)),
+            exact(st, seq, p, config.tls, rec))
+
+
+@lru_cache(maxsize=None)
+def comb_case():
+    """Evolved and exact populations of fig4's 0.2 GHz comb at the end of the
+    burn and after the wait."""
+    config = ex.default_config()
+    cfg = config.fig4
+    p = config.material.with_(peak_od=cfg.peak_od)
+    g = a.make_grid(-250e6, 250e6, config.bin_width)
+    st = a.init_equilibrium_state(g, p)
+    seq = a.build_afc_sequence(0.2e9, cfg.spacing, cfg.pit_width, cfg.duration,
+                               cfg.total_power, dark_after=cfg.wait)
+    rec = [cfg.duration, seq.total_duration]
+    return (populations(a.evolve(st, seq, p, config.tls, rec)),
+            exact(st, seq, p, config.tls, rec))
+
+
+def test_fig5_top_power_exact():
+    got, want = fig5_top_power_case()
+    assert np.max(np.abs(got[2:] - want[2:])) <= EXACT_BOUND
+
+
+def test_comb_exact():
+    got, want = comb_case()
+    assert np.max(np.abs(got - want)) <= EXACT_BOUND
+
+
+def test_record_time_inside_lit_interval_exact():
+    got, want = fig5_top_power_case()
+    assert np.max(np.abs(got[1] - want[1])) <= EXACT_BOUND
+
+
+def test_exact_at_1ms():
+    got, want = fig5_top_power_case()
+    assert np.max(np.abs(got[0] - want[0])) <= EXACT_BOUND
+
+
+def test_mass_conserved_with_diffusion():
+    for got, _ in (fig5_top_power_case(), comb_case()):
+        assert np.max(np.abs(got.sum(axis=-1) - 1.0)) <= MASS_BOUND
+
+
+@pytest.mark.parametrize("b_field, beta_zeeman, beta_shf",
+                         [(0.3, 0.9, 0.1), (1.0, 0.05, 0.8), (0.035, 0.9, 0.1)])
+def test_other_materials_exact(b_field, beta_zeeman, beta_shf):
+    st, seq, p, rec = hole_setup()
+    p = p.with_(b_field=b_field, beta_zeeman=beta_zeeman, beta_shf=beta_shf)
+    st = a.init_equilibrium_state(st.grid, p)
+    tls = TlsParams()
+    got = populations(a.evolve(st, seq, p, tls, rec))
+    assert np.max(np.abs(got - exact(st, seq, p, tls, rec))) <= EXACT_BOUND
+
+
+def test_spectrum_guard_raises(monkeypatch):
+    # no physical block leaves the contour, so substitute a cyclic flow
+    # g -> e -> z -> g whose eigenvalues c(-3/2 +- i sqrt(3)/2) sit 30 degrees
+    # off the negative real axis, outside the contour's 22.8-degree asymptotes
+    def cyclic_flow(params, spin_rate, frac_upper):
+        cycle = 1e4 * np.array([[-1.0, 1.0, 0.0, 0.0], [0.0, -1.0, 0.0, 1.0],
+                                [0.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, -1.0]])
+        return cycle, np.zeros((4, 4))
+
+    st, seq, p, rec = hole_setup()
+    monkeypatch.setattr(pumping, "_rate_matrices", cyclic_flow)
+    with pytest.raises(SpectrumOutsideContour):
+        a.evolve(st, seq, p, TlsParams(), rec)

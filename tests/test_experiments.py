@@ -1,10 +1,11 @@
 import hashlib
 import json
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import afcsim as a
 import afcsim.experiments as ex
@@ -52,6 +53,64 @@ class TestConfig:
         # takes bare numbers only
         with pytest.raises(NonPositiveInput, match=f"temperature = {value}"):
             ex.load_config(f"[material]\ntemperature = {value}\n")
+
+
+    @pytest.mark.parametrize("line", [
+        '[material]\ntemperature = "0.7K"\n',
+        "[fig4]\nbandwidths_ghz = 0.2\n",
+        "[fig4]\nbandwidths_ghz = [0.2, True]\n",
+        "[fig4]\ntls_enabled = 1\n",
+        "[fig2]\nn_delays = 36.0\n",
+        "seed = true\n",
+        "outdir = 3\n",
+    ])
+    def test_wrong_value_type_names_the_key(self, line):
+        key = line.split("=")[0].split("\n")[-1].strip()
+        with pytest.raises(NonPositiveInput, match=key):
+            ex.load_config(line)
+
+    def test_int_accepted_for_float(self):
+        assert ex.load_config("[material]\ntemperature = 1\n").material.temperature == 1.0
+
+    def test_hash_inside_quotes_is_not_a_comment(self):
+        cfg = ex.load_config('outdir = "runs/#1"  # trailing comment\n')
+        assert cfg.outdir == "runs/#1"
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(st.data())
+    def test_dump_load_roundtrip_generated(self, data):
+        cfg = generated_config(data)
+        text = ex.dump_config(cfg)
+        assert ex.load_config(text) == cfg
+        assert ex.dump_config(ex.load_config(text)) == text
+
+
+def generated_config(data):
+    """A configuration whose every field is drawn with the type of its default:
+    finite floats (positive where the dataclass checks it, branching fractions
+    summing to at most 1), tuples of floats, ints, booleans and any text."""
+    def value(name, default):
+        if isinstance(default, bool):
+            return data.draw(st.booleans())
+        if isinstance(default, int):
+            return data.draw(st.integers())
+        if isinstance(default, str):
+            return data.draw(st.text())
+        number = st.floats(min_value=0.0, max_value=0.5) if name.startswith("beta_") \
+            else st.floats(min_value=1e-300, max_value=1e300)
+        if isinstance(default, tuple):
+            return tuple(data.draw(st.lists(number, max_size=4)))
+        return data.draw(number)
+
+    cfg = ex.default_config()
+    for f in fields(cfg):
+        current = getattr(cfg, f.name)
+        if is_dataclass(current):
+            setattr(cfg, f.name, replace(current, **{
+                g.name: value(g.name, getattr(current, g.name)) for g in fields(current)}))
+        else:
+            setattr(cfg, f.name, value(f.name, current))
+    return cfg
 
 
 class TestUnits:

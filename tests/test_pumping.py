@@ -1,11 +1,9 @@
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
-from scipy.ndimage import correlate1d
 
 import afcsim as a
 from afcsim.core import boltzmann_polarization
-from afcsim.pumping import _heat_kernel
 from afcsim.errors import (
     InvalidCombGeometry,
     InvalidGeometry,
@@ -375,29 +373,6 @@ class TestEvolve:
         with pytest.raises(StepSizeUnderflow):
             a.evolve(st, dark_sequence(0.01, 0.0), p, TlsParams.disabled(),
                      [0.01], dt_lit=1e-13)
-
-
-def reflective_heat_matrix(n, coeff):
-    """``(I + aL + (aL)^2/2)^m`` with a <= 0.2 and ``L`` the n x n Laplacian
-    with reflective boundaries: the heat kernel's defining construction."""
-    lap = np.diag(np.full(n - 1, 1.0), -1) + np.diag(np.full(n - 1, 1.0), 1)
-    lap -= np.diag(lap.sum(axis=1))
-    m = max(1, int(np.ceil(coeff / 0.2)))
-    sub = np.eye(n) + (coeff / m) * lap + 0.5 * (coeff / m) ** 2 * (lap @ lap)
-    return np.linalg.matrix_power(sub, m)
-
-
-class TestHeatKernel:
-    @pytest.mark.parametrize("coeff", [0.05, 0.2028, 0.9])
-    @pytest.mark.parametrize("n", [2, 3, 5, 50])
-    def test_reflect_taps_match_reflective_laplacian(self, n, coeff):
-        pops = np.random.default_rng(n).uniform(size=(4, n))
-        k_half = _heat_kernel(coeff)
-        matrix = reflective_heat_matrix(n, coeff)
-        # a half-step and the merged full step, up to 41 taps on 2 bins
-        for taps, op in ((k_half, matrix), (np.convolve(k_half, k_half), matrix @ matrix)):
-            got = correlate1d(pops, taps, axis=1, mode="reflect")
-            assert np.max(np.abs(got - pops @ op.T)) <= 1e-14
 
 
 class TestEvolveSnapshots:

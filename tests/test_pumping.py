@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
 import afcsim as a
 from afcsim.core import boltzmann_polarization
+from afcsim.pumping import _contour_expmv
 from afcsim.errors import (
     InvalidCombGeometry,
     InvalidGeometry,
@@ -373,6 +375,28 @@ class TestEvolve:
         with pytest.raises(StepSizeUnderflow):
             a.evolve(st, dark_sequence(0.01, 0.0), p, TlsParams.disabled(),
                      [0.01], dt_lit=1e-13)
+
+
+def reflective_laplacian(n):
+    """The n x n second difference with reflective boundaries."""
+    lap = np.diag(np.full(n - 1, 1.0), -1) + np.diag(np.full(n - 1, 1.0), 1)
+    lap -= np.diag(lap.sum(axis=1))
+    return lap
+
+
+class TestHeatKernel:
+    @pytest.mark.parametrize("coeff", [0.05, 0.2028, 0.9])
+    @pytest.mark.parametrize("n", [2, 3, 5, 50])
+    def test_reflect_taps_match_reflective_laplacian(self, n, coeff):
+        # with no pump and no relaxation the contour solve is the pure heat
+        # kernel exp(coeff L) on every level; checked over one and two steps.
+        # The 24-node rule is off by up to 1.4e-12 here, well inside 1e-11
+        pops = np.random.default_rng(n).uniform(size=(n, 4))
+        zeros = np.zeros((4, 4))
+        for steps in (1, 2):
+            got = _contour_expmv(zeros, zeros, np.zeros(n), coeff, float(steps), pops.ravel())
+            want = expm(steps * coeff * reflective_laplacian(n)) @ pops
+            assert np.max(np.abs(got.reshape(n, 4) - want)) <= 1e-11
 
 
 class TestEvolveSnapshots:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import ast
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timezone
@@ -206,18 +207,23 @@ def _fmt_value(value):
     return repr(value)
 
 
+def _dump_line(key: str, value) -> str:
+    """``key = value``; a value ``load_config`` would refuse, such as a
+    non-finite float, is refused here so every dump loads back."""
+    return f"{key} = {_fmt_value(_typed(key, value, value))}"
+
+
 def dump_config(config: ExperimentConfig) -> str:
     """Serialise the configuration to a TOML-style key/value document."""
     lines = ["# afcsim experiment configuration", ""]
-    lines.append(f"seed = {config.seed}")
-    lines.append(f"outdir = {_fmt_value(config.outdir)}")
-    lines.append(f"bin_width = {config.bin_width!r}")
+    for key in ("seed", "outdir", "bin_width"):
+        lines.append(_dump_line(key, getattr(config, key)))
     for section, _ in _SECTIONS.items():
         obj = getattr(config, section)
         lines.append("")
         lines.append(f"[{section}]")
         for f in fields(obj):
-            lines.append(f"{f.name} = {_fmt_value(getattr(obj, f.name))}")
+            lines.append(_dump_line(f.name, getattr(obj, f.name)))
     return "\n".join(lines) + "\n"
 
 
@@ -248,27 +254,35 @@ def _strip_comment(line: str) -> str:
     return line
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _is_finite_number(value) -> bool:
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
 def _typed(key: str, value, default):
     """``value`` if it has the type of the field's ``default`` (an int passes
-    for a float, and a list of numbers for a tuple, as a tuple)."""
+    for a float, and a list of numbers for a tuple, as a tuple).  Floats
+    must be finite: ``dump_config`` could not write ``inf`` or ``nan`` back."""
+    expected = type(default).__name__
     if isinstance(default, bool):
         ok = isinstance(value, bool)
     elif isinstance(default, int):
         ok = isinstance(value, int) and not isinstance(value, bool)
     elif isinstance(default, float):
-        ok = _is_number(value)
+        ok = _is_finite_number(value)
+        expected = "a finite float"
     elif isinstance(default, tuple):
-        ok = isinstance(value, (list, tuple)) and all(_is_number(v) for v in value)
+        ok = isinstance(value, (list, tuple)) and all(_is_finite_number(v) for v in value)
         value = tuple(value) if ok else value
+        expected = "a list of finite numbers"
     else:
         ok = isinstance(value, type(default))
     if not ok:
-        raise NonPositiveInput(
-            f"config key {key!r} must be {type(default).__name__}, got {value!r}")
+        raise NonPositiveInput(f"config key {key!r} must be {expected}, got {value!r}")
     return value
 
 

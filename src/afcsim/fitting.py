@@ -572,26 +572,43 @@ def model_lorentzian_dip() -> ParametricModel:
 def load_curve_csv(path_or_text) -> tuple:
     """Read ``x,y[,sigma]`` data; a non-numeric first row is treated as header.
 
-    Returns ``(x, y, sigma)`` with ``sigma=None`` when absent.
+    Returns ``(x, y, sigma)`` with ``sigma=None`` when absent.  A data line
+    with a non-numeric or non-finite cell, or with a different number of
+    columns from the first data line, raises :class:`NonPositiveInput`
+    naming that line.
     """
     if isinstance(path_or_text, str) and "\n" in path_or_text:
         fh = io.StringIO(path_or_text)
     else:
         fh = open(path_or_text, "r", newline="")
     try:
-        rows = [row for row in csv.reader(fh) if row and any(c.strip() for c in row)]
+        reader = csv.reader(fh)
+        rows = [(reader.line_num, row) for row in reader if any(c.strip() for c in row)]
     finally:
         fh.close()
     if not rows:
         raise NonPositiveInput("empty CSV input")
     try:
-        [float(c) for c in rows[0][:2]]
+        [float(c) for c in rows[0][1][:2]]
     except ValueError:
         rows = rows[1:]
     if not rows:
         raise NonPositiveInput("CSV contains a header but no data")
-    data = np.array([[float(c) for c in row] for row in rows])
-    if data.shape[1] < 2:
+    width = len(rows[0][1])
+    if width < 2:
         raise NonPositiveInput("CSV needs at least two columns (x, y)")
-    sigma = data[:, 2] if data.shape[1] >= 3 else None
+    data = np.empty((len(rows), width))
+    for i, (line, row) in enumerate(rows):
+        if len(row) != width:
+            raise NonPositiveInput(
+                f"CSV line {line} has {len(row)} columns, expected {width}")
+        try:
+            data[i] = [float(c) for c in row]
+        except ValueError:
+            raise NonPositiveInput(
+                f"CSV line {line} has a non-numeric value: {','.join(row)!r}") from None
+        if not np.all(np.isfinite(data[i])):
+            raise NonPositiveInput(
+                f"CSV line {line} has a non-finite value: {','.join(row)!r}")
+    sigma = data[:, 2] if width >= 3 else None
     return data[:, 0], data[:, 1], sigma

@@ -3,7 +3,7 @@ import pytest
 from scipy.constants import physical_constants
 
 import afcsim as a
-from afcsim.core import AbsorptionSpectrum
+from afcsim.core import AbsorptionSpectrum, _convolve_padded
 from afcsim.errors import (
     InvalidRange,
     NegativeField,
@@ -167,6 +167,20 @@ class TestEquilibriumState:
 
 
 class TestAbsorptionSpectrum:
+    @pytest.mark.parametrize("pad_mode", ["edge", "constant"])
+    def test_convolution_equals_fftconvolve_bit_for_bit(self, pad_mode):
+        # the call _convolve_padded replaces: fftconvolve "same", then the crop
+        from scipy.signal import fftconvolve
+
+        rng = np.random.default_rng(8)
+        for n in [*range(1, 60), 199, 200, 201, 400, 1000, 1001, 7000]:
+            values = rng.random(n)
+            kernel = rng.random(2 * n - 1)
+            half = kernel.size // 2
+            padded = np.pad(values, half, mode=pad_mode)
+            expected = fftconvolve(padded, kernel, mode="same")[half:half + n]
+            assert np.array_equal(_convolve_padded(values, kernel, pad_mode), expected), n
+
     def test_fresh_flat_spectrum(self):
         p = a.MaterialParams()
         g = a.make_grid(-100e6, 100e6, 0.5e6)

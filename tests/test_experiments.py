@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
@@ -83,6 +84,23 @@ class TestConfig:
         text = ex.dump_config(cfg)
         assert ex.load_config(text) == cfg
         assert ex.dump_config(ex.load_config(text)) == text
+
+        # a non-finite float is refused by the dump and by the load, naming
+        # the key, so no config that dumps fails to load
+        name = data.draw(st.sampled_from(["fig2", "fig4", "table1", "fig5", "efficiency"]))
+        section = getattr(cfg, name)
+        key = data.draw(st.sampled_from([
+            f.name for f in fields(section)
+            if isinstance(getattr(section, f.name), (float, tuple))]))
+        bad = data.draw(st.sampled_from([math.inf, -math.inf, math.nan]))
+        literal = data.draw(st.sampled_from(["1e999", "-1e999"]))
+        if isinstance(getattr(section, key), tuple):
+            bad, literal = (1.0, bad), f"[1.0, {literal}]"
+        setattr(section, key, bad)
+        with pytest.raises(NonPositiveInput, match=key):
+            ex.dump_config(cfg)
+        with pytest.raises(NonPositiveInput, match=key):
+            ex.load_config(f"{text}\n[{name}]\n{key} = {literal}\n")
 
 
 def generated_config(data):
@@ -341,6 +359,12 @@ class TestCli:
                          str(tmp_path / "report.json")]) == 0
         doc = json.loads((tmp_path / "report.json").read_text())
         assert doc["params"]["fwhm"] == pytest.approx(20.0, rel=1e-6)
+
+    def test_fit_malformed_csv_exits_nonzero(self, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_text("delay_s,area\n0.01,1.0\n3,abc\n")
+        assert cli_main(["fit", "double-exp", str(path)]) == 1
+        assert "error: CSV line 3 " in capsys.readouterr().err
 
     def test_bad_unit_exits_nonzero(self, tmp_path, capsys):
         rc = cli_main(["simulate", "hole-decay", "--field", "350Potato",

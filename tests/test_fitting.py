@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import afcsim as a
 from afcsim.errors import (
@@ -240,3 +241,30 @@ class TestCsvIngestion:
     def test_inline_text(self):
         x, y, s = load_curve_csv("x,y\n0,1\n1,0.5\n")
         assert np.allclose(x, [0, 1])
+
+    @pytest.mark.parametrize("text, line", [
+        ("x,y\n1,2\n3,abc\n", 3),
+        ("1,2\n\n3\n", 3),
+        ("1,2\n3,4,5\n", 2),
+        ("x,y\n1,nan\n", 2),
+        ("1,2\n2,inf\n", 2),
+        ("1,2,0.1\n2,3,-inf\n", 2),
+    ])
+    def test_malformed_line_is_named(self, text, line):
+        with pytest.raises(NonPositiveInput, match=f"CSV line {line} "):
+            load_curve_csv(text)
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(st.integers(2, 3).flatmap(lambda width: st.lists(
+        st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                 min_size=width, max_size=width), min_size=1, max_size=20)))
+    def test_reads_generated_rows_exactly(self, rows):
+        text = "x,y,sigma\n" + "".join(",".join(repr(v) for v in row) + "\n"
+                                         for row in rows)
+        x, y, sigma = load_curve_csv(text)
+        data = np.array(rows)
+        assert np.array_equal(x, data[:, 0]) and np.array_equal(y, data[:, 1])
+        if data.shape[1] == 3:
+            assert np.array_equal(sigma, data[:, 2])
+        else:
+            assert sigma is None

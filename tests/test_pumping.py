@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
@@ -21,6 +22,23 @@ def dark_sequence(duration, dark):
                         features=(a.PumpFeature(0.0, 1e6, 0.0),),
                         total_power=0.0)
     return a.PumpSequence(segments=(seg,), dark_after=dark)
+
+
+def sequences():
+    """Valid sequences of 1-4 segments: each with 0-5 features, either shape,
+    a carrier leak in [0, 1] and a total power >= 0, then a dark tail >= 0."""
+    positive = st.floats(min_value=1e-300, max_value=1e300)
+    non_negative = st.floats(min_value=0.0, max_value=1e300)
+    feature = st.builds(a.PumpFeature, center=st.floats(-1e12, 1e12),
+                        width=positive, power=non_negative)
+    segment = st.builds(a.PumpSegment, duration=positive,
+                        features=st.lists(feature, max_size=5).map(tuple),
+                        carrier_leak=st.floats(0.0, 1.0),
+                        shape=st.sampled_from(["tophat", "gaussian"]),
+                        total_power=non_negative)
+    return st.builds(a.PumpSequence,
+                     segments=st.lists(segment, min_size=1, max_size=4),
+                     dark_after=non_negative)
 
 
 class TestBuilders:
@@ -81,6 +99,13 @@ class TestBuilders:
         seq = a.build_afc_sequence(0.4e9, 50e6, 25e6, 0.3, 5e-4, dark_after=0.03)
         clone = a.PumpSequence.from_json(seq.to_json())
         assert clone == seq
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(sequences())
+    def test_sequence_json_roundtrip_generated(self, seq):
+        text = seq.to_json()
+        assert a.PumpSequence.from_json(text) == seq
+        assert a.PumpSequence.from_json(text).to_json() == text
 
 
 class TestSerrodyne:

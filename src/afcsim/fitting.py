@@ -13,10 +13,12 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+from scipy.linalg.lapack import dgesv
 
 from .core import K_B, MU_B
 from .errors import (
@@ -45,6 +47,12 @@ class ParamTransform:
         """Matrix d(external_j)/d(internal_i), shape (n_ext, n_int)."""
         return np.eye(len(internal))
 
+    def jac_internal(self, jac, internal, external):
+        """Chain rule for the model Jacobian; ``external = to_external(internal)``."""
+        if type(self) is ParamTransform:
+            return jac
+        return jac @ self.jac_external(internal)
+
 
 class LogTransform(ParamTransform):
     """Fit selected strictly-positive parameters in log space."""
@@ -63,14 +71,14 @@ class LogTransform(ParamTransform):
     def to_external(self, internal):
         out = np.asarray(internal, dtype=float).copy()
         # clipped so damped trial steps far uphill stay finite
-        out[self.log_mask] = np.exp(np.clip(out[self.log_mask], -300.0, 300.0))
+        out[self.log_mask] = np.exp(np.minimum(np.maximum(out[self.log_mask], -300.0), 300.0))
         return out
 
     def jac_external(self, internal):
-        ext = self.to_external(internal)
-        diag = np.ones_like(ext)
-        diag[self.log_mask] = ext[self.log_mask]
-        return np.diag(diag)
+        return np.diag(np.where(self.log_mask, self.to_external(internal), 1.0))
+
+    def jac_internal(self, jac, internal, external):
+        return jac * np.where(self.log_mask, external, 1.0)
 
 
 class OrderedLifetimesTransform(ParamTransform):
@@ -173,14 +181,40 @@ class FitResult:
 
 def _numeric_jacobian(fun, params, x, rel_step=1e-6):
     p = np.asarray(params, dtype=float)
-    cols = []
+    jac = np.empty((x.size, p.size))
     for i in range(p.size):
         h = rel_step * max(abs(p[i]), 1e-8)
         up, dn = p.copy(), p.copy()
         up[i] += h
         dn[i] -= h
-        cols.append((fun(up, x) - fun(dn, x)) / (2.0 * h))
-    return np.stack(cols, axis=1)
+        jac[:, i] = (fun(up, x) - fun(dn, x)) / (2.0 * h)
+    return jac
+
+
+def _columns(n, *cols):
+    """The (n, len(cols)) matrix of these columns, filled in place."""
+    out = np.empty((n, len(cols)))
+    for i, col in enumerate(cols):
+        out[:, i] = col
+    return out
+
+
+def _grad_cosine(grad, col_norms, cost):
+    """Largest cosine between a Jacobian column and the residual (zero at an
+    exact least-squares minimum)."""
+    if cost <= 0:
+        return 0.0
+    return float(np.max(np.abs(grad) / (np.maximum(col_norms, 1e-300) * math.sqrt(cost))))
+
+
+def _damped_step(a_mat, scale, lam, grad):
+    """Solve ``(a_mat + lam diag(scale)) delta = -grad`` with LAPACK gesv."""
+    damped = np.array(a_mat, order="F")
+    damped.ravel(order="K")[::scale.size + 1] += lam * scale
+    delta, info = dgesv(damped, -grad, overwrite_a=True, overwrite_b=True)[2:]
+    if info > 0:
+        raise SingularJacobian("Singular matrix")
+    return delta
 
 
 # A parameter whose Jacobian column has shrunk below this fraction of the
@@ -269,17 +303,17 @@ def fit_curve(model: ParametricModel, x, y, sigma=None, init=None, bounds=None,
     theta = tr.to_internal(p_ext)
 
     def residual(th):
-        return (model.evaluate(tr.to_external(th), x) - y) / sigma
-
-    def jac_internal(th):
         ext = tr.to_external(th)
+        return (model.evaluate(ext, x) - y) / sigma, ext
+
+    def jac_internal(th, ext):
         if model.jacobian is not None:
             j_ext = np.asarray(model.jacobian(ext, x), dtype=float)
         else:
             j_ext = _numeric_jacobian(model.evaluate, ext, x)
-        return (j_ext @ tr.jac_external(th)) / sigma[:, None]
+        return tr.jac_internal(j_ext, th, ext) / sigma[:, None]
 
-    r = residual(theta)
+    r, ext = residual(theta)
     cost = float(r @ r)
     # absolute floor below which the fit counts as an exact interpolation
     cost_floor = x.size * (4e-12 * max(1.0, float(np.max(np.abs(y / sigma))))) ** 2
@@ -287,19 +321,12 @@ def fit_curve(model: ParametricModel, x, y, sigma=None, init=None, bounds=None,
     lam = 1e-3
     iterations = 0
 
-    def grad_cosine(jac, r, cost):
-        """Scale-free optimality measure: largest cosine between a Jacobian
-        column and the residual (zero at an exact least-squares minimum)."""
-        if cost <= 0:
-            return 0.0
-        norms = np.linalg.norm(jac, axis=0)
-        g = jac.T @ r
-        return float(np.max(np.abs(g) / (np.maximum(norms, 1e-300) * np.sqrt(cost))))
-
-    jac = jac_internal(theta)
+    jac = jac_internal(theta, ext)
     if not np.all(np.isfinite(jac)):
         raise SingularJacobian("non-finite Jacobian at the starting point")
-    col_norms = np.linalg.norm(jac, axis=0)
+    # np.linalg.norm(jac, axis=0) without its dispatch, here and below
+    col_norms = np.sqrt(np.add.reduce(jac * jac, axis=0))
+    grad = jac.T @ r
     if np.any(col_norms == 0.0):
         dead = [model.param_names[i] for i in np.flatnonzero(col_norms == 0.0)]
         raise SingularJacobian(f"parameters with no model influence: {dead}")
@@ -321,21 +348,17 @@ def fit_curve(model: ParametricModel, x, y, sigma=None, init=None, bounds=None,
             stop_reason = "exact"
             iterations -= 1
             break
-        if grad_cosine(jac, r, cost) <= gtol:
+        if _grad_cosine(grad, col_norms, cost) <= gtol:
             stop_reason = "gtol"
             iterations -= 1
             break
 
-        grad = jac.T @ r
         a_mat = jac.T @ jac
         scale = np.maximum(np.diag(a_mat), 1e-300)
         accepted = False
         for _ in range(60):
-            try:
-                delta = np.linalg.solve(a_mat + lam * np.diag(scale), -grad)
-            except np.linalg.LinAlgError as exc:
-                raise SingularJacobian(str(exc)) from exc
-            ext_cand = np.clip(tr.to_external(theta + delta), lo, hi)
+            delta = _damped_step(a_mat, scale, lam, grad)
+            ext_cand = np.minimum(np.maximum(tr.to_external(theta + delta), lo), hi)
             try:
                 theta_cand = tr.to_internal(ext_cand)
             except InvalidBounds:
@@ -344,7 +367,7 @@ def fit_curve(model: ParametricModel, x, y, sigma=None, init=None, bounds=None,
                 # like any other uphill step
                 theta_cand = None
             if theta_cand is not None:
-                r_cand = residual(theta_cand)
+                r_cand, ext_cand = residual(theta_cand)
                 cost_cand = float(r_cand @ r_cand)
                 step_vec = theta_cand - theta
                 # gain ratio against the local quadratic model of the actual step
@@ -364,19 +387,20 @@ def fit_curve(model: ParametricModel, x, y, sigma=None, init=None, bounds=None,
             stop_reason = "max_damping"
             break
 
-        step = np.linalg.norm(step_vec)
+        step = math.sqrt(step_vec @ step_vec)
         improvement = cost - cost_cand
-        theta, r, cost = theta_cand, r_cand, cost_cand
+        theta, r, cost, ext = theta_cand, r_cand, cost_cand, ext_cand
         trace.append(np.sqrt(cost))
-        jac = jac_internal(theta)
-        col_norms = np.linalg.norm(jac, axis=0)
+        jac = jac_internal(theta, ext)
+        col_norms = np.sqrt(np.add.reduce(jac * jac, axis=0))
+        grad = jac.T @ r
         col_peak = np.maximum(col_peak, col_norms)
         lost = col_norms < _LOST_INFLUENCE * col_peak
         if lost.any():
             names = [model.param_names[i] for i in np.flatnonzero(lost)]
             stop_reason = "lost_influence:" + ",".join(names)
             break
-        if step <= xtol * (np.linalg.norm(theta) + xtol):
+        if step <= xtol * (math.sqrt(theta @ theta) + xtol):
             stop_reason = "xtol"
             break
         # successive negligible improvements: accept the point as the optimum
@@ -393,7 +417,7 @@ def fit_curve(model: ParametricModel, x, y, sigma=None, init=None, bounds=None,
     elif lost.any():
         converged = False
     else:
-        converged = grad_cosine(jac, r, cost) <= gtol_loose
+        converged = _grad_cosine(grad, col_norms, cost) <= gtol_loose
 
     # local quadratic uncertainties in external coordinates (no chi^2 rescale:
     # estimates are invariant under uniform sigma rescaling, errors scale with
@@ -416,7 +440,7 @@ def fit_curve(model: ParametricModel, x, y, sigma=None, init=None, bounds=None,
 
     return FitResult(
         param_names=model.param_names,
-        params=tr.to_external(theta),
+        params=ext,
         std_errors=std,
         covariance=cov_ext,
         residual_norm=float(np.sqrt(cost)),
@@ -440,8 +464,7 @@ def _double_exp_jac(params, t):
     a_s, t_s, a_l, t_l = params
     e_s = np.exp(-t / t_s)
     e_l = np.exp(-t / t_l)
-    return np.stack([e_s, a_s * t * e_s / t_s ** 2, e_l, a_l * t * e_l / t_l ** 2],
-                    axis=1)
+    return _columns(t.size, e_s, a_s * t * e_s / t_s ** 2, e_l, a_l * t * e_l / t_l ** 2)
 
 
 def _double_exp_guess(t, y):
@@ -505,7 +528,7 @@ def model_flipflop_field(alpha: float = 1e9, g_factor: float = 15.13,
         xarg = g_factor * MU_B * b / (2.0 * K_B * temperature)
         sech2 = 1.0 / np.cosh(xarg) ** 2
         denom = (gam_static + gam_slope * b) ** 2
-        return np.stack([-alpha * sech2 / denom, -alpha * b * sech2 / denom], axis=1)
+        return _columns(b.size, -alpha * sech2 / denom, -alpha * b * sech2 / denom)
 
     return ParametricModel(
         name="flipflop_field",
@@ -531,9 +554,8 @@ def _lorentzian_dip_jac(params, nu):
     dx = nu - center
     denom = dx ** 2 + half ** 2
     lshape = half ** 2 / denom
-    d_center = -depth * lshape * 2.0 * dx / denom
-    d_fwhm = -depth * half * dx ** 2 / denom ** 2
-    return np.stack([np.ones_like(nu), -lshape, d_center, d_fwhm], axis=1)
+    return _columns(nu.size, 1.0, -lshape, -depth * lshape * 2.0 * dx / denom,
+                    -depth * half * dx ** 2 / denom ** 2)
 
 
 def _lorentzian_dip_guess(nu, od):

@@ -35,6 +35,7 @@ Math. Comp. 76, 2007): twelve complex banded LAPACK solves, off from
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -54,6 +55,7 @@ from .errors import (
     InvalidGeometry,
     InvalidRange,
     NonFiniteState,
+    NonPositiveInput,
     NonPositivePower,
     SpectrumOutsideContour,
     StepSizeUnderflow,
@@ -80,10 +82,12 @@ class PumpFeature:
     power: float
 
     def __post_init__(self):
-        if self.width <= 0:
-            raise InvalidGeometry(f"feature width must be > 0, got {self.width}")
-        if self.power < 0:
-            raise NonPositivePower(f"feature power must be >= 0, got {self.power}")
+        if not math.isfinite(self.center):
+            raise InvalidGeometry(f"feature center must be finite, got {self.center}")
+        if not 0 < self.width < math.inf:
+            raise InvalidGeometry(f"feature width must be finite and > 0, got {self.width}")
+        if not 0 <= self.power < math.inf:
+            raise NonPositivePower(f"feature power must be finite and >= 0, got {self.power}")
 
 
 @dataclass(frozen=True)
@@ -97,15 +101,15 @@ class PumpSegment:
     total_power: float = 0.0
 
     def __post_init__(self):
-        if self.duration <= 0:
-            raise InvalidGeometry(f"segment duration must be > 0, got {self.duration}")
+        if not 0 < self.duration < math.inf:
+            raise InvalidGeometry(f"segment duration must be finite and > 0, got {self.duration}")
         if not (0.0 <= self.carrier_leak <= 1.0):
             raise InvalidGeometry(f"carrier_leak must be in [0, 1], got {self.carrier_leak}")
         if self.shape not in _SHAPES:
             raise InvalidGeometry(f"shape must be one of {_SHAPES}")
         object.__setattr__(self, "features", tuple(self.features))
-        if self.total_power < 0:
-            raise NonPositivePower("total_power must be >= 0")
+        if not 0 <= self.total_power < math.inf:
+            raise NonPositivePower(f"total_power must be finite and >= 0, got {self.total_power}")
 
     @property
     def carrier_power(self) -> float:
@@ -123,8 +127,8 @@ class PumpSequence:
         object.__setattr__(self, "segments", tuple(self.segments))
         if not self.segments:
             raise InvalidGeometry("sequence needs at least one segment")
-        if self.dark_after < 0:
-            raise InvalidGeometry("dark_after must be >= 0")
+        if not 0 <= self.dark_after < math.inf:
+            raise InvalidGeometry(f"dark_after must be finite and >= 0, got {self.dark_after}")
         if self.total_duration <= 0:
             raise InvalidGeometry("total duration must be > 0")
 
@@ -135,9 +139,6 @@ class PumpSequence:
     @property
     def burn_duration(self) -> float:
         return sum(s.duration for s in self.segments)
-
-    def with_dark(self, dark_after: float) -> "PumpSequence":
-        return PumpSequence(segments=self.segments, dark_after=dark_after)
 
     def to_json(self) -> str:
         """Serialise to the documented JSON schema."""
@@ -157,25 +158,39 @@ class PumpSequence:
                 for seg in self.segments
             ],
         }
-        return json.dumps(doc, indent=2, sort_keys=True)
+        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
 
     @classmethod
     def from_json(cls, text: str) -> "PumpSequence":
-        doc = json.loads(text)
+        """Inverse of :meth:`to_json`; raises :class:`NonPositiveInput` on bad input."""
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise NonPositiveInput(f"pump sequence is not JSON: {exc}") from None
         segments = tuple(
             PumpSegment(
-                duration=seg["duration_s"],
+                duration=_json_get(seg, "duration_s"),
                 features=tuple(
-                    PumpFeature(f["center_hz"], f["width_hz"], f["power_w"])
-                    for f in seg["features"]
+                    PumpFeature(_json_get(f, "center_hz"), _json_get(f, "width_hz"),
+                                _json_get(f, "power_w"))
+                    for f in _json_get(seg, "features", kind=list)
                 ),
-                carrier_leak=seg.get("carrier_leak", 0.0),
-                shape=seg.get("shape", "tophat"),
-                total_power=seg.get("total_power_w", 0.0),
+                carrier_leak=_json_get(seg, "carrier_leak", 0.0),
+                shape=_json_get(seg, "shape", "tophat", str),
+                total_power=_json_get(seg, "total_power_w", 0.0),
             )
-            for seg in doc["segments"]
+            for seg in _json_get(doc, "segments", kind=list)
         )
-        return cls(segments=segments, dark_after=doc.get("dark_after_s", 0.0))
+        return cls(segments=segments, dark_after=_json_get(doc, "dark_after_s", 0.0))
+
+
+def _json_get(obj, key, default=None, kind=(int, float)):
+    """``obj[key]``, or ``default``, of a parsed pump-sequence document, checked
+    to be a ``kind`` (a number unless stated)."""
+    value = obj.get(key, default) if isinstance(obj, dict) else None
+    if value is None or isinstance(value, bool) or not isinstance(value, kind):
+        raise NonPositiveInput(f"pump sequence JSON: bad or missing {key!r} in {obj!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,7 @@ from .errors import (
 from .fitting import (
     LogTransform,
     ParametricModel,
+    _columns,
     fit_curve,
 )
 from .pumping import build_hole_sequence, evolve
@@ -197,13 +198,8 @@ def _sloped_dip_model(ref: float) -> ParametricModel:
         dx = nu - center
         denom = dx ** 2 + half ** 2
         lshape = half ** 2 / denom
-        return np.stack([
-            np.ones_like(nu),
-            nu - ref,
-            -lshape,
-            -depth * lshape * 2.0 * dx / denom,
-            -depth * half * dx ** 2 / denom ** 2,
-        ], axis=1)
+        return _columns(nu.size, 1.0, nu - ref, -lshape, -depth * lshape * 2.0 * dx / denom,
+                        -depth * half * dx ** 2 / denom ** 2)
 
     return ParametricModel(
         name="lorentzian_dip_sloped",
@@ -346,11 +342,8 @@ def _lorentzian_peak_model() -> ParametricModel:
         dx = x - center
         denom = dx ** 2 + half ** 2
         lshape = half ** 2 / denom
-        return np.stack([
-            lshape,
-            amp * lshape * 2.0 * dx / denom,
-            amp * half * dx ** 2 / denom ** 2,
-        ], axis=1)
+        return _columns(x.size, lshape, amp * lshape * 2.0 * dx / denom,
+                        amp * half * dx ** 2 / denom ** 2)
 
     return ParametricModel(
         name="lorentzian_peak",
@@ -372,19 +365,19 @@ def _folded_profile(nu, od, spacing):
     n_phase = max(int(round(spacing / dnu)), 4)
     phase_idx = np.floor((nu % spacing) / spacing * n_phase).astype(int)
     phase_idx = np.clip(phase_idx, 0, n_phase - 1)
-    order = np.argsort(phase_idx, kind="stable")
-    sorted_idx = phase_idx[order]
-    sorted_od = od[order]
-    boundaries = np.searchsorted(sorted_idx, np.arange(n_phase + 1))
+    counts = np.bincount(phase_idx, minlength=n_phase)
+    filled = counts > 0
+    n = counts[filled]
+    start = (np.cumsum(counts) - counts)[filled]
+    # each bucket sorted by od: its median is the mean of its middle two
+    # elements (one element twice for an odd count), as np.median takes it
+    sorted_od = od[np.lexsort((od, phase_idx))]
     profile = np.full(n_phase, np.nan)
-    sems = []
-    for k in range(n_phase):
-        chunk = sorted_od[boundaries[k]:boundaries[k + 1]]
-        if chunk.size:
-            profile[k] = np.median(chunk)
-            if chunk.size > 1:
-                sems.append(chunk.std(ddof=1) / np.sqrt(chunk.size))
-    sem = float(np.median(sems)) if sems else 0.0
+    profile[filled] = (sorted_od[start + (n - 1) // 2] + sorted_od[start + n // 2]) / 2.0
+    dev = sorted_od - np.repeat(np.add.reduceat(sorted_od, start) / n, n)
+    multi = n > 1
+    var = np.add.reduceat(dev * dev, start)[multi] / (n[multi] - 1)
+    sem = float(np.median(np.sqrt(var) / np.sqrt(n[multi]))) if multi.any() else 0.0
     return profile, sem, n_phase
 
 

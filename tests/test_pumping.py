@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +13,7 @@ from afcsim.errors import (
     InvalidCombGeometry,
     InvalidGeometry,
     InvalidRange,
+    NonPositiveInput,
     NonPositivePower,
     StepSizeUnderflow,
 )
@@ -39,6 +42,13 @@ def sequences():
     return st.builds(a.PumpSequence,
                      segments=st.lists(segment, min_size=1, max_size=4),
                      dark_after=non_negative)
+
+
+def strict_json(text):
+    """Parse ``text`` as JSON proper: NaN and Infinity are not JSON."""
+    def refuse(token):
+        raise AssertionError(f"{token} is not JSON")
+    return json.loads(text, parse_constant=refuse)
 
 
 class TestBuilders:
@@ -104,8 +114,61 @@ class TestBuilders:
     @given(sequences())
     def test_sequence_json_roundtrip_generated(self, seq):
         text = seq.to_json()
+        strict_json(text)
         assert a.PumpSequence.from_json(text) == seq
         assert a.PumpSequence.from_json(text).to_json() == text
+
+
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+class TestSequenceValidation:
+    """Sequences hold finite values only, so ``to_json`` always writes JSON,
+    and ``from_json`` reports bad input as a library error naming it."""
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_feature_rejects_non_finite(self, bad):
+        with pytest.raises(InvalidGeometry, match="center"):
+            a.PumpFeature(bad, 1e6, 0.0)
+        with pytest.raises(InvalidGeometry, match="width"):
+            a.PumpFeature(0.0, bad, 0.0)
+        with pytest.raises(NonPositivePower, match="power"):
+            a.PumpFeature(0.0, 1e6, bad)
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_segment_and_sequence_reject_non_finite(self, bad):
+        features = (a.PumpFeature(0.0, 1e6, 0.0),)
+        with pytest.raises(InvalidGeometry, match="duration"):
+            a.PumpSegment(duration=bad, features=features)
+        with pytest.raises(InvalidGeometry, match="carrier_leak"):
+            a.PumpSegment(duration=0.1, features=features, carrier_leak=bad)
+        with pytest.raises(NonPositivePower, match="total_power"):
+            a.PumpSegment(duration=0.1, features=features, total_power=bad)
+        seg = a.PumpSegment(duration=0.1, features=features)
+        with pytest.raises(InvalidGeometry, match="dark_after"):
+            a.PumpSequence(segments=(seg,), dark_after=bad)
+
+    def test_from_json_names_a_missing_key(self):
+        with pytest.raises(NonPositiveInput, match="duration_s"):
+            a.PumpSequence.from_json('{"segments": [{}]}')
+
+    def test_from_json_names_a_value_of_the_wrong_type(self):
+        text = '{"segments": [{"duration_s": "0.3", "features": []}]}'
+        with pytest.raises(NonPositiveInput, match="duration_s.*'0.3'"):
+            a.PumpSequence.from_json(text)
+
+    def test_from_json_rejects_a_document_that_is_not_an_object(self):
+        with pytest.raises(NonPositiveInput, match="segments"):
+            a.PumpSequence.from_json("[1]")
+
+    def test_from_json_rejects_text_that_is_not_json(self):
+        with pytest.raises(NonPositiveInput, match="not JSON"):
+            a.PumpSequence.from_json('{"segments": [')
+
+    def test_from_json_rejects_a_non_finite_token(self):
+        text = '{"segments": [{"duration_s": NaN, "features": []}]}'
+        with pytest.raises(InvalidGeometry, match="duration"):
+            a.PumpSequence.from_json(text)
 
 
 class TestSerrodyne:

@@ -10,7 +10,7 @@ from afcsim.errors import (
     NonPositiveSpacing,
     SpanOutOfGrid,
 )
-from afcsim.readout import CombMetrics
+from afcsim.readout import CombMetrics, _folded_profile
 from afcsim.relaxation import TlsParams
 
 
@@ -185,6 +185,53 @@ class TestAnalyzeComb:
         spec = square_comb()
         with pytest.raises(NonPositiveSpacing):
             a.analyze_comb(spec, 0.0)
+
+
+def folded_profile_loop(nu, od, spacing):
+    """Oracle: the per-bucket loop, one np.median and one std per bucket."""
+    dnu = float(np.min(np.diff(nu))) if nu.size > 1 else spacing
+    n_phase = max(int(round(spacing / dnu)), 4)
+    phase_idx = np.floor((nu % spacing) / spacing * n_phase).astype(int)
+    phase_idx = np.clip(phase_idx, 0, n_phase - 1)
+    profile = np.full(n_phase, np.nan)
+    sems = []
+    for k in range(n_phase):
+        chunk = od[phase_idx == k]
+        if chunk.size:
+            profile[k] = np.median(chunk)
+            if chunk.size > 1:
+                sems.append(chunk.std(ddof=1) / np.sqrt(chunk.size))
+    sem = float(np.median(sems)) if sems else 0.0
+    return profile, sem, n_phase, np.bincount(phase_idx, minlength=n_phase)
+
+
+class TestFoldedProfile:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_per_bucket_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        spacing = 10.3  # ten buckets of 1.03 samples: counts vary period to period
+        nu = np.arange(rng.integers(60, 240)) * 1.0
+        nu = nu[rng.random(nu.size) > 0.2]  # thinned, for odd and even bucket sizes
+        bucket = np.floor((nu % spacing) / spacing * 10).astype(int)
+        # empty one bucket and leave a single sample in another
+        empty, single = rng.choice(10, size=2, replace=False)
+        keep = (bucket != empty) & ((bucket != single) | (nu == nu[bucket == single][0]))
+        nu = nu[keep]
+        assert np.min(np.diff(nu)) == 1.0
+        # rounded values, so buckets also hold ties
+        od = np.round(rng.uniform(0.0, 3.0, nu.size) * 10.0 ** rng.uniform(-3, 0), 3)
+
+        profile, sem, n_phase = _folded_profile(nu, od, spacing)
+        want, want_sem, want_n, counts = folded_profile_loop(nu, od, spacing)
+        assert n_phase == want_n == 10
+        sizes = set(counts)
+        assert 0 in sizes and 1 in sizes
+        assert any(c > 1 and c % 2 for c in sizes) and any(c > 1 and c % 2 == 0 for c in sizes)
+        assert np.array_equal(profile, want, equal_nan=True)
+        # the one-pass sums add each bucket in another order than np.std, so
+        # the SEM may differ in the last bits; it only sets analyze_comb's
+        # 7-sigma detection threshold
+        assert abs(sem - want_sem) <= 4 * np.spacing(want_sem)
 
 
 class TestStorageTime:

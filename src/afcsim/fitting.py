@@ -7,6 +7,14 @@ increased and the step retried.  Models may declare a smooth invertible
 reparameterisation (e.g. log-lifetimes with an ordering transform) used
 internally during fitting; results and uncertainties are reported in the
 natural external parameters.
+
+On a large-residual fit (a line shape that cannot match the data, such as a
+Lorentzian on a non-Lorentzian hole) the Gauss-Newton matrix J^T J leaves out
+the residual curvature sum_i r_i Hess(r_i), mispredicts every step, and
+converges slowly.  Once an accepted step shows that (see :func:`fit_curve`),
+the step and its predicted gain also use a structured secant estimate of that
+term, updated after each accepted step as in NL2SOL (Dennis, Gay & Welsch,
+ACM TOMS 7, 348, 1981).
 """
 
 from __future__ import annotations
@@ -217,6 +225,22 @@ def _damped_step(a_mat, scale, lam, grad):
     return delta
 
 
+def _dgw_update(secant, s, y, y_sharp):
+    """Dennis-Gay-Welsch update of the residual-curvature estimate ``secant``
+    for the step ``s``, with ``y = g_new - g_old`` and ``y_sharp = g_new -
+    J_old^T r_new`` (``g = J^T r``); skipped when ``y^T s <= 0``.  The old
+    estimate is first sized down by ``min(1, |s^T y_sharp| / |s^T S s|)``."""
+    ys = y @ s
+    if ys <= 0.0:
+        return secant
+    ss = s @ (secant @ s)
+    if ss != 0.0:
+        secant = secant * min(1.0, abs(s @ y_sharp) / abs(ss))
+    diff = y_sharp - secant @ s
+    outer = np.outer(diff, y)
+    return secant + (outer + outer.T) / ys - (diff @ s) / ys ** 2 * np.outer(y, y)
+
+
 # A parameter whose Jacobian column has shrunk below this fraction of the
 # largest norm it had along the path no longer moves the model: it is running
 # off to the edge of its range (a lifetime to infinity, say), where the data
@@ -233,6 +257,18 @@ def fit_curve(model: ParametricModel, x, y, sigma=None, init=None, bounds=None,
     model's transform, are rejected and retried with stronger damping, so the
     residual of accepted iterations is non-increasing.
 
+    Each step solves ``(J^T J + S + lam diag(J^T J)) delta = -J^T r``, and
+    its gain ratio (actual over predicted decrease of the residual) is taken
+    against the same matrix.  ``S`` is zero, and takes no arithmetic, until an
+    accepted step from the third iteration on has a gain ratio outside
+    [0.5, 1.5]: the Gauss-Newton model then mispredicts by more than half, so
+    the residual's own curvature matters.  From that step on, ``S`` is sized
+    down by ``min(1, |s^T y#| / |s^T S s|)`` and given the Dennis-Gay-Welsch
+    secant update after each accepted step ``s``, with ``y# = g_new - J_old^T
+    r_new`` and ``y = g_new - g_old`` (``g = J^T r``), skipped when ``y^T s <=
+    0``.  Small-residual fits never switch it on.  Uncertainties come from
+    ``J^T J`` alone.
+
     The returned ``stop_reason`` names the rule that ended the iteration:
 
     ``"exact"``, ``"gtol"``
@@ -243,7 +279,9 @@ def fit_curve(model: ParametricModel, x, y, sigma=None, init=None, bounds=None,
         the step fell below ``xtol``, three successive improvements were
         negligible, a 12-iteration window gained nothing, or no downhill
         step exists at maximum damping; converged if the gradient cosine is
-        below ``max(sqrt(gtol), 3e-3)``.
+        below ``max(sqrt(gtol), 3e-3)``.  A Jacobian that turns non-finite
+        at an accepted point also ends the fit there as ``"max_damping"``,
+        not converged, with every error infinite.
     ``"lost_influence:<names>"``
         the Jacobian column of the named parameters shrank below 1e-6 of its
         largest norm along the path: the optimum lies at the edge of their
@@ -334,6 +372,9 @@ def fit_curve(model: ParametricModel, x, y, sigma=None, init=None, bounds=None,
     lost = np.zeros(n_par, dtype=bool)
 
     gtol_loose = max(np.sqrt(gtol), 3e-3)
+    # secant estimate of the residual curvature sum_i r_i Hess(r_i); None
+    # until the Gauss-Newton model is seen to fail
+    secant = None
     nu = 2.0
     stall_count = 0
     window_cost = cost
@@ -355,9 +396,10 @@ def fit_curve(model: ParametricModel, x, y, sigma=None, init=None, bounds=None,
 
         a_mat = jac.T @ jac
         scale = np.maximum(np.diag(a_mat), 1e-300)
+        h_mat = a_mat if secant is None else a_mat + secant
         accepted = False
         for _ in range(60):
-            delta = _damped_step(a_mat, scale, lam, grad)
+            delta = _damped_step(h_mat, scale, lam, grad)
             ext_cand = np.minimum(np.maximum(tr.to_external(theta + delta), lo), hi)
             try:
                 theta_cand = tr.to_internal(ext_cand)
@@ -371,7 +413,7 @@ def fit_curve(model: ParametricModel, x, y, sigma=None, init=None, bounds=None,
                 cost_cand = float(r_cand @ r_cand)
                 step_vec = theta_cand - theta
                 # gain ratio against the local quadratic model of the actual step
-                predicted = -(2.0 * grad @ step_vec + step_vec @ (a_mat @ step_vec))
+                predicted = -(2.0 * grad @ step_vec + step_vec @ (h_mat @ step_vec))
                 if np.isfinite(cost_cand) and cost_cand < cost and predicted > 0:
                     rho = (cost - cost_cand) / predicted
                     lam = max(lam * max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3), 1e-14)
@@ -391,9 +433,26 @@ def fit_curve(model: ParametricModel, x, y, sigma=None, init=None, bounds=None,
         improvement = cost - cost_cand
         theta, r, cost, ext = theta_cand, r_cand, cost_cand, ext_cand
         trace.append(np.sqrt(cost))
+        jac_old, grad_old = jac, grad
         jac = jac_internal(theta, ext)
         col_norms = np.sqrt(np.add.reduce(jac * jac, axis=0))
+        # a sum of norms, each below 1.4e154, is finite only if every entry is
+        if not math.isfinite(np.add.reduce(col_norms)):
+            # no step from a non-finite Jacobian can be trusted: end here, as
+            # the next iteration's damping would, with every parameter
+            # undetermined
+            stop_reason = "max_damping"
+            iterations += 1
+            lost[:] = True
+            break
         grad = jac.T @ r
+        if secant is None and iterations >= 3 and abs(rho - 1.0) > 0.5:
+            # past the first steps' nonlinearity, a misprediction by more than
+            # half means the residual curvature that J^T J leaves out matters
+            secant = np.zeros((n_par, n_par))
+        if secant is not None:
+            secant = _dgw_update(secant, step_vec, grad - grad_old,
+                                 grad - jac_old.T @ r)
         col_peak = np.maximum(col_peak, col_norms)
         lost = col_norms < _LOST_INFLUENCE * col_peak
         if lost.any():

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -190,6 +191,10 @@ def _json_get(obj, key, default=None, kind=(int, float)):
     value = obj.get(key, default) if isinstance(obj, dict) else None
     if value is None or isinstance(value, bool) or not isinstance(value, kind):
         raise NonPositiveInput(f"pump sequence JSON: bad or missing {key!r} in {obj!r}")
+    # a JSON integer has no size limit; one beyond the float range would
+    # overflow wherever it meets a float
+    if isinstance(value, int) and abs(value) > sys.float_info.max:
+        raise NonPositiveInput(f"pump sequence JSON: {key!r} is too large for a float")
     return value
 
 

@@ -3,6 +3,7 @@ the damped LAPACK solve, and what a Jacobian that turns non-finite mid-fit
 does to the result."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -143,3 +144,11 @@ class TestNonFiniteJacobian:
         assert res.iterations == 2
         assert res.residual_trace == clean.residual_trace[:2]
         assert np.all(np.isfinite(res.params))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_after_a_step_warns_nothing_and_leaves_every_error_open(self, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = a.fit_curve(decay(bad), self.x, self.y, init=[1.0, 1.0])
+        assert res.stop_reason == "max_damping"
+        assert np.all(np.isinf(res.std_errors))

@@ -165,6 +165,14 @@ class TestSequenceValidation:
         with pytest.raises(NonPositiveInput, match="not JSON"):
             a.PumpSequence.from_json('{"segments": [')
 
+    @pytest.mark.parametrize("key", ["center_hz", "width_hz", "power_w", "duration_s"])
+    def test_from_json_names_an_integer_too_large_for_a_float(self, key):
+        feature = {"center_hz": 0.0, "width_hz": 1e6, "power_w": 1e-3}
+        segment = {"duration_s": 0.1, "features": [feature]}
+        (segment if key == "duration_s" else feature)[key] = int("9" * 400)
+        with pytest.raises(NonPositiveInput, match=key):
+            a.PumpSequence.from_json(json.dumps({"segments": [segment]}))
+
     def test_from_json_rejects_a_non_finite_token(self):
         text = '{"segments": [{"duration_s": NaN, "features": []}]}'
         with pytest.raises(InvalidGeometry, match="duration"):

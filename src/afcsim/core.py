@@ -19,7 +19,8 @@ readout (spectra are read after the excited level has decayed).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields, replace
 from typing import Callable, Union
 
 import numpy as np
@@ -193,6 +194,10 @@ class MaterialParams:
     pump_xsec: float = 6.0e14
 
     def __post_init__(self):
+        # nan passes every comparison below, so it is refused first
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise NonPositiveInput(f"{f.name} must be finite, got {getattr(self, f.name)}")
         for name in ("t1_opt", "t_short", "alpha_ff", "gamma_h_fwhm",
                      "shf_fwhm", "peak_od", "pump_xsec"):
             if getattr(self, name) <= 0:

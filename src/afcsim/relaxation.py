@@ -8,6 +8,7 @@ hole-filling rate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -52,8 +53,9 @@ class TlsParams:
     kappa_diff: float = 1.236e19
 
     def __post_init__(self):
-        if self.kappa_fill < 0 or self.kappa_diff < 0:
-            raise NonPositiveInput("TLS coefficients must be >= 0")
+        for name in ("kappa_fill", "kappa_diff"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise NonPositiveInput(f"{name} must be finite and >= 0, got {getattr(self, name)}")
 
     @classmethod
     def disabled(cls) -> "TlsParams":

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.constants import physical_constants
@@ -135,6 +137,13 @@ class TestMaterialParams:
     def test_temperature(self):
         with pytest.raises(NonPositiveTemperature):
             a.MaterialParams(temperature=0.0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(a.MaterialParams)])
+    def test_non_finite_rejected_by_name(self, name, bad):
+        # nan passes every `<= 0` check, so it must be refused on its own
+        with pytest.raises(NonPositiveInput, match=name):
+            a.MaterialParams(**{name: bad})
 
 
 class TestEquilibriumState:

@@ -4,14 +4,16 @@ While the pump is constant, each bin's populations (g, z, h, e) follow a
 fixed 4x4 generator and spectral diffusion couples neighbouring bins, so an
 interval is one sparse linear system ``x' = A x``.  The oracle here builds
 ``A`` term by term from the rate equations and applies ``exp(A t)`` with
-``scipy.sparse.linalg.expm_multiply``: on a twenty-bin hole, and at the
-scenarios' top operating points whose errors the ``evolve`` docstring states.
+``scipy.sparse.linalg.expm_multiply``: on a twenty-bin hole, at the
+scenarios' top operating points whose errors the ``evolve`` docstring states,
+and on random burns of up to 24 bins.
 """
 
 from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy import sparse
 from scipy.sparse.linalg import expm_multiply
 
@@ -242,3 +244,46 @@ def test_spectrum_guard_raises(monkeypatch):
     monkeypatch.setattr(pumping, "_rate_matrices", cyclic_flow)
     with pytest.raises(SpectrumOutsideContour):
         a.evolve(st, seq, p, TlsParams(), rec)
+
+
+@st.composite
+def random_burns(draw):
+    """``(state, seq, params, tls, record_times)``: 2-24 bins, 1-3 lit
+    segments of 1-2 pits plus carrier leak, an optional dark tail, TLS on or
+    off, branching on the simplex, B in [0.01, 1] T, and record times
+    anywhere in the sequence, inside lit intervals too, and at its end."""
+    n = draw(st.integers(2, 24))
+    width = draw(st.floats(1e6, 5e6))
+    lo = draw(st.floats(-1e9, 1e9))
+    grid = a.make_grid(lo, lo + n * width, width)
+    beta_zeeman = draw(st.floats(0.0, 1.0))
+    beta_shf = draw(st.floats(0.0, 1.0)) * (1.0 - beta_zeeman)
+    assume(beta_zeeman + beta_shf <= 1.0)
+    params = a.MaterialParams(b_field=draw(st.floats(0.01, 1.0)),
+                              beta_zeeman=beta_zeeman, beta_shf=beta_shf)
+    tls = TlsParams() if draw(st.booleans()) else TlsParams.disabled()
+    pit = st.builds(a.PumpFeature, center=st.floats(lo, lo + n * width),
+                    width=st.floats(1e6, 20e6), power=st.floats(1e-7, 1e-4))
+    segments = []
+    for _ in range(draw(st.integers(1, 3))):
+        features = tuple(draw(st.lists(pit, min_size=1, max_size=2)))
+        leak = draw(st.floats(0.0, 0.2))
+        segments.append(a.PumpSegment(
+            duration=draw(st.floats(1e-3, 0.1)), features=features, carrier_leak=leak,
+            shape=draw(st.sampled_from(["tophat", "gaussian"])),
+            total_power=sum(f.power for f in features) / (1.0 - leak)))
+    dark = draw(st.sampled_from([0.0, 1e-3, 0.05, 0.5]))
+    seq = a.PumpSequence(segments=tuple(segments), dark_after=dark)
+    fractions = draw(st.lists(st.floats(0.0, 1.0), max_size=3))
+    record_times = sorted(f * seq.total_duration for f in fractions) + [seq.total_duration]
+    return a.init_equilibrium_state(grid, params), seq, params, tls, record_times
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(random_burns())
+def test_random_burns_exact(burn):
+    state, seq, params, tls, record_times = burn
+    got = populations(a.evolve(state, seq, params, tls, record_times))
+    assert np.max(np.abs(got - exact(state, seq, params, tls, record_times))) <= EXACT_BOUND
+    assert np.max(np.abs(got.sum(axis=-1) - 1.0)) <= MASS_BOUND
+    assert np.min(got) >= 0.0

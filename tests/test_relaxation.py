@@ -109,3 +109,10 @@ class TestTlsFillRate:
     def test_negative_coefficients_rejected(self):
         with pytest.raises(NonPositiveInput):
             TlsParams(kappa_fill=-1.0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("name", ["kappa_fill", "kappa_diff"])
+    def test_non_finite_coefficients_rejected_by_name(self, name, bad):
+        # kappa_diff = nan used to switch diffusion off quietly: nan > 0 is false
+        with pytest.raises(NonPositiveInput, match=name):
+            TlsParams(**{name: bad})

@@ -71,7 +71,15 @@ class NonFiniteState(AfcSimError, RuntimeError):
 
 
 class SpectrumOutsideContour(AfcSimError, RuntimeError):
-    """A generator's spectrum leaves the region the exp(tA) contour encloses."""
+    """A generator's spectrum leaves the region where the rational rule for
+    exp(tA) is held accurate: within 22.8 degrees of the negative real axis,
+    or within 0.5 of 0 once scaled by the interval."""
+
+
+class MassDrift(AfcSimError, RuntimeError):
+    """One exp(tA) interval moved a bin's total population by more than the
+    conservation tolerance: the generator is too stiff over that interval
+    for double precision."""
 
 
 class SingularJacobian(AfcSimError, RuntimeError):

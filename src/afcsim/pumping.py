@@ -26,15 +26,16 @@ While the pump is constant all of this is one linear system with a fixed
 generator, and :func:`evolve` applies its exponential directly on each
 record interval.  Without diffusion the generator is a 4x4 block per bin,
 exponentiated exactly in one batched ``expm``.  With diffusion it is banded,
-and ``exp(tau A) x`` is a trapezoid rule on a hyperbolic contour
-(Trefethen, Weideman & Schmelzer, BIT 46, 2006; Weideman & Trefethen,
-Math. Comp. 76, 2007): twelve complex banded LAPACK solves, off from
-``expm_multiply`` by about 1e-12 in population.  The contour holds while the
-spectrum of ``tau A`` lies left of it.  A guard checks the spectra of the
-4x4 blocks, one per distinct pump rate, before the solves.  It needs no
-LAPACK: each block's eigenvalues other than 0 are the roots of a cubic whose
-coefficients are affine in the pump rate, found in closed form for all rates
-at once.
+and ``exp(tau A) x`` comes from the type-(14, 14) Caratheodory-Fejer rational
+approximation of exp on (-inf, 0] (Trefethen, Weideman & Schmelzer, BIT 46,
+2006), the approximation CRAM uses: seven complex banded LAPACK solves, four
+of them with one step of iterative refinement, off from ``expm_multiply`` by
+about 1e-13 in population.  The rule is held accurate where the spectrum of
+``tau A`` lies within 22.8 degrees of the negative real axis or within 0.5 of
+0.  A guard checks the spectra of the 4x4 blocks, one per distinct pump
+rate, before the solves.  It needs no LAPACK: each block's eigenvalues other
+than 0 are the roots of a cubic whose coefficients are affine in the pump
+rate, found in closed form for all rates at once.
 """
 
 from __future__ import annotations
@@ -47,10 +48,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 from scipy.linalg import expm
-from scipy.linalg.lapack import zgbsv
+from scipy.linalg.lapack import zgbtrf, zgbtrs
 from scipy.special import voigt_profile
 
 from .core import (
+    CONSERVATION_ATOL,
     EnsembleState,
     FrequencyGrid,
     MaterialParams,
@@ -60,6 +62,7 @@ from .errors import (
     InvalidCombGeometry,
     InvalidGeometry,
     InvalidRange,
+    MassDrift,
     NonFiniteState,
     NonPositiveInput,
     NonPositivePower,
@@ -360,18 +363,46 @@ def pump_rate_profile(segment: PumpSegment, grid: FrequencyGrid,
 # Time evolution
 # ---------------------------------------------------------------------------
 
-# hyperbolic contour for exp(z) (Weideman & Trefethen, Math. Comp. 76, 2007):
-# z(theta) = mu (1 - sin(alpha - i sigma theta)) at the trapezoid nodes
-# theta_k = -pi + (k - 1/2) 2 pi / N; only the upper half is kept, because the
-# lower half contributes the complex conjugate for a real generator and state
-_N_NODES = 24
-_MU, _ALPHA, _SIGMA = 2.246 * _N_NODES, 1.1721, 0.3443
-_THETA = -np.pi + (np.arange(_N_NODES // 2, _N_NODES) + 0.5) * 2.0 * np.pi / _N_NODES
-_Z = _MU * (1.0 - np.sin(_ALPHA - 1j * _SIGMA * _THETA))
-_W = (2.0 / _N_NODES) * np.exp(_Z) * 1j * _MU * _SIGMA * np.cos(_ALPHA - 1j * _SIGMA * _THETA)
-# scaled so that the rule gives exp(0) = 1 exactly (it is 1.7e-12 short): the
-# per-bin mass, the generator's null mode, is then conserved to rounding
-_W /= np.sum((_W / _Z).imag)
+# exp(z) by the type-(14, 14) Caratheodory-Fejer rational approximation on
+# (-inf, 0] (Trefethen, Weideman & Schmelzer, BIT 46, 2006, sec. 4), the
+# approximation CRAM uses (Pusa & Leppanen, Nucl. Sci. Eng. 164, 2010):
+# r(z) = sum_j Im(w_j / (p_j - z)) over the seven poles in the upper
+# half-plane, since for a real generator and state the lower half contributes
+# the complex conjugate.  The poles are those of TWS sec. 4: the Chebyshev
+# coefficients of exp(9 (t - 1) / (t + 1)) from a 1024-point FFT, the SVD of
+# the 75 x 75 Hankel matrix of coefficients 1-75, and the roots q outside the
+# unit disc of its 15th singular vector, mapped by z = 9 (q - 1)^2 / (q + 1)^2.
+# The weights are the least-squares fit to exp at 0 and at 4000 log-spaced
+# points from -1e-6 to -2000, scaled so that sum Im(w / p) = 1: r(0) = 1
+# exactly, so the per-bin mass, the generator's null mode, is conserved to
+# rounding.  |r(z) - exp(z)| is at most 3.5e-14 on (-inf, 0], 8.6e-12 on the
+# 20.7-degree rays, 1.8e-11 on the 22.8-degree rays and on the |z| = 0.5 arc
+# of the left half-plane, and 4e-10 on the |z| = 1 arc.
+_P = np.array([
+    -8.897735413180298 + 16.63093520842446j,
+    -3.703239160176677 + 13.656333463712498j,
+    -0.20872377764902525 + 10.991232026333313j,
+    2.2698165258521406 + 8.461717806877203j,
+    3.993400429650635 + 6.004818060139016j,
+    5.089374564875054 + 3.588816095602845j,
+    5.62317153475742 + 1.1940664287021552j,
+])
+_W = np.array([
+    0.0002872379863058238 + 0.00014307733678803236j,
+    -0.03437147050656491 - 0.018877441332884274j,
+    0.6704093645685589 + 0.7527267435351578j,
+    -2.6422244263280565 - 9.614466630305513j,
+    -11.616438380250655 + 46.997958814449795j,
+    91.28908768255246 - 93.86980911316265j,
+    -204.3000126478722 + 55.75232454932658j,
+])
+# sum |w / p| is 66, so a solve's rounding can grow 66-fold in the sum; the
+# four poles with |w / p| > 1 get one step of iterative refinement
+_REFINED = np.abs(_W / _P) > 1.0
+# r is held accurate to 2e-11 within 22.8 degrees of the negative real axis
+# and within 0.5 of 0, so the block spectra of tau A must lie there
+_SECTOR_TAN = math.tan(math.radians(22.8))
+_DISC = 0.5
 
 
 def _rate_matrices(params: MaterialParams, spin_rate: float,
@@ -449,40 +480,73 @@ def _block_spectrum(relax: np.ndarray, pump: np.ndarray, rates: np.ndarray) -> n
 
 
 def _check_sector(eigs: np.ndarray, tau: float) -> None:
-    """Raise unless every ``tau * eig`` lies left of the contour."""
+    """Raise unless every ``tau * eig`` lies where the rational rule is held
+    accurate: within 22.8 degrees of the negative real axis or within 0.5 of 0."""
     lam = tau * eigs.ravel()
-    edge = _MU * (1.0 - np.sin(_ALPHA) * np.hypot(1.0, lam.imag / (_MU * np.cos(_ALPHA))))
-    if np.any(lam.real >= edge):
-        worst = lam[np.argmax(lam.real - edge)]
+    outside = (np.abs(lam.imag) > -_SECTOR_TAN * lam.real) & (np.abs(lam) > _DISC)
+    if np.any(outside):
+        worst = lam[outside][np.argmax(np.abs(lam[outside]))]
         raise SpectrumOutsideContour(
-            f"eigenvalue {worst:.4g} of the {tau:.4g} s generator lies outside the contour")
+            f"eigenvalue {worst:.4g} of the {tau:.4g} s generator lies outside the "
+            f"region where the rational rule for exp holds")
+
+
+def _shifted_residual(relax: np.ndarray, pump: np.ndarray, rate: np.ndarray,
+                      diff: float, tau: float, p: complex, x: np.ndarray,
+                      y: np.ndarray, out: np.ndarray) -> None:
+    """``out = x - (p - tau A) y`` for the generator of :func:`_contour_expmv`,
+    formed level by level with no matrix product.  The pump and diffusion
+    terms are scaled after the differences of ``y`` they act on are taken, so
+    their rounding is of the size of the term, not of ``tau A``."""
+    ys, res = y.reshape(-1, 4), out.reshape(-1, 4)
+    np.multiply(y, -p, out=out)
+    out += x
+    for row in range(4):
+        relaxed = sum(relax[row, col] * ys[:, col] for col in range(4) if relax[row, col])
+        pumped = sum(pump[row, col] * ys[:, col] for col in range(4) if pump[row, col])
+        res[:, row] += tau * (relaxed + rate * pumped)
+    # the reflective-boundary Laplacian over bins, on every level
+    flux = (tau * diff) * (ys[1:] - ys[:-1])
+    res[:-1] += flux
+    res[1:] -= flux
 
 
 def _contour_expmv(relax: np.ndarray, pump: np.ndarray, rate: np.ndarray,
                    diff: float, tau: float, x: np.ndarray) -> np.ndarray:
     """``exp(tau A) x`` on the bin-major state, for the generator
     ``A = blockdiag(relax + rate_i pump) + diff (L x I4)`` with ``L`` the
-    reflective-boundary Laplacian: the trapezoid rule on the hyperbolic
-    contour, one complex banded solve of ``z - tau A`` per upper-half node.
+    reflective-boundary Laplacian: the rational rule
+    ``sum_j Im(w_j (p_j - tau A)^-1 x)``, one complex banded solve per pole.
+    At the four poles with ``|w / p| > 1`` the solve gets one step of
+    iterative refinement: factor, solve, form the residual, solve again.
     """
     m = x.size
-    # zgbsv's band layout, 4 sub- and 4 super-diagonals: (z - tau A)[r, c] at
+    # zgbtrf's band layout, 4 sub- and 4 super-diagonals: (p - tau A)[r, c] at
     # row 8 + r - c, column c, and rows 0-3 take the LU fill-in.  One
-    # Fortran-ordered buffer is refilled in place, so f2py copies nothing.
+    # Fortran-ordered buffer is refilled in place, so f2py copies nothing, and
+    # every solve runs in place in ``y``.
     lu = np.empty((13, m), dtype=complex, order="F")
+    y = np.empty(m, dtype=complex)
+    correction = np.empty(m, dtype=complex)
     acc = np.zeros(m)
-    for z, w in zip(_Z, _W):
+    for p, w, refine in zip(_P, _W, _REFINED):
         lu[:] = 0.0
         for row in range(4):
             for col in range(4):
                 lu[8 + row - col, col::4] = -tau * (relax[row, col] + pump[row, col] * rate)
         lu[4, 4:] = lu[12, :-4] = -tau * diff
-        lu[8] += z + 2.0 * tau * diff
+        lu[8] += p + 2.0 * tau * diff
         lu[8, :4] -= tau * diff
         lu[8, -4:] -= tau * diff
-        _, _, y, info = zgbsv(4, 4, lu, x.astype(complex), overwrite_ab=1, overwrite_b=1)
+        _, piv, info = zgbtrf(lu, 4, 4, overwrite_ab=1)
         if info != 0:
-            raise SpectrumOutsideContour(f"contour node {z:.4g} is an eigenvalue of the generator")
+            raise SpectrumOutsideContour(f"pole {p:.4g} is an eigenvalue of the generator")
+        y[:] = x
+        zgbtrs(lu, 4, 4, y, piv, overwrite_b=1)
+        if refine:
+            _shifted_residual(relax, pump, rate, diff, tau, p, x, y, correction)
+            zgbtrs(lu, 4, 4, correction, piv, overwrite_b=1)
+            y += correction
         acc += w.real * y.imag + w.imag * y.real
     return acc
 
@@ -504,23 +568,33 @@ def evolve(state: EnsembleState, seq: PumpSequence, params: MaterialParams,
     diagonal, and each bin's exact 4x4 propagator comes from one batched
     ``expm`` over the distinct pump rates.  With diffusion ``A`` is banded
     (4 sub- and 4 super-diagonals in bin-major order), and ``exp(tau A) x``
-    is a 24-node trapezoid rule on a hyperbolic contour: 12 complex banded
-    solves, using conjugate symmetry.  Against ``expm_multiply`` that is off
-    by less than 1e-10 in population: on fig5's hole pair at 1e-4 W by
-    1.9e-12 at 1 ms, 3.0e-13 inside the burn and 2.2e-13 at its end and
-    after the wait; on the 0.2, 3.2 and 6.4 GHz combs of fig4 by 3.7e-13,
-    5.3e-13 and 9.1e-13.  The per-bin mass drifts by less than 1e-12
-    (6.4e-13 on the 6.4 GHz comb).
-    The contour needs the spectrum of ``tau A`` to lie left of it.  Before
-    the solves, the eigenvalues of the 4x4 block of every distinct pump rate
-    are checked, and :class:`SpectrumOutsideContour` is raised when one is
-    outside.  They are the roots of each block's characteristic cubic, in
-    closed form: one from Cardano's or Viete's formula polished by Newton,
+    is the type-(14, 14) Caratheodory-Fejer rational approximation of exp:
+    7 complex banded solves, one per pole in the upper half-plane, using
+    conjugate symmetry.  On (-inf, 0] it is off from exp by at most 3.5e-14,
+    on the 20.7- and 22.8-degree rays by 8.6e-12 and 1.8e-11, and within 0.5
+    of 0 by 1.8e-11.  Its weights are up to 37 times their pole, so at the
+    four poles where ``|w / p| > 1`` the solve gets one step of iterative
+    refinement, with the residual formed level by level from the pump,
+    relaxation and diffusion terms.  Against ``expm_multiply`` that is off by
+    less than 1e-10 in population: on fig5's hole pair at 1e-4 W by 1.0e-13
+    at 1 ms, inside the burn, at its end and after the wait; on the 0.2 and
+    3.2 GHz combs of fig4 by 1.7e-13 and 4.0e-13.  The per-bin mass drifts
+    by less than 1e-12: 1.3e-14 on fig5's pair, 8e-15 to 9e-15 on the 0.2,
+    3.2 and 6.4 GHz combs.  On a 20-bin hole burned for 50 ms it drifts by
+    1.3e-13, 5.0e-12 and 1.0e-11 at 1, 10 and 100 W (peak pump rates 1e8 to
+    1e10 s^-1), and by up to 5e-10 at 1 kW.  A diffusive interval that moves
+    a bin's total population by more than ``CONSERVATION_ATOL`` raises
+    :class:`MassDrift`; on that hole that happens from about 10 kW on.
+    The rule is held accurate where ``tau`` times the generator's spectrum
+    lies within 22.8 degrees of the negative real axis or within 0.5 of 0.
+    Before the solves, the eigenvalues of the 4x4 block of every distinct
+    pump rate are checked, and :class:`SpectrumOutsideContour` is raised when
+    one is outside.  They are the roots of each block's characteristic cubic,
+    in closed form: one from Cardano's or Viete's formula polished by Newton,
     the other two from the deflated quadratic.  Away from merging roots they
     agree with ``np.linalg.eigvals`` to about 1e-13 of the spectral radius.
     Blocks of valid material parameters stay within about 20.7 degrees of
-    the negative real axis (the widest found by a parameter search), inside
-    the contour's 22.8-degree asymptotes.
+    the negative real axis (the widest found by a parameter search).
 
     ``dt_lit`` and ``dt_dark`` are still validated (each must exceed
     1e-12 s) but have no effect on the result.
@@ -586,6 +660,12 @@ def evolve(state: EnsembleState, seq: PumpSequence, params: MaterialParams,
             if diff > 0:
                 _check_sector(eigs, tau)
                 pops = _contour_expmv(relax, pump, rate, diff, tau, pops.ravel()).reshape(n, 4)
+                drift = np.max(np.abs(pops.sum(axis=1) - 1.0))
+                if drift > CONSERVATION_ATOL:
+                    raise MassDrift(
+                        f"the {tau:.4g} s interval ending at t={stop:.6g} moved a bin's total "
+                        f"population by {drift:.3g} (pump rates up to {rate.max():.4g} s^-1, "
+                        f"diffusion {diff:.4g} s^-1): too stiff for double precision")
             else:
                 pops = np.einsum("nij,nj->ni", expm(blocks * tau)[which], pops)
             np.clip(pops, 0.0, 1.0, out=pops)

@@ -1,13 +1,14 @@
-"""The closed-form block spectrum behind ``evolve``'s contour guard.
+"""The closed-form block spectrum behind ``evolve``'s spectrum guard.
 
 With spectral diffusion on, ``evolve`` checks that every distinct-rate 4x4
-block ``relax + R pump`` has its spectrum left of the hyperbolic contour.
+block ``relax + R pump`` has its spectrum where its rational rule for exp is
+held accurate.
 ``pumping._block_spectrum`` gives the three eigenvalues other than 0 from the
 blocks' characteristic cubic.  Here they are held against
 ``np.linalg.eigvals`` over valid materials and rates from 0 to 1e9 s^-1,
 through the rates where two eigenvalues merge into a complex pair, and near
 the largest angle off the negative real axis that valid materials reach
-(20.7 degrees, against the contour's 22.8-degree asymptotes).  Root errors
+(20.7 degrees, against the guard's 22.8-degree sector).  Root errors
 are relative to the block's spectral radius, since ``eigvals`` itself is
 accurate only to rounding of that size.  Where two or three eigenvalues (nearly)
 coincide, a cubic's roots move by sqrt(eps) or cbrt(eps) of the radius under
@@ -159,7 +160,7 @@ def test_closed_form_at_merging_roots(spin_rate, beta_zeeman, beta_shf, t_short)
                          ids=["g-e-z", "g-e-h", "g-e-h-z"])
 def test_closed_form_verdict_on_cyclic_flows(cycle):
     # a cycle of equal rates has eigenvalues 30 or 45 degrees off the negative
-    # real axis: left of the contour for a short tau, outside it for a long one
+    # real axis: inside the guard region for a short tau, outside it for a long one
     relax = np.zeros((4, 4))
     for src, dst in zip(cycle, cycle[1:] + cycle[:1]):
         relax[dst, src] += 1e3

@@ -484,9 +484,9 @@ class TestHeatKernel:
     @pytest.mark.parametrize("coeff", [0.05, 0.2028, 0.9])
     @pytest.mark.parametrize("n", [2, 3, 5, 50])
     def test_reflect_taps_match_reflective_laplacian(self, n, coeff):
-        # with no pump and no relaxation the contour solve is the pure heat
+        # with no pump and no relaxation the rational solve is the pure heat
         # kernel exp(coeff L) on every level; checked over one and two steps.
-        # The 24-node rule is off by up to 1.4e-12 here, well inside 1e-11
+        # The 7-pole rational rule is off by up to 1.5e-14 here, well inside 1e-11
         pops = np.random.default_rng(n).uniform(size=(n, 4))
         zeros = np.zeros((4, 4))
         for steps in (1, 2):

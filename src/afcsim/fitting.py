@@ -261,13 +261,13 @@ def fit_curve(model: ParametricModel, x, y, sigma=None, init=None, bounds=None,
     its gain ratio (actual over predicted decrease of the residual) is taken
     against the same matrix.  ``S`` is zero, and takes no arithmetic, until an
     accepted step from the third iteration on has a gain ratio outside
-    [0.5, 1.5]: the Gauss-Newton model then mispredicts by more than half, so
-    the residual's own curvature matters.  From that step on, ``S`` is sized
-    down by ``min(1, |s^T y#| / |s^T S s|)`` and given the Dennis-Gay-Welsch
-    secant update after each accepted step ``s``, with ``y# = g_new - J_old^T
-    r_new`` and ``y = g_new - g_old`` (``g = J^T r``), skipped when ``y^T s <=
-    0``.  Small-residual fits never switch it on.  Uncertainties come from
-    ``J^T J`` alone.
+    [0.75, 1.25]: the Gauss-Newton model then mispredicts by more than a
+    quarter, so the residual's own curvature matters.  From that step on,
+    ``S`` is sized down by ``min(1, |s^T y#| / |s^T S s|)`` and given the
+    Dennis-Gay-Welsch secant update after each accepted step ``s``, with
+    ``y# = g_new - J_old^T r_new`` and ``y = g_new - g_old`` (``g = J^T r``),
+    skipped when ``y^T s <= 0``.  Small-residual fits never switch it on.
+    Uncertainties come from ``J^T J`` alone.
 
     The returned ``stop_reason`` names the rule that ended the iteration:
 
@@ -446,9 +446,9 @@ def fit_curve(model: ParametricModel, x, y, sigma=None, init=None, bounds=None,
             lost[:] = True
             break
         grad = jac.T @ r
-        if secant is None and iterations >= 3 and abs(rho - 1.0) > 0.5:
-            # past the first steps' nonlinearity, a misprediction by more than
-            # half means the residual curvature that J^T J leaves out matters
+        if secant is None and iterations >= 3 and abs(rho - 1.0) > 0.25:
+            # past the first steps' nonlinearity, a misprediction by over a
+            # quarter means the residual curvature that J^T J leaves out matters
             secant = np.zeros((n_par, n_par))
         if secant is not None:
             secant = _dgw_update(secant, step_vec, grad - grad_old,
@@ -601,48 +601,62 @@ def model_flipflop_field(alpha: float = 1e9, g_factor: float = 15.13,
     )
 
 
-def _lorentzian_dip_eval(params, nu):
-    baseline, depth, center, fwhm = params
-    half = fwhm / 2.0
-    return baseline - depth * half ** 2 / ((nu - center) ** 2 + half ** 2)
+def model_lorentzian_dip(baseline_terms: int = 1) -> ParametricModel:
+    """Lorentzian absorption dip ``depth, center, fwhm`` (``fwhm`` fitted in
+    log space) on a baseline of ``baseline_terms`` coefficients:
 
+    * 1, ``baseline``: the constant-baseline dip that ``afcsim fit dip`` fits;
+    * 2, ``baseline, slope`` (a line about x = 0): ``readout.measure_hole``;
+    * 0, a zero floor: ``readout.analyze_comb``, one fit per comb tooth in
+      the negated spectrum.
+    """
+    if baseline_terms not in (0, 1, 2):
+        raise NonPositiveInput(f"baseline_terms must be 0, 1 or 2, got {baseline_terms}")
+    n_base = baseline_terms
 
-def _lorentzian_dip_jac(params, nu):
-    baseline, depth, center, fwhm = params
-    half = fwhm / 2.0
-    dx = nu - center
-    denom = dx ** 2 + half ** 2
-    lshape = half ** 2 / denom
-    return _columns(nu.size, 1.0, -lshape, -depth * lshape * 2.0 * dx / denom,
-                    -depth * half * dx ** 2 / denom ** 2)
+    def evaluate(params, nu):
+        depth, center, fwhm = params[n_base:]
+        half = fwhm / 2.0
+        dip = -depth * half ** 2 / ((nu - center) ** 2 + half ** 2)
+        if n_base == 0:
+            return dip
+        if n_base == 1:
+            return params[0] + dip
+        return params[0] + params[1] * nu + dip
 
+    def jacobian(params, nu):
+        depth, center, fwhm = params[n_base:]
+        half = fwhm / 2.0
+        dx = nu - center
+        denom = dx ** 2 + half ** 2
+        lshape = half ** 2 / denom
+        return _columns(nu.size, *(1.0, nu)[:n_base], -lshape,
+                        -depth * lshape * 2.0 * dx / denom,
+                        -depth * half * dx ** 2 / denom ** 2)
 
-def _lorentzian_dip_guess(nu, od):
-    baseline = float(np.median(od))
-    imin = int(np.argmin(od))
-    depth = max(baseline - float(od[imin]), 1e-6)
-    center = float(nu[imin])
-    below = od < baseline - depth / 2.0
-    if below.any():
-        fwhm = max(float(nu[below].max() - nu[below].min()),
-                   float(nu[1] - nu[0]))
-    else:
-        fwhm = (nu[-1] - nu[0]) / 10.0
-    return np.array([baseline, depth, center, fwhm])
+    def guess(nu, od):
+        baseline = float(np.median(od)) if n_base else 0.0
+        imin = int(np.argmin(od))
+        depth = max(baseline - float(od[imin]), 1e-6)
+        center = float(nu[imin])
+        below = od < baseline - depth / 2.0
+        if below.any():
+            fwhm = max(float(nu[below].max() - nu[below].min()),
+                       float(nu[1] - nu[0]))
+        else:
+            fwhm = (nu[-1] - nu[0]) / 10.0
+        return np.array([baseline, 0.0][:n_base] + [depth, center, fwhm])
 
-
-def model_lorentzian_dip() -> ParametricModel:
-    """Lorentzian absorption dip on a constant baseline."""
+    n_par = n_base + 3
     return ParametricModel(
         name="lorentzian_dip",
-        param_names=("baseline", "depth", "center", "fwhm"),
-        units=("od", "od", "Hz", "Hz"),
-        evaluate=_lorentzian_dip_eval,
-        jacobian=_lorentzian_dip_jac,
-        guess=_lorentzian_dip_guess,
-        bounds=(np.array([-np.inf, -np.inf, -np.inf, 1e-12]),
-                np.array([np.inf, np.inf, np.inf, np.inf])),
-        transform=LogTransform([False, False, False, True]),
+        param_names=("baseline", "slope")[:n_base] + ("depth", "center", "fwhm"),
+        units=("od", "od/Hz")[:n_base] + ("od", "Hz", "Hz"),
+        evaluate=evaluate,
+        jacobian=jacobian,
+        guess=guess,
+        bounds=(np.array([-np.inf] * (n_par - 1) + [1e-12]), np.full(n_par, np.inf)),
+        transform=LogTransform([False] * (n_par - 1) + [True]),
     )
 
 

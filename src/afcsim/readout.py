@@ -1,12 +1,14 @@
 """Frequency-sweep readout emulation and hole/comb metrology.
 
 Readout returns the absorption spectrum over a sweep window with seeded,
-repeat-averaged detection noise.  Hole metrology fits a Lorentzian dip on a
-linear local baseline; comb metrology locates the periodic teeth, measures
-their width with per-tooth Lorentzian fits and quantifies the residual
-background absorption ``d0`` in the troughs.  The forward-recall echo
-efficiency follows the standard square-tooth comb formula with an effective
-depth reduced by the finesse and the background.
+repeat-averaged detection noise.  Both metrologies fit the one Lorentzian of
+:func:`fitting.model_lorentzian_dip`.  Hole metrology fits it on a linear
+local baseline (``baseline_terms=2``).  Comb metrology locates the periodic
+teeth, refines each tooth top by fitting the bare dip (``baseline_terms=0``)
+to the negated spectrum above the local trough, measures the tooth widths and
+quantifies the residual background absorption ``d0`` in the troughs.  The
+forward-recall echo efficiency follows the standard square-tooth comb formula
+with an effective depth reduced by the finesse and the background.
 """
 
 from __future__ import annotations
@@ -35,12 +37,7 @@ from .errors import (
     SingularJacobian,
     SpanOutOfGrid,
 )
-from .fitting import (
-    LogTransform,
-    ParametricModel,
-    _columns,
-    fit_curve,
-)
+from .fitting import fit_curve, model_lorentzian_dip
 from .pumping import build_hole_sequence, evolve
 from .relaxation import TlsParams
 
@@ -183,36 +180,6 @@ def simulate_readout(state: EnsembleState, params: MaterialParams, span: float,
 # Hole metrology
 # ---------------------------------------------------------------------------
 
-def _sloped_dip_model(ref: float) -> ParametricModel:
-    """Lorentzian dip on a linear baseline anchored at ``ref``."""
-
-    def evaluate(params, nu):
-        b0, slope, depth, center, fwhm = params
-        half = fwhm / 2.0
-        return (b0 + slope * (nu - ref)
-                - depth * half ** 2 / ((nu - center) ** 2 + half ** 2))
-
-    def jacobian(params, nu):
-        b0, slope, depth, center, fwhm = params
-        half = fwhm / 2.0
-        dx = nu - center
-        denom = dx ** 2 + half ** 2
-        lshape = half ** 2 / denom
-        return _columns(nu.size, 1.0, nu - ref, -lshape, -depth * lshape * 2.0 * dx / denom,
-                        -depth * half * dx ** 2 / denom ** 2)
-
-    return ParametricModel(
-        name="lorentzian_dip_sloped",
-        param_names=("baseline", "slope", "depth", "center", "fwhm"),
-        units=("od", "od/Hz", "od", "Hz", "Hz"),
-        evaluate=evaluate,
-        jacobian=jacobian,
-        bounds=(np.array([-np.inf, -np.inf, -np.inf, -np.inf, 1e-3]),
-                np.array([np.inf] * 5)),
-        transform=LogTransform([False, False, False, False, True]),
-    )
-
-
 def _noise_mad(values: np.ndarray) -> float:
     """Robust noise estimate from first differences."""
     if values.size < 3:
@@ -291,7 +258,7 @@ def measure_hole(spec: AbsorptionSpectrum, center_guess: float,
     scale = max(fwhm_est, 4.0 * (nu[1] - nu[0]))
     ref = float(nu[i_min])
     x = (nu[sel] - ref) / scale
-    model = _sloped_dip_model(0.0)
+    model = model_lorentzian_dip(2)
     init = np.array([baseline_est, 0.0, depth_est, 0.0, fwhm_est / scale])
     x_span = float(x.max() - x.min())
     bounds = (np.array([-np.inf, -np.inf, -np.inf, float(x.min()), 1e-2]),
@@ -328,33 +295,6 @@ def measure_hole(spec: AbsorptionSpectrum, center_guess: float,
 # Comb metrology
 # ---------------------------------------------------------------------------
 
-def _lorentzian_peak_model() -> ParametricModel:
-    """Lorentzian peak above a pinned zero floor: (amp, center, fwhm)."""
-
-    def evaluate(params, x):
-        amp, center, fwhm = params
-        half = fwhm / 2.0
-        return amp * half ** 2 / ((x - center) ** 2 + half ** 2)
-
-    def jacobian(params, x):
-        amp, center, fwhm = params
-        half = fwhm / 2.0
-        dx = x - center
-        denom = dx ** 2 + half ** 2
-        lshape = half ** 2 / denom
-        return _columns(x.size, lshape, amp * lshape * 2.0 * dx / denom,
-                        amp * half * dx ** 2 / denom ** 2)
-
-    return ParametricModel(
-        name="lorentzian_peak",
-        param_names=("amp", "center", "fwhm"),
-        units=("od", "", ""),
-        evaluate=evaluate,
-        jacobian=jacobian,
-        transform=LogTransform([False, False, True]),
-    )
-
-
 def _folded_profile(nu, od, spacing):
     """Median od versus phase within one comb period, and a typical SEM.
 
@@ -381,9 +321,7 @@ def _folded_profile(nu, od, spacing):
     return profile, sem, n_phase
 
 
-def analyze_comb(spec: AbsorptionSpectrum, spacing: float,
-                 exclude_dc: bool = True,
-                 min_contrast: float = 0.02) -> CombMetrics:
+def analyze_comb(spec: AbsorptionSpectrum, spacing: float) -> CombMetrics:
     """Extract comb metrics at the given tooth spacing.
 
     Teeth are located by folding the spectrum modulo the spacing; widths
@@ -407,15 +345,12 @@ def analyze_comb(spec: AbsorptionSpectrum, spacing: float,
         raise NoCombDetected(f"window {span:.3g} Hz holds fewer than 3 periods")
 
     # keep the burned-out carrier region at zero detuning away from the fold
-    if exclude_dc:
-        fold_sel = np.abs(nu) > 0.9 * spacing
-        if fold_sel.sum() < 8:
-            fold_sel = np.ones_like(nu, dtype=bool)
-    else:
+    fold_sel = np.abs(nu) > 0.9 * spacing
+    if fold_sel.sum() < 8:
         fold_sel = np.ones_like(nu, dtype=bool)
     folded, sem, n_phase = _folded_profile(nu[fold_sel], od[fold_sel], spacing)
     modulation = float(np.nanmax(folded) - np.nanmin(folded))
-    if modulation < max(min_contrast, 7.0 * sem):
+    if modulation < max(0.02, 7.0 * sem):
         raise NoCombDetected(
             f"folded modulation {modulation:.4g} OD below detection threshold")
 
@@ -428,17 +363,14 @@ def analyze_comb(spec: AbsorptionSpectrum, spacing: float,
     tooth_phase = (mean_angle / (2.0 * np.pi)) % 1.0 * spacing
     first = nu[0] + (tooth_phase - nu[0]) % spacing
     teeth = np.arange(first, nu[-1] + spacing / 2.0, spacing)
-    teeth = teeth[(teeth >= nu[0] + spacing / 4.0) & (teeth <= nu[-1] - spacing / 4.0)]
-    if exclude_dc:
-        teeth_used = teeth[np.abs(teeth) > 0.9 * spacing]
-    else:
-        teeth_used = teeth
-    if teeth_used.size < 2:
-        raise NoCombDetected(f"only {teeth_used.size} usable teeth in window")
+    teeth = teeth[(teeth >= nu[0] + spacing / 4.0) & (teeth <= nu[-1] - spacing / 4.0)
+                  & (np.abs(teeth) > 0.9 * spacing)]
+    if teeth.size < 2:
+        raise NoCombDetected(f"only {teeth.size} usable teeth in window")
 
-    peak = _lorentzian_peak_model()
+    dip = model_lorentzian_dip(0)
     tops, widths = [], []
-    for tc in teeth_used:
+    for tc in teeth:
         sel = np.abs(nu - tc) <= spacing / 2.0
         sub_nu, sub_od = nu[sel], od[sel]
         near = np.abs(sub_nu - tc) <= spacing / 4.0
@@ -447,10 +379,11 @@ def analyze_comb(spec: AbsorptionSpectrum, spacing: float,
         tops.append(top)
         if top - trough <= 0:
             continue
-        # a Lorentzian fit above the local trough floor refines the tooth
-        # top; the reported width is the interpolated half-contrast width,
-        # which coincides with the fitted fwhm for Lorentzian teeth and with
-        # the duty width for square ones
+        # a Lorentzian fit above the local trough floor (a dip on a zero
+        # floor in the negated spectrum) refines the tooth top; the reported
+        # width is the interpolated half-contrast width, which coincides with
+        # the fitted fwhm for Lorentzian teeth and with the duty width for
+        # square ones
         i_pk = int(np.argmax(np.where(near, sub_od, -np.inf)))
         x = (sub_nu - tc) / spacing
         w_est = _half_level_width(sub_nu, -sub_od, i_pk,
@@ -460,9 +393,9 @@ def analyze_comb(spec: AbsorptionSpectrum, spacing: float,
         bounds = (np.array([0.0, float(x.min()), 1e-3]),
                   np.array([np.inf, float(x.max()), 2.0]))
         try:
-            res = fit_curve(peak, x, sub_od - trough, init=init, bounds=bounds)
+            res = fit_curve(dip, x, trough - sub_od, init=init, bounds=bounds)
             if res.converged:
-                top = max(top, res["amp"] + trough)
+                top = max(top, res["depth"] + trough)
         except (MaxIterations, SingularJacobian):
             pass
         half_level = trough + (top - trough) / 2.0
@@ -478,10 +411,9 @@ def analyze_comb(spec: AbsorptionSpectrum, spacing: float,
     trough_centers = np.arange(first - spacing / 2.0, nu[-1] + spacing / 4.0, spacing)
     trough_centers = trough_centers[
         (trough_centers >= nu[0] + spacing / 4.0)
-        & (trough_centers <= nu[-1] - spacing / 4.0)]
+        & (trough_centers <= nu[-1] - spacing / 4.0)
+        & (np.abs(trough_centers) > 0.9 * spacing)]
     for tc in trough_centers:
-        if exclude_dc and abs(tc) <= 0.9 * spacing:
-            continue
         sel = np.abs(nu - tc) <= spacing / 4.0
         if sel.any():
             trough_means.append(float(od[sel].mean()))

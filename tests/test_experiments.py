@@ -324,6 +324,23 @@ class TestScenarioPlumbing:
         assert len(summary["probe_depth"]) == 2
 
 
+class TestCalibrateTls:
+    """The TLS calibration meets its own stop rule on the fig5 pump-probe
+    pair, and the default TlsParams meet the same targets."""
+
+    @staticmethod
+    def assert_on_targets(tls):
+        summary = ex.run_fig5(replace(ex.default_config(), tls=tls), write=False)
+        assert abs(summary["probe_depth_ratio_min_over_max"] - 3.0) < 0.05 * 3.0
+        assert abs(summary["probe_width_growth_hz"] - 5e6) < 0.05 * 5e6
+
+    def test_calibrated_tls_meets_the_targets(self):
+        self.assert_on_targets(ex.calibrate_tls())
+
+    def test_default_tls_meets_the_targets(self):
+        self.assert_on_targets(a.TlsParams())
+
+
 class TestCli:
     def test_print_config(self, capsys):
         assert cli_main(["print-config"]) == 0

@@ -6,12 +6,11 @@ mispredicts, so they are where an ending short of the optimum would show."""
 import warnings
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.special import voigt_profile
 
 import afcsim as a
 from afcsim.errors import AfcSimError
-from afcsim.readout import _sloped_dip_model
 
 NAMED_STOPS = {"exact", "gtol", "xtol", "stall", "no_progress", "max_damping"}
 RESTART_MOVE = 1e-4  # sigma
@@ -46,6 +45,10 @@ def check_fit(model, x, y, sigma=None, init=None, bounds=None):
        per_width=st.floats(3.0, 12.0), lorentz_frac=st.floats(0.05, 1.0),
        center=st.floats(-0.5, 0.5), slope=st.floats(-0.05, 0.05),
        noise=st.sampled_from([0.0, 1e-3, 1e-2]), seed=st.integers(0, 2 ** 16))
+# a Gauss dip whose gain ratio stays near 0.72: with the secant term switched
+# on only outside [0.5, 1.5] it crawled to a stall 1.07e-4 sigma short
+@example(shape="gauss", depth=2.0, width=0.3125, per_width=9.0, lorentz_frac=0.05,
+         center=0.0, slope=0.0, noise=1e-3, seed=18)
 def test_non_lorentzian_dip_under_the_hole_model(shape, depth, width, per_width, lorentz_frac,
                                                  center, slope, noise, seed):
     # ``width`` is the FWHM of the Gaussian part, sampled ``per_width`` times.
@@ -69,7 +72,7 @@ def test_non_lorentzian_dip_under_the_hole_model(shape, depth, width, per_width,
     i_min = int(np.argmin(y))
     base = float(np.percentile(y, 85.0))
     init = np.array([base, 0.0, base - y[i_min], x[i_min], width])
-    check_fit(_sloped_dip_model(0.0), x, y, sigma=max(noise, 1e-3),
+    check_fit(a.model_lorentzian_dip(2), x, y, sigma=max(noise, 1e-3),
               init=init, bounds=bounds)
 
 

@@ -206,11 +206,15 @@ class TestModels:
             params = np.array([rng.uniform(0.5, 3), rng.uniform(0.1, 2),
                                rng.uniform(-10, 10), rng.uniform(1, 8)])
             x = np.linspace(-30, 30, 41)
-            model = a.model_lorentzian_dip()
-            jac = model.jacobian(params, x)
-            ref = central_fd_jacobian(model, params, x)
-            scale = max(np.abs(ref).max(), 1e-8)
-            assert np.max(np.abs(jac - ref)) / scale < 1e-5
+            # every baseline form; the slope comes from the drawn center
+            # (within +-0.1 per unit x), so the draws below stay as they were
+            for model, p in ((a.model_lorentzian_dip(), params),
+                             (a.model_lorentzian_dip(0), params[1:]),
+                             (a.model_lorentzian_dip(2), np.insert(params, 1, params[2] / 100.0))):
+                jac = model.jacobian(p, x)
+                ref = central_fd_jacobian(model, p, x)
+                scale = max(np.abs(ref).max(), 1e-8)
+                assert np.max(np.abs(jac - ref)) / scale < 1e-5
 
         model = a.model_flipflop_field()
         for _ in range(100):

@@ -67,26 +67,30 @@ class LogTransform(ParamTransform):
 
     def __init__(self, log_mask: Sequence[bool]):
         self.log_mask = np.asarray(log_mask, dtype=bool)
+        self._log = np.flatnonzero(self.log_mask)
 
     def to_internal(self, external):
         ext = np.asarray(external, dtype=float)
-        if np.any(ext[self.log_mask] <= 0):
+        if (ext[self._log] <= 0).any():
             raise InvalidBounds("log-fitted parameters must be > 0")
         out = ext.copy()
-        out[self.log_mask] = np.log(ext[self.log_mask])
+        out[self._log] = np.log(ext[self._log])
         return out
 
     def to_external(self, internal):
         out = np.asarray(internal, dtype=float).copy()
         # clipped so damped trial steps far uphill stay finite
-        out[self.log_mask] = np.exp(np.minimum(np.maximum(out[self.log_mask], -300.0), 300.0))
+        out[self._log] = np.exp(np.minimum(np.maximum(out[self._log], -300.0), 300.0))
         return out
 
     def jac_external(self, internal):
         return np.diag(np.where(self.log_mask, self.to_external(internal), 1.0))
 
     def jac_internal(self, jac, internal, external):
-        return jac * np.where(self.log_mask, external, 1.0)
+        out = np.array(jac, dtype=float)
+        for k in self._log:
+            out[:, k] *= external[k]
+        return out
 
 
 class OrderedLifetimesTransform(ParamTransform):
@@ -207,12 +211,20 @@ def _columns(n, *cols):
     return out
 
 
+def _gram(jac):
+    """``J^T J``, the column norms of ``J`` and the damping scale, all from
+    the Gram matrix's diagonal."""
+    a_mat = jac.T @ jac
+    sq_norms = a_mat.diagonal()
+    return a_mat, np.sqrt(sq_norms), np.maximum(sq_norms, 1e-300)
+
+
 def _grad_cosine(grad, col_norms, cost):
     """Largest cosine between a Jacobian column and the residual (zero at an
     exact least-squares minimum)."""
     if cost <= 0:
         return 0.0
-    return float(np.max(np.abs(grad) / (np.maximum(col_norms, 1e-300) * math.sqrt(cost))))
+    return float((np.abs(grad) / (np.maximum(col_norms, 1e-300) * math.sqrt(cost))).max())
 
 
 def _damped_step(a_mat, scale, lam, grad):
@@ -362,8 +374,7 @@ def fit_curve(model: ParametricModel, x, y, sigma=None, init=None, bounds=None,
     jac = jac_internal(theta, ext)
     if not np.all(np.isfinite(jac)):
         raise SingularJacobian("non-finite Jacobian at the starting point")
-    # np.linalg.norm(jac, axis=0) without its dispatch, here and below
-    col_norms = np.sqrt(np.add.reduce(jac * jac, axis=0))
+    a_mat, col_norms, scale = _gram(jac)
     grad = jac.T @ r
     if np.any(col_norms == 0.0):
         dead = [model.param_names[i] for i in np.flatnonzero(col_norms == 0.0)]
@@ -394,8 +405,6 @@ def fit_curve(model: ParametricModel, x, y, sigma=None, init=None, bounds=None,
             iterations -= 1
             break
 
-        a_mat = jac.T @ jac
-        scale = np.maximum(np.diag(a_mat), 1e-300)
         h_mat = a_mat if secant is None else a_mat + secant
         accepted = False
         for _ in range(60):
@@ -413,8 +422,9 @@ def fit_curve(model: ParametricModel, x, y, sigma=None, init=None, bounds=None,
                 cost_cand = float(r_cand @ r_cand)
                 step_vec = theta_cand - theta
                 # gain ratio against the local quadratic model of the actual step
-                predicted = -(2.0 * grad @ step_vec + step_vec @ (h_mat @ step_vec))
-                if np.isfinite(cost_cand) and cost_cand < cost and predicted > 0:
+                predicted = -(2.0 * float(grad @ step_vec)
+                              + float(step_vec @ (h_mat @ step_vec)))
+                if math.isfinite(cost_cand) and cost_cand < cost and predicted > 0:
                     rho = (cost - cost_cand) / predicted
                     lam = max(lam * max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3), 1e-14)
                     nu = 2.0
@@ -429,13 +439,13 @@ def fit_curve(model: ParametricModel, x, y, sigma=None, init=None, bounds=None,
             stop_reason = "max_damping"
             break
 
-        step = math.sqrt(step_vec @ step_vec)
+        step = math.sqrt(float(step_vec @ step_vec))
         improvement = cost - cost_cand
         theta, r, cost, ext = theta_cand, r_cand, cost_cand, ext_cand
         trace.append(np.sqrt(cost))
         jac_old, grad_old = jac, grad
         jac = jac_internal(theta, ext)
-        col_norms = np.sqrt(np.add.reduce(jac * jac, axis=0))
+        a_mat, col_norms, scale = _gram(jac)
         # a sum of norms, each below 1.4e154, is finite only if every entry is
         if not math.isfinite(np.add.reduce(col_norms)):
             # no step from a non-finite Jacobian can be trusted: end here, as

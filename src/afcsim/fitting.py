@@ -12,9 +12,12 @@ On a large-residual fit (a line shape that cannot match the data, such as a
 Lorentzian on a non-Lorentzian hole) the Gauss-Newton matrix J^T J leaves out
 the residual curvature sum_i r_i Hess(r_i), mispredicts every step, and
 converges slowly.  Once an accepted step shows that (see :func:`fit_curve`),
-the step and its predicted gain also use a structured secant estimate of that
-term, updated after each accepted step as in NL2SOL (Dennis, Gay & Welsch,
-ACM TOMS 7, 348, 1981).
+the step and its predicted gain also use that term, computed exactly at each
+accepted point: the Gauss-Newton step becomes a damped Newton step (Nocedal &
+Wright, *Numerical Optimization*, 2nd ed., section 10.3).  Each model supplies
+its curve's second derivatives (:attr:`ParametricModel.curvature`) and each
+transform carries them into its internal coordinates
+(:meth:`ParamTransform.curvature_internal`).
 """
 
 from __future__ import annotations
@@ -61,6 +64,25 @@ class ParamTransform:
             return jac
         return jac @ self.jac_external(internal)
 
+    def hess_external(self, weights, internal):
+        """``sum_k weights_k Hess(external_k)`` over the internal parameters,
+        shape (n_int, n_int).  Zero for the identity; a subclass that does
+        not supply it gets central differences of ``weights @ jac_external``."""
+        if type(self) is ParamTransform:
+            return np.zeros((len(internal), len(internal)))
+        hess = _numeric_jacobian(lambda th, _: weights @ self.jac_external(th), internal, None)
+        return 0.5 * (hess + hess.T)
+
+    def curvature_internal(self, curv, grad, internal, external):
+        """Chain rule for the curvature ``curv = sum_i w_i Hess(y_i)`` over the
+        external parameters: over the internal ones it is ``Jt^T curv Jt +
+        hess_external(grad)``, with ``Jt = jac_external(internal)`` and
+        ``grad = J_ext^T w`` (``J_ext`` the model's Jacobian)."""
+        if type(self) is ParamTransform:
+            return curv
+        jt = self.jac_external(internal)
+        return jt.T @ curv @ jt + self.hess_external(grad, internal)
+
 
 class LogTransform(ParamTransform):
     """Fit selected strictly-positive parameters in log space."""
@@ -90,6 +112,19 @@ class LogTransform(ParamTransform):
         out = np.array(jac, dtype=float)
         for k in self._log:
             out[:, k] *= external[k]
+        return out
+
+    def hess_external(self, weights, internal):
+        external = self.to_external(internal)
+        return np.diag(np.where(self.log_mask, weights * external, 0.0))
+
+    def curvature_internal(self, curv, grad, internal, external):
+        out = np.array(curv, dtype=float)
+        for k in self._log:
+            out[k, :] *= external[k]
+        for k in self._log:
+            out[:, k] *= external[k]
+            out[k, k] += grad[k] * external[k]
         return out
 
 
@@ -123,6 +158,14 @@ class OrderedLifetimesTransform(ParamTransform):
         jac[3, 3] = np.exp(np.clip(w, -300.0, 300.0))
         return jac
 
+    def hess_external(self, weights, internal):
+        # t_short = e^u and t_long = e^u + e^w
+        _, u, _, w = np.asarray(internal, dtype=float)
+        hess = np.zeros((4, 4))
+        hess[1, 1] = np.exp(np.clip(u, -300.0, 300.0)) * (weights[1] + weights[3])
+        hess[3, 3] = np.exp(np.clip(w, -300.0, 300.0)) * weights[3]
+        return hess
+
 
 # ---------------------------------------------------------------------------
 # Model and result containers
@@ -130,11 +173,16 @@ class OrderedLifetimesTransform(ParamTransform):
 
 @dataclass
 class ParametricModel:
-    """A parametric curve y(params, x) with optional analytic Jacobian.
+    """A parametric curve y(params, x) with optional analytic derivatives.
 
     ``jacobian(params, x)`` returns the matrix of partial derivatives with
-    shape ``(len(x), n_params)`` in the external parameters.  ``guess`` maps
-    data to a starting point; ``bounds`` are external box constraints.
+    shape ``(len(x), n_params)`` in the external parameters.
+    ``curvature(params, x, w)`` returns ``sum_i w_i Hess(y_i)``, the
+    ``(n_params, n_params)`` second derivatives of the curve weighted by
+    ``w`` (``fit_curve`` passes ``w = r / sigma``), also in the external
+    parameters.  Without them, ``fit_curve`` takes central differences.
+    ``guess`` maps data to a starting point; ``bounds`` are external box
+    constraints.
     """
 
     name: str
@@ -145,6 +193,7 @@ class ParametricModel:
     guess: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     bounds: Optional[tuple] = None
     transform: ParamTransform = field(default_factory=ParamTransform)
+    curvature: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]] = None
 
     @property
     def n_params(self) -> int:
@@ -191,16 +240,18 @@ class FitResult:
 # Engine
 # ---------------------------------------------------------------------------
 
-def _numeric_jacobian(fun, params, x, rel_step=1e-6):
+def _numeric_jacobian(fun, params, x, rel_step=1e-6, floor=1e-8):
+    """Central differences of the vector ``fun(params, x)``, one column per
+    parameter, with steps ``rel_step * max(|params_i|, floor)``."""
     p = np.asarray(params, dtype=float)
-    jac = np.empty((x.size, p.size))
+    cols = []
     for i in range(p.size):
-        h = rel_step * max(abs(p[i]), 1e-8)
+        h = rel_step * max(abs(p[i]), floor)
         up, dn = p.copy(), p.copy()
         up[i] += h
         dn[i] -= h
-        jac[:, i] = (fun(up, x) - fun(dn, x)) / (2.0 * h)
-    return jac
+        cols.append((fun(up, x) - fun(dn, x)) / (2.0 * h))
+    return np.stack(cols, axis=1)
 
 
 def _columns(n, *cols):
@@ -237,22 +288,6 @@ def _damped_step(a_mat, scale, lam, grad):
     return delta
 
 
-def _dgw_update(secant, s, y, y_sharp):
-    """Dennis-Gay-Welsch update of the residual-curvature estimate ``secant``
-    for the step ``s``, with ``y = g_new - g_old`` and ``y_sharp = g_new -
-    J_old^T r_new`` (``g = J^T r``); skipped when ``y^T s <= 0``.  The old
-    estimate is first sized down by ``min(1, |s^T y_sharp| / |s^T S s|)``."""
-    ys = y @ s
-    if ys <= 0.0:
-        return secant
-    ss = s @ (secant @ s)
-    if ss != 0.0:
-        secant = secant * min(1.0, abs(s @ y_sharp) / abs(ss))
-    diff = y_sharp - secant @ s
-    outer = np.outer(diff, y)
-    return secant + (outer + outer.T) / ys - (diff @ s) / ys ** 2 * np.outer(y, y)
-
-
 # A parameter whose Jacobian column has shrunk below this fraction of the
 # largest norm it had along the path no longer moves the model: it is running
 # off to the edge of its range (a lifetime to infinity, say), where the data
@@ -275,11 +310,12 @@ def fit_curve(model: ParametricModel, x, y, sigma=None, init=None, bounds=None,
     accepted step from the third iteration on has a gain ratio outside
     [0.75, 1.25]: the Gauss-Newton model then mispredicts by more than a
     quarter, so the residual's own curvature matters.  From that step on,
-    ``S`` is sized down by ``min(1, |s^T y#| / |s^T S s|)`` and given the
-    Dennis-Gay-Welsch secant update after each accepted step ``s``, with
-    ``y# = g_new - J_old^T r_new`` and ``y = g_new - g_old`` (``g = J^T r``),
-    skipped when ``y^T s <= 0``.  Small-residual fits never switch it on.
-    Uncertainties come from ``J^T J`` alone.
+    ``S`` is the exact residual curvature ``sum_i r_i Hess(r_i)`` at each
+    accepted point: the model's ``curvature`` with ``w = r / sigma``, taken
+    into internal coordinates by the transform's ``curvature_internal``, or,
+    for a model without ``curvature``, central differences of ``J``.
+    Small-residual fits never switch it on.  Uncertainties come from
+    ``J^T J`` alone.
 
     The returned ``stop_reason`` names the rule that ended the iteration:
 
@@ -356,12 +392,28 @@ def fit_curve(model: ParametricModel, x, y, sigma=None, init=None, bounds=None,
         ext = tr.to_external(th)
         return (model.evaluate(ext, x) - y) / sigma, ext
 
-    def jac_internal(th, ext):
+    def jacobians(th, ext):
+        """The model's Jacobian over the external parameters, and the
+        residual's over the internal ones."""
         if model.jacobian is not None:
             j_ext = np.asarray(model.jacobian(ext, x), dtype=float)
         else:
             j_ext = _numeric_jacobian(model.evaluate, ext, x)
-        return tr.jac_internal(j_ext, th, ext) / sigma[:, None]
+        return j_ext, tr.jac_internal(j_ext, th, ext) / sigma[:, None]
+
+    def curvature(th, ext, r, j_ext):
+        """The residual curvature ``sum_i r_i Hess(r_i)`` over the internal
+        parameters."""
+        if model.curvature is None:
+            # central differences of J^T r at fixed r, as for a model without
+            # a Jacobian; steps of 1e-4 max(|theta|, 1) stay clear of the
+            # rounding in a Jacobian that is itself differenced
+            curv = _numeric_jacobian(
+                lambda t, _: jacobians(t, tr.to_external(t))[1].T @ r, th, None, 1e-4, 1.0)
+            return 0.5 * (curv + curv.T)
+        w = r / sigma
+        return tr.curvature_internal(np.asarray(model.curvature(ext, x, w), dtype=float),
+                                     j_ext.T @ w, th, ext)
 
     r, ext = residual(theta)
     cost = float(r @ r)
@@ -371,7 +423,7 @@ def fit_curve(model: ParametricModel, x, y, sigma=None, init=None, bounds=None,
     lam = 1e-3
     iterations = 0
 
-    jac = jac_internal(theta, ext)
+    j_ext, jac = jacobians(theta, ext)
     if not np.all(np.isfinite(jac)):
         raise SingularJacobian("non-finite Jacobian at the starting point")
     a_mat, col_norms, scale = _gram(jac)
@@ -383,9 +435,9 @@ def fit_curve(model: ParametricModel, x, y, sigma=None, init=None, bounds=None,
     lost = np.zeros(n_par, dtype=bool)
 
     gtol_loose = max(np.sqrt(gtol), 3e-3)
-    # secant estimate of the residual curvature sum_i r_i Hess(r_i); None
-    # until the Gauss-Newton model is seen to fail
-    secant = None
+    # whether each step adds the residual curvature that J^T J leaves out;
+    # off until the Gauss-Newton model is seen to fail
+    curved = False
     nu = 2.0
     stall_count = 0
     window_cost = cost
@@ -405,7 +457,7 @@ def fit_curve(model: ParametricModel, x, y, sigma=None, init=None, bounds=None,
             iterations -= 1
             break
 
-        h_mat = a_mat if secant is None else a_mat + secant
+        h_mat = a_mat + curvature(theta, ext, r, j_ext) if curved else a_mat
         accepted = False
         for _ in range(60):
             delta = _damped_step(h_mat, scale, lam, grad)
@@ -443,8 +495,7 @@ def fit_curve(model: ParametricModel, x, y, sigma=None, init=None, bounds=None,
         improvement = cost - cost_cand
         theta, r, cost, ext = theta_cand, r_cand, cost_cand, ext_cand
         trace.append(np.sqrt(cost))
-        jac_old, grad_old = jac, grad
-        jac = jac_internal(theta, ext)
+        j_ext, jac = jacobians(theta, ext)
         a_mat, col_norms, scale = _gram(jac)
         # a sum of norms, each below 1.4e154, is finite only if every entry is
         if not math.isfinite(np.add.reduce(col_norms)):
@@ -456,13 +507,10 @@ def fit_curve(model: ParametricModel, x, y, sigma=None, init=None, bounds=None,
             lost[:] = True
             break
         grad = jac.T @ r
-        if secant is None and iterations >= 3 and abs(rho - 1.0) > 0.25:
+        if iterations >= 3 and abs(rho - 1.0) > 0.25:
             # past the first steps' nonlinearity, a misprediction by over a
             # quarter means the residual curvature that J^T J leaves out matters
-            secant = np.zeros((n_par, n_par))
-        if secant is not None:
-            secant = _dgw_update(secant, step_vec, grad - grad_old,
-                                 grad - jac_old.T @ r)
+            curved = True
         col_peak = np.maximum(col_peak, col_norms)
         lost = col_norms < _LOST_INFLUENCE * col_peak
         if lost.any():
@@ -536,6 +584,18 @@ def _double_exp_jac(params, t):
     return _columns(t.size, e_s, a_s * t * e_s / t_s ** 2, e_l, a_l * t * e_l / t_l ** 2)
 
 
+def _double_exp_curvature(params, t, w):
+    # each term a exp(-t/tau) has d2/da dtau = t e / tau^2 and
+    # d2/dtau2 = a t e (t - 2 tau) / tau^4; the two terms do not mix
+    curv = np.zeros((4, 4))
+    for k in (0, 2):
+        amp, tau = params[k], params[k + 1]
+        wte = w * t * np.exp(-t / tau)
+        curv[k, k + 1] = curv[k + 1, k] = float(wte.sum()) / tau ** 2
+        curv[k + 1, k + 1] = amp * float(wte @ (t - 2.0 * tau)) / tau ** 4
+    return curv
+
+
 def _double_exp_guess(t, y):
     t = np.asarray(t, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -568,6 +628,7 @@ def model_double_exponential() -> ParametricModel:
         units=("", "s", "", "s"),
         evaluate=_double_exp_eval,
         jacobian=_double_exp_jac,
+        curvature=_double_exp_curvature,
         guess=_double_exp_guess,
         bounds=(np.array([0.0, 1e-12, 0.0, 1e-12]),
                 np.array([np.inf, np.inf, np.inf, np.inf])),
@@ -599,12 +660,23 @@ def model_flipflop_field(alpha: float = 1e9, g_factor: float = 15.13,
         denom = (gam_static + gam_slope * b) ** 2
         return _columns(b.size, -alpha * sech2 / denom, -alpha * b * sech2 / denom)
 
+    def curvature(params, b, w):
+        # rate = alpha sech^2 / d with d linear in both parameters, so
+        # d2 rate / dp_i dp_j = 2 alpha sech^2 db_i db_j / d^3, db = (1, B)
+        gam_static, gam_slope = params
+        b = np.asarray(b, dtype=float)
+        xarg = g_factor * MU_B * b / (2.0 * K_B * temperature)
+        q = 2.0 * alpha * w / np.cosh(xarg) ** 2 / (gam_static + gam_slope * b) ** 3
+        s_b = float(q @ b)
+        return np.array([[float(q.sum()), s_b], [s_b, float(q @ (b * b))]])
+
     return ParametricModel(
         name="flipflop_field",
         param_names=("gamma_spin_static", "gamma_spin_slope"),
         units=("Hz", "Hz/T"),
         evaluate=evaluate,
         jacobian=jacobian,
+        curvature=curvature,
         guess=lambda x, y: np.array([1e9, 1e10]),
         bounds=(np.array([1e3, 1e3]), np.array([1e15, 1e15])),
         transform=LogTransform([True, True]),
@@ -623,6 +695,7 @@ def model_lorentzian_dip(baseline_terms: int = 1) -> ParametricModel:
     if baseline_terms not in (0, 1, 2):
         raise NonPositiveInput(f"baseline_terms must be 0, 1 or 2, got {baseline_terms}")
     n_base = baseline_terms
+    n_par = n_base + 3
 
     def evaluate(params, nu):
         depth, center, fwhm = params[n_base:]
@@ -644,6 +717,26 @@ def model_lorentzian_dip(baseline_terms: int = 1) -> ParametricModel:
                         -depth * lshape * 2.0 * dx / denom,
                         -depth * half * dx ** 2 / denom ** 2)
 
+    def curvature(params, nu, w):
+        # second derivatives of -depth L, L = h^2 / D, h = fwhm / 2,
+        # D = (nu - center)^2 + h^2; the baseline is linear
+        depth, center, fwhm = params[n_base:]
+        half = fwhm / 2.0
+        h2 = half * half
+        dx = nu - center
+        dx2 = dx * dx
+        denom = dx2 + h2
+        q = w / denom ** 3
+        qd = q * denom
+        s_dc = -2.0 * h2 * float(qd @ dx)
+        s_df = -half * float(qd @ dx2)
+        s_cc = -2.0 * depth * h2 * float(q @ (3.0 * dx2 - h2))
+        s_cf = -2.0 * depth * half * float(q @ (dx * (dx2 - h2)))
+        s_ff = -0.5 * depth * float(q @ (dx2 * (dx2 - 3.0 * h2)))
+        curv = np.zeros((n_par, n_par))
+        curv[n_base:, n_base:] = [[0.0, s_dc, s_df], [s_dc, s_cc, s_cf], [s_df, s_cf, s_ff]]
+        return curv
+
     def guess(nu, od):
         baseline = float(np.median(od)) if n_base else 0.0
         imin = int(np.argmin(od))
@@ -657,13 +750,13 @@ def model_lorentzian_dip(baseline_terms: int = 1) -> ParametricModel:
             fwhm = (nu[-1] - nu[0]) / 10.0
         return np.array([baseline, 0.0][:n_base] + [depth, center, fwhm])
 
-    n_par = n_base + 3
     return ParametricModel(
         name="lorentzian_dip",
         param_names=("baseline", "slope")[:n_base] + ("depth", "center", "fwhm"),
         units=("od", "od/Hz")[:n_base] + ("od", "Hz", "Hz"),
         evaluate=evaluate,
         jacobian=jacobian,
+        curvature=curvature,
         guess=guess,
         bounds=(np.array([-np.inf] * (n_par - 1) + [1e-12]), np.full(n_par, np.inf)),
         transform=LogTransform([False] * (n_par - 1) + [True]),

@@ -1,6 +1,6 @@
-"""The inner workings of a fit_curve iteration: the transforms' chain rule,
-the damped LAPACK solve, and what a Jacobian that turns non-finite mid-fit
-does to the result."""
+"""The inner workings of a fit_curve iteration: the transforms' chain rules
+for the Jacobian and the residual curvature, the damped LAPACK solve, and
+what a Jacobian that turns non-finite mid-fit does to the result."""
 
 import dataclasses
 import warnings
@@ -26,6 +26,7 @@ class GenericLog(ParamTransform):
 
     def __init__(self, log_mask):
         self._log = LogTransform(log_mask)
+        self.hess_calls = 0
 
     def to_internal(self, external):
         return self._log.to_internal(external)
@@ -36,9 +37,15 @@ class GenericLog(ParamTransform):
     def jac_external(self, internal):
         return self._log.jac_external(internal)
 
+    def hess_external(self, weights, internal):
+        self.hess_calls += 1
+        return self._log.hess_external(weights, internal)
+
 
 class GenericIdentity(ParamTransform):
     """The identity's maps only, so the chain rule takes the base-class matmul."""
+
+    hess_calls = 0
 
     def to_internal(self, external):
         return np.asarray(external, dtype=float).copy()
@@ -48,6 +55,10 @@ class GenericIdentity(ParamTransform):
 
     def jac_external(self, internal):
         return np.eye(len(internal))
+
+    def hess_external(self, weights, internal):
+        self.hess_calls += 1
+        return ParamTransform().hess_external(weights, internal)
 
 
 def noisy_dips(n_seeds=6):
@@ -60,9 +71,26 @@ def noisy_dips(n_seeds=6):
         yield x, y, np.array([1.9, 1.0, 0.0, 5.0])
 
 
+def gaussian_dip():
+    """The Gaussian dip of test_fit_properties' ``@example``, started as
+    there: a large-residual fit, so the curvature term switches on."""
+    n = int(8.0 * 9.0 / 0.3125) + 1
+    x = np.linspace(-4.0, 4.0, n)
+    y = 1.0 - 2.0 * np.exp(-0.5 * (x / (0.3125 / 2.355)) ** 2)
+    y = y + 1e-3 * np.random.default_rng(18).standard_normal(n)
+    i_min = int(np.argmin(y))
+    base = float(np.percentile(y, 85.0))
+    init = np.array([base, 0.0, base - y[i_min], x[i_min], 0.3125])
+    bounds = (np.array([-np.inf, -np.inf, -np.inf, -4.0, 1e-2]),
+              np.array([np.inf, np.inf, np.inf, 4.0, 32.0]))
+    return dict(x=x, y=y, sigma=1e-3, init=init, bounds=bounds)
+
+
 class TestChainRuleRoutes:
-    """LogTransform and the identity scale Jacobian columns instead of
-    multiplying by jac_external; every FitResult field must come out the same."""
+    """LogTransform and the identity scale Jacobian columns and curvature
+    entries instead of multiplying by jac_external; every FitResult field must
+    come out the same.  The noisy dips are small-residual fits that never
+    switch the curvature on; the Gaussian dip switches it on."""
 
     def test_log_transform_matches_generic_route(self):
         dip = a.model_lorentzian_dip()
@@ -70,6 +98,12 @@ class TestChainRuleRoutes:
         for x, y, init in noisy_dips():
             assert_same_fit(a.fit_curve(dip, x, y, sigma=0.02, init=init),
                             a.fit_curve(generic, x, y, sigma=0.02, init=init))
+
+        hole = a.model_lorentzian_dip(2)
+        generic = dataclasses.replace(hole, transform=GenericLog(hole.transform.log_mask))
+        assert_same_fit(a.fit_curve(hole, **gaussian_dip()),
+                        a.fit_curve(generic, **gaussian_dip()))
+        assert generic.transform.hess_calls > 0
 
         ff = a.model_flipflop_field()
         generic = dataclasses.replace(ff, transform=GenericLog([True, True]))
@@ -84,6 +118,13 @@ class TestChainRuleRoutes:
         for x, y, init in noisy_dips():
             assert_same_fit(a.fit_curve(identity, x, y, sigma=0.02, init=init),
                             a.fit_curve(generic, x, y, sigma=0.02, init=init))
+
+        hole = a.model_lorentzian_dip(2)
+        identity = dataclasses.replace(hole, transform=ParamTransform())
+        generic = dataclasses.replace(hole, transform=GenericIdentity())
+        assert_same_fit(a.fit_curve(identity, **gaussian_dip()),
+                        a.fit_curve(generic, **gaussian_dip()))
+        assert generic.transform.hess_calls > 0
 
 
 class TestDampedStep:

@@ -66,22 +66,24 @@ class ParamTransform:
 
     def hess_external(self, weights, internal):
         """``sum_k weights_k Hess(external_k)`` over the internal parameters,
-        shape (n_int, n_int).  Zero for the identity; a subclass that does
-        not supply it gets central differences of ``weights @ jac_external``."""
-        if type(self) is ParamTransform:
-            return np.zeros((len(internal), len(internal)))
-        hess = _numeric_jacobian(lambda th, _: weights @ self.jac_external(th), internal, None)
-        return 0.5 * (hess + hess.T)
+        shape (n_int, n_int).  Zero for the identity.  A subclass that fits a
+        model with ``curvature`` must supply it; with a model whose
+        ``curvature`` is unset, ``fit_curve`` never calls it."""
+        if type(self) is not ParamTransform:
+            raise NotImplementedError(f"{type(self).__name__} has no hess_external")
+        return np.zeros((len(internal), len(internal)))
 
     def curvature_internal(self, curv, grad, internal, external):
         """Chain rule for the curvature ``curv = sum_i w_i Hess(y_i)`` over the
         external parameters: over the internal ones it is ``Jt^T curv Jt +
         hess_external(grad)``, with ``Jt = jac_external(internal)`` and
-        ``grad = J_ext^T w`` (``J_ext`` the model's Jacobian)."""
+        ``grad = J_ext^T w`` (``J_ext`` the model's Jacobian).  ``Jt^T curv
+        Jt`` is taken as ``jac_internal`` twice, ``curv`` being symmetric, so
+        a transform's own first-order chain rule serves both orders."""
         if type(self) is ParamTransform:
             return curv
-        jt = self.jac_external(internal)
-        return jt.T @ curv @ jt + self.hess_external(grad, internal)
+        half = self.jac_internal(curv, internal, external)
+        return self.jac_internal(half.T, internal, external) + self.hess_external(grad, internal)
 
 
 class LogTransform(ParamTransform):
@@ -117,15 +119,6 @@ class LogTransform(ParamTransform):
     def hess_external(self, weights, internal):
         external = self.to_external(internal)
         return np.diag(np.where(self.log_mask, weights * external, 0.0))
-
-    def curvature_internal(self, curv, grad, internal, external):
-        out = np.array(curv, dtype=float)
-        for k in self._log:
-            out[k, :] *= external[k]
-        for k in self._log:
-            out[:, k] *= external[k]
-            out[k, k] += grad[k] * external[k]
-        return out
 
 
 class OrderedLifetimesTransform(ParamTransform):
@@ -180,7 +173,8 @@ class ParametricModel:
     ``curvature(params, x, w)`` returns ``sum_i w_i Hess(y_i)``, the
     ``(n_params, n_params)`` second derivatives of the curve weighted by
     ``w`` (``fit_curve`` passes ``w = r / sigma``), also in the external
-    parameters.  Without them, ``fit_curve`` takes central differences.
+    parameters; its transform must then supply ``hess_external``.  Without
+    them, ``fit_curve`` takes differences.
     ``guess`` maps data to a starting point; ``bounds`` are external box
     constraints.
     """
@@ -313,7 +307,8 @@ def fit_curve(model: ParametricModel, x, y, sigma=None, init=None, bounds=None,
     ``S`` is the exact residual curvature ``sum_i r_i Hess(r_i)`` at each
     accepted point: the model's ``curvature`` with ``w = r / sigma``, taken
     into internal coordinates by the transform's ``curvature_internal``, or,
-    for a model without ``curvature``, central differences of ``J``.
+    for a model without ``curvature``, differences of ``J`` with steps
+    scaled to each parameter and kept inside the bounds.
     Small-residual fits never switch it on.  Uncertainties come from
     ``J^T J`` alone.
 
@@ -405,11 +400,24 @@ def fit_curve(model: ParametricModel, x, y, sigma=None, init=None, bounds=None,
         """The residual curvature ``sum_i r_i Hess(r_i)`` over the internal
         parameters."""
         if model.curvature is None:
-            # central differences of J^T r at fixed r, as for a model without
-            # a Jacobian; steps of 1e-4 max(|theta|, 1) stay clear of the
-            # rounding in a Jacobian that is itself differenced
-            curv = _numeric_jacobian(
-                lambda t, _: jacobians(t, tr.to_external(t))[1].T @ r, th, None, 1e-4, 1.0)
+            # differences of J^T r at fixed r, as for a model without a
+            # Jacobian.  Each step is 1e-4 of the parameter's scale: its size,
+            # or the move that shifts the curve by the residual's norm if that
+            # is larger, which stays clear of the rounding in a Jacobian that
+            # is itself differenced.  A side whose trial point leaves the
+            # bounds is replaced by the current point.
+            cols = []
+            for i, h in enumerate(1e-4 * np.maximum(np.abs(th), math.sqrt(cost) / col_norms)):
+                ends = []
+                for step in (h, -h):
+                    t = th.copy()
+                    t[i] += step
+                    e = tr.to_external(t)
+                    inside = bool(((e >= lo) & (e <= hi)).all())
+                    ends.append((jacobians(t, e)[1].T @ r, step) if inside else (grad, 0.0))
+                (g_up, s_up), (g_dn, s_dn) = ends
+                cols.append((g_up - g_dn) / (s_up - s_dn))
+            curv = np.stack(cols, axis=1)
             return 0.5 * (curv + curv.T)
         w = r / sigma
         return tr.curvature_internal(np.asarray(model.curvature(ext, x, w), dtype=float),
@@ -496,9 +504,8 @@ def fit_curve(model: ParametricModel, x, y, sigma=None, init=None, bounds=None,
         theta, r, cost, ext = theta_cand, r_cand, cost_cand, ext_cand
         trace.append(np.sqrt(cost))
         j_ext, jac = jacobians(theta, ext)
-        a_mat, col_norms, scale = _gram(jac)
-        # a sum of norms, each below 1.4e154, is finite only if every entry is
-        if not math.isfinite(np.add.reduce(col_norms)):
+        # checked before any product: inf * 0 in J^T J would warn
+        if not np.isfinite(jac).all():
             # no step from a non-finite Jacobian can be trusted: end here, as
             # the next iteration's damping would, with every parameter
             # undetermined
@@ -506,6 +513,7 @@ def fit_curve(model: ParametricModel, x, y, sigma=None, init=None, bounds=None,
             iterations += 1
             lost[:] = True
             break
+        a_mat, col_norms, scale = _gram(jac)
         grad = jac.T @ r
         if iterations >= 3 and abs(rho - 1.0) > 0.25:
             # past the first steps' nonlinearity, a misprediction by over a

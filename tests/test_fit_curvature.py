@@ -111,30 +111,13 @@ def test_chain_rule_matches_differences_of_the_internal_jacobian(case):
         assert scaled_error(curv, want) <= FD_TOL
 
 
-class MapsOnly(ParamTransform):
-    """A transform's maps and first derivatives only, so its second-order
-    term comes from the base class's central differences."""
+def test_transform_without_hess_external_says_so():
+    class MapsOnly(ParamTransform):
+        def jac_external(self, internal):
+            return np.eye(len(internal))
 
-    def __init__(self, inner):
-        self.inner = inner
-
-    def to_internal(self, external):
-        return self.inner.to_internal(external)
-
-    def to_external(self, internal):
-        return self.inner.to_external(internal)
-
-    def jac_external(self, internal):
-        return self.inner.jac_external(internal)
-
-
-@pytest.mark.parametrize("case", ["dip2", "double_exponential", "flipflop_field"])
-def test_generic_chain_rule_matches_the_transform_own(case):
-    for model, params, x, w in points(case, n=10):
-        generic = dataclasses.replace(model, transform=MapsOnly(model.transform))
-        theta = model.transform.to_internal(params)
-        assert scaled_error(internal_curvature(generic, theta, x, w),
-                            internal_curvature(model, theta, x, w)) <= FD_TOL
+    with pytest.raises(NotImplementedError, match="MapsOnly"):
+        MapsOnly().hess_external(np.ones(2), np.zeros(2))
 
 
 @pytest.mark.parametrize("transform, internal", [
@@ -191,6 +174,44 @@ def test_user_model_without_derivatives_ends_at_its_optimum():
     assert res.converged
     again = a.fit_curve(model, x, y, sigma=2e-3, init=res.params)
     assert np.max(np.abs(again.params - res.params) / res.std_errors) <= RESTART_MOVE
+
+
+def exponential_curvature(params, t, w):
+    amp, tau = params
+    wte = w * t * np.exp(-t / tau)
+    cross = float(wte.sum()) / tau ** 2
+    return np.array([[0.0, cross], [cross, amp * float(wte @ (t - 2.0 * tau)) / tau ** 4]])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_differencing_steps_follow_the_parameter_scale(seed):
+    # one exponential on two, with lifetimes of order 1e-5 s and no
+    # transform: a step of 1e-4 in tau would cross zero
+    taus = []
+
+    def jacobian(p, t):
+        taus.append(p[1])
+        e = np.exp(-t / p[1])
+        return np.stack([e, p[0] * t / p[1] ** 2 * e], axis=1)
+
+    model = ParametricModel(
+        name="decay", param_names=("amp", "tau"), units=("", "s"),
+        evaluate=lambda p, t: p[0] * np.exp(-t / p[1]), jacobian=jacobian,
+        bounds=([-np.inf, 1e-12], [np.inf, np.inf]))
+    rng = np.random.default_rng(seed)
+    t = np.linspace(0.0, 6e-5, 61)
+    y = (0.7 * np.exp(-t / rng.uniform(3e-6, 6e-6))
+         + 0.3 * np.exp(-t / rng.uniform(2e-5, 4e-5)) + 1e-3 * rng.standard_normal(t.size))
+    res = a.fit_curve(model, t, y, sigma=1e-3, init=[1.0, 1e-5])
+    # the curvature's differences took Jacobians beyond one per iteration
+    assert len(taus) > res.iterations + 1
+    assert min(taus) > 0.0
+    assert res.converged
+    exact = a.fit_curve(dataclasses.replace(model, curvature=exponential_curvature),
+                        t, y, sigma=1e-3, init=[1.0, 1e-5])
+    again = a.fit_curve(model, t, y, sigma=1e-3, init=res.params)
+    assert np.max(np.abs(again.params - res.params) / res.std_errors) <= RESTART_MOVE
+    assert np.max(np.abs(res.params - exact.params) / exact.std_errors) <= RESTART_MOVE
 
 
 def test_fig2_hole_fits_end_by_gtol_in_fewer_iterations():

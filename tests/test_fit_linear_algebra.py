@@ -147,17 +147,21 @@ class TestDampedStep:
             _damped_step(np.ones((2, 2)), np.ones(2), 0.0, np.ones(2))
 
 
-def decay(bad=None, clean_calls=1):
+def decay(bad=None, clean_calls=1, entries=None):
     """One exponential; with ``bad``, one Jacobian entry turns to ``bad``
-    after ``clean_calls`` calls (1: at the first accepted point)."""
+    after ``clean_calls`` calls (1: at the first accepted point).
+    ``entries`` maps other entries to the values they turn to instead."""
     calls = []
+    if entries is None:
+        entries = {} if bad is None else {(3, 1): bad}
 
     def jacobian(p, x):
         calls.append(p)
         e = np.exp(-x / p[1])
         jac = np.stack([e, p[0] * x / p[1] ** 2 * e], axis=1)
-        if bad is not None and len(calls) > clean_calls:
-            jac[3, 1] = bad
+        if len(calls) > clean_calls:
+            for at, value in entries.items():
+                jac[at] = value
         return jac
 
     return ParametricModel(name="decay", param_names=("amp", "tau"), units=("", "s"),
@@ -192,4 +196,16 @@ class TestNonFiniteJacobian:
             warnings.simplefilter("error")
             res = a.fit_curve(decay(bad), self.x, self.y, init=[1.0, 1.0])
         assert res.stop_reason == "max_damping"
+        assert np.all(np.isinf(res.std_errors))
+
+    @pytest.mark.parametrize("entries", [
+        {(0, 0): np.inf},  # beside d/dtau = 0 at x = 0, so J^T J holds inf * 0
+        {(3, 1): np.inf, (4, 1): -np.inf},
+    ], ids=["inf_beside_zero", "opposite_infs"])
+    def test_infinities_that_would_make_nan_in_the_gram_matrix_warn_nothing(self, entries):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = a.fit_curve(decay(entries=entries), self.x, self.y, init=[1.0, 1.0])
+        assert res.stop_reason == "max_damping"
+        assert res.iterations == 2
         assert np.all(np.isinf(res.std_errors))

@@ -147,13 +147,12 @@ class TestDampedStep:
             _damped_step(np.ones((2, 2)), np.ones(2), 0.0, np.ones(2))
 
 
-def decay(bad=None, clean_calls=1, entries=None):
+def decay(bad=None, clean_calls=1):
     """One exponential; with ``bad``, one Jacobian entry turns to ``bad``
-    after ``clean_calls`` calls (1: at the first accepted point).
-    ``entries`` maps other entries to the values they turn to instead."""
+    after ``clean_calls`` calls (1: at the first accepted point).  ``bad``
+    may instead map entries to the values they turn to."""
     calls = []
-    if entries is None:
-        entries = {} if bad is None else {(3, 1): bad}
+    entries = bad if isinstance(bad, dict) else {} if bad is None else {(3, 1): bad}
 
     def jacobian(p, x):
         calls.append(p)
@@ -190,22 +189,15 @@ class TestNonFiniteJacobian:
         assert res.residual_trace == clean.residual_trace[:2]
         assert np.all(np.isfinite(res.params))
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("bad", [
+        np.nan, np.inf, -np.inf,
+        # beside d/dtau = 0 at x = 0, so J^T J would hold inf * 0
+        pytest.param({(0, 0): np.inf}, id="inf_beside_zero"),
+        pytest.param({(3, 1): np.inf, (4, 1): -np.inf}, id="opposite_infs"),
+    ])
     def test_after_a_step_warns_nothing_and_leaves_every_error_open(self, bad):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             res = a.fit_curve(decay(bad), self.x, self.y, init=[1.0, 1.0])
         assert res.stop_reason == "max_damping"
-        assert np.all(np.isinf(res.std_errors))
-
-    @pytest.mark.parametrize("entries", [
-        {(0, 0): np.inf},  # beside d/dtau = 0 at x = 0, so J^T J holds inf * 0
-        {(3, 1): np.inf, (4, 1): -np.inf},
-    ], ids=["inf_beside_zero", "opposite_infs"])
-    def test_infinities_that_would_make_nan_in_the_gram_matrix_warn_nothing(self, entries):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            res = a.fit_curve(decay(entries=entries), self.x, self.y, init=[1.0, 1.0])
-        assert res.stop_reason == "max_damping"
-        assert res.iterations == 2
         assert np.all(np.isinf(res.std_errors))

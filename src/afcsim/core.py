@@ -258,6 +258,25 @@ def boltzmann_polarization(b_field: float, temperature: float, g_factor: float) 
 ProfileLike = Union[str, np.ndarray, Callable[[np.ndarray], np.ndarray]]
 
 
+def check_populations(weight: np.ndarray, levels, atol: float = CONSERVATION_ATOL) -> None:
+    """Raise :class:`NonPositiveInput` unless ``weight >= 0`` and the four
+    level arrays ``levels = (n_g, n_z, n_h, n_e)`` are finite, lie in [0, 1]
+    and sum to 1 per bin, each within ``atol``.  The level arrays may hold a
+    stack of states along leading axes; ``weight`` broadcasts against them.
+    """
+    if np.any(weight < 0):
+        raise NonPositiveInput("weight must be >= 0 everywhere")
+    for arr in levels:
+        if not np.all(np.isfinite(arr)):
+            raise NonPositiveInput("populations must be finite")
+        if np.any(arr < -atol) or np.any(arr > 1 + atol):
+            raise NonPositiveInput("populations must lie in [0, 1]")
+    n_g, n_z, n_h, n_e = levels
+    drift = np.max(np.abs(n_g + n_z + n_h + n_e - 1.0))
+    if drift > atol:
+        raise NonPositiveInput(f"class conservation violated by {drift:.3e}")
+
+
 @dataclass
 class EnsembleState:
     """Per-bin populations of the four levels over the simulated window.
@@ -285,18 +304,7 @@ class EnsembleState:
 
     def validate(self, atol: float = CONSERVATION_ATOL) -> None:
         """Check class conservation, population ranges and weight positivity."""
-        if np.any(self.weight < 0):
-            raise NonPositiveInput("weight must be >= 0 everywhere")
-        pops = (self.n_g, self.n_z, self.n_h, self.n_e)
-        for arr in pops:
-            if not np.all(np.isfinite(arr)):
-                raise NonPositiveInput("populations must be finite")
-            if np.any(arr < -atol) or np.any(arr > 1 + atol):
-                raise NonPositiveInput("populations must lie in [0, 1]")
-        total = self.n_g + self.n_z + self.n_h + self.n_e
-        if np.max(np.abs(total - 1.0)) > atol:
-            raise NonPositiveInput(
-                f"class conservation violated by {np.max(np.abs(total - 1.0)):.3e}")
+        check_populations(self.weight, (self.n_g, self.n_z, self.n_h, self.n_e), atol)
 
     def copy(self) -> "EnsembleState":
         return EnsembleState(
@@ -378,18 +386,21 @@ class AbsorptionSpectrum:
 
 
 def _convolve_padded(values: np.ndarray, kernel: np.ndarray, pad_mode: str) -> np.ndarray:
-    """Convolve with an odd-length centred kernel, padding the signal so every
-    output bin sees full kernel support.
+    """Convolve every row of ``values`` (along its last axis) with an
+    odd-length centred kernel, padding each row so every output bin sees full
+    kernel support.
 
     The FFT length, transforms and crop are the ones
     ``scipy.signal.fftconvolve(padded, kernel, mode="same")`` uses for real
-    1-D input, so the result equals it bit for bit.
+    1-D input, so each row equals it bit for bit: pocketfft's batched
+    transforms give the same bits per row as its 1-D ones.
     """
     half = kernel.size // 2
-    padded = np.pad(values, half, mode=pad_mode)
-    size = next_fast_len(padded.size + kernel.size - 1, True)
+    n = values.shape[-1]
+    padded = np.pad(values, [(0, 0)] * (values.ndim - 1) + [(half, half)], mode=pad_mode)
+    size = next_fast_len(padded.shape[-1] + kernel.size - 1, True)
     full = irfft(rfft(padded, size) * rfft(kernel, size), size)
-    return full[2 * half:2 * half + values.size]
+    return full[..., 2 * half:2 * half + n]
 
 
 def _lorentzian_kernel(n: int, bin_width: float, fwhm: float) -> np.ndarray:
@@ -420,6 +431,44 @@ def _antihole_kernel(n: int, bin_width: float, fwhm: float, shift: float) -> np.
     return kern * (bin_width / (sigma * np.sqrt(2.0 * np.pi)))
 
 
+def _optical_depth(grid: FrequencyGrid, weight: np.ndarray, pops: np.ndarray,
+                   params: MaterialParams) -> np.ndarray:
+    """Optical depth of a stack of states, one row per state.
+
+    ``pops`` is a ``(n_states, n_bins, 4)`` stack of the levels (g, z, h, e)
+    on ``grid``, all with the OD weights ``weight``.  Each kernel and its
+    transform are built once for the whole stack, and each level is
+    convolved in one batched call.  A level term is added only to the rows
+    where that level holds population, so every row is bit-identical to the
+    one-state spectrum.
+    """
+    n = grid.n_bins
+    dn = grid.bin_width
+
+    od = _convolve_padded(weight * pops[..., 0],
+                          _lorentzian_kernel(n, dn, params.gamma_h_fwhm), "edge")
+
+    shelved = np.any(pops[..., 2] > 0, axis=1)
+    if shelved.any():
+        od[shelved] += _convolve_padded(weight * pops[shelved, :, 2],
+                                        _gaussian_kernel(n, dn, params.shf_fwhm), "edge")
+
+    flipped = np.any(pops[..., 1] > 0, axis=1)
+    if flipped.any():
+        shift = zeeman_splitting(params.b_field, params.g_factor)
+        width = spin_inhom_width(params.b_field, params.gamma_spin_static,
+                                 params.gamma_spin_slope)
+        sigma = max(width, dn) / np.sqrt(8.0 * np.log(2.0))
+        # skip when the displaced kernel cannot reach the window at all
+        if shift - 8.0 * sigma < grid.span:
+            kern = _antihole_kernel(n, dn, width, shift)
+            if kern.max() > 0:
+                od[flipped] += _convolve_padded(weight * pops[flipped, :, 1], kern, "constant")
+
+    np.maximum(od, 0.0, out=od)
+    return od
+
+
 def absorption_spectrum(state: EnsembleState, params: MaterialParams) -> AbsorptionSpectrum:
     """Optical depth of the current state.
 
@@ -430,28 +479,11 @@ def absorption_spectrum(state: EnsembleState, params: MaterialParams) -> Absorpt
     spread given by the spin inhomogeneous broadening; only population inside
     the simulated window contributes, so absorption displaced beyond the
     window simply leaves it.  Excited population does not absorb.
+
+    This is the one-state case of the stacked optical depth that
+    :func:`readout.hole_decay_experiment` takes over all its delays at once;
+    each of its rows equals this spectrum of that row's state bit for bit.
     """
-    grid = state.grid
-    n = grid.n_bins
-    dn = grid.bin_width
-
-    od = _convolve_padded(state.weight * state.n_g,
-                          _lorentzian_kernel(n, dn, params.gamma_h_fwhm), "edge")
-
-    if np.any(state.n_h > 0):
-        od = od + _convolve_padded(state.weight * state.n_h,
-                                   _gaussian_kernel(n, dn, params.shf_fwhm), "edge")
-
-    if np.any(state.n_z > 0):
-        shift = zeeman_splitting(params.b_field, params.g_factor)
-        width = spin_inhom_width(params.b_field, params.gamma_spin_static,
-                                 params.gamma_spin_slope)
-        sigma = max(width, dn) / np.sqrt(8.0 * np.log(2.0))
-        # skip when the displaced kernel cannot reach the window at all
-        if shift - 8.0 * sigma < grid.span:
-            kern = _antihole_kernel(n, dn, width, shift)
-            if kern.max() > 0:
-                od = od + _convolve_padded(state.weight * state.n_z, kern, "constant")
-
-    np.maximum(od, 0.0, out=od)
-    return AbsorptionSpectrum(grid=grid, od=od)
+    pops = np.stack((state.n_g, state.n_z, state.n_h, state.n_e), axis=-1)
+    od = _optical_depth(state.grid, state.weight, pops[None], params)
+    return AbsorptionSpectrum(grid=state.grid, od=od[0])

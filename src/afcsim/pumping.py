@@ -57,6 +57,7 @@ from .core import (
     FrequencyGrid,
     MaterialParams,
     boltzmann_polarization,
+    check_populations,
 )
 from .errors import (
     InvalidCombGeometry,
@@ -563,6 +564,11 @@ def evolve(state: EnsembleState, seq: PumpSequence, params: MaterialParams,
     pump is constant the whole system is linear with one fixed generator
     ``A``, and every record interval of length ``tau`` is advanced by
     ``exp(tau A)`` directly, with no time steps, then clipped to [0, 1] once.
+    The states at the record times are copied into one
+    ``(n_records, n_bins, 4)`` array, whose populations are checked once, as
+    :meth:`EnsembleState.validate` checks a state; each returned
+    :class:`EnsembleState` wraps one record of it.
+    :func:`readout.hole_decay_experiment` takes that array directly.
 
     Without spectral diffusion (the dark, or TLS off) ``A`` is block
     diagonal, and each bin's exact 4x4 propagator comes from one batched
@@ -599,6 +605,17 @@ def evolve(state: EnsembleState, seq: PumpSequence, params: MaterialParams,
     ``dt_lit`` and ``dt_dark`` are still validated (each must exceed
     1e-12 s) but have no effect on the result.
     """
+    if (dt_lit is not None and dt_lit <= 1e-12) or (dt_dark is not None and dt_dark <= 1e-12):
+        raise StepSizeUnderflow("step size must exceed 1e-12 s")
+    records = _evolve_records(state, seq, params, tls, record_times)
+    return [EnsembleState(state.grid, state.weight.copy(), *rec.T.copy()) for rec in records]
+
+
+def _evolve_records(state: EnsembleState, seq: PumpSequence, params: MaterialParams,
+                    tls: TlsParams, record_times: Sequence[float]) -> np.ndarray:
+    """The body of :func:`evolve`: the states at ``record_times`` as one
+    ``(n_records, n_bins, 4)`` array of the levels (g, z, h, e), checked by
+    :func:`core.check_populations`."""
     record_times = list(record_times)
     if any(t < 0 for t in record_times) or record_times != sorted(record_times):
         raise InvalidRange("record_times must be sorted and non-negative")
@@ -606,8 +623,6 @@ def evolve(state: EnsembleState, seq: PumpSequence, params: MaterialParams,
     if record_times and record_times[-1] > total * (1 + 1e-12) + 1e-15:
         raise InvalidRange(
             f"record time {record_times[-1]} beyond sequence end {total}")
-    if (dt_lit is not None and dt_lit <= 1e-12) or (dt_dark is not None and dt_dark <= 1e-12):
-        raise StepSizeUnderflow("step size must exceed 1e-12 s")
 
     grid = state.grid
     n, dnu = grid.n_bins, grid.bin_width
@@ -625,17 +640,18 @@ def evolve(state: EnsembleState, seq: PumpSequence, params: MaterialParams,
     if seq.dark_after > 0:
         intervals.append((seq.dark_after, np.zeros(n), 0.0))
 
-    snapshots = []
+    records = np.empty((len(record_times), n, 4))
+    taken = 0
     rec_iter = iter(record_times)
     next_rec = next(rec_iter, None)
     now = 0.0
     eps = 1e-12
 
     def take_snapshots_at(t):
-        nonlocal next_rec
+        nonlocal next_rec, taken
         while next_rec is not None and next_rec <= t + eps:
-            g, z, h, e = pops.T.copy()
-            snapshots.append(EnsembleState(grid, state.weight.copy(), g, z, h, e))
+            records[taken] = pops
+            taken += 1
             next_rec = next(rec_iter, None)
 
     take_snapshots_at(0.0)
@@ -677,4 +693,6 @@ def evolve(state: EnsembleState, seq: PumpSequence, params: MaterialParams,
         now = seg_end
 
     take_snapshots_at(total + eps)
-    return snapshots
+    records = records[:taken]
+    check_populations(state.weight, np.moveaxis(records, 2, 0))
+    return records

@@ -22,6 +22,7 @@ from .core import (
     AbsorptionSpectrum,
     EnsembleState,
     MaterialParams,
+    _optical_depth,
     absorption_spectrum,
     init_equilibrium_state,
     make_grid,
@@ -38,7 +39,7 @@ from .errors import (
     SpanOutOfGrid,
 )
 from .fitting import fit_curve, model_lorentzian_dip
-from .pumping import build_hole_sequence, evolve
+from .pumping import _evolve_records, build_hole_sequence
 from .relaxation import TlsParams
 
 
@@ -167,13 +168,21 @@ def simulate_readout(state: EnsembleState, params: MaterialParams, span: float,
             f"[{state.grid.nu_min:.3g}, {state.grid.nu_max:.3g}]")
     full = absorption_spectrum(state, params)
     subgrid, sl = state.grid.subgrid(lo, hi)
-    od = full.od[sl].copy()
+    return AbsorptionSpectrum(grid=subgrid, od=_sweep_noise(full.od[sl], noise_rel,
+                                                            repeats, seed))
+
+
+def _sweep_noise(od: np.ndarray, noise_rel: float, repeats: int, seed) -> np.ndarray:
+    """A copy of ``od`` read by ``repeats`` averaged sweeps: with additive
+    Gaussian noise of ``noise_rel / sqrt(repeats)`` times its maximum, drawn
+    from ``seed``, and clipped at 0."""
+    od = od.copy()
     if noise_rel > 0:
         rng = np.random.default_rng(seed)
         scale = noise_rel / np.sqrt(repeats) * max(float(od.max()), 1e-12)
         od = od + scale * rng.standard_normal(od.size)
         np.maximum(od, 0.0, out=od)
-    return AbsorptionSpectrum(grid=subgrid, od=od)
+    return od
 
 
 # ---------------------------------------------------------------------------
@@ -472,11 +481,17 @@ def hole_decay_experiment(b_field: float, delays: Sequence[float],
 
     Delays are measured from the end of the burn and must exceed five
     optical lifetimes so the excited level has emptied before readout.  The
-    burn and the dark relaxation are simulated once; readout noise uses
-    per-delay seeds spawned from ``seed``.  A delay whose hole has sunk
-    below the noise floor (:class:`NoHoleFound`) or whose hole fit does not
-    converge (:class:`FitDiverged`) is left out of the curve and listed with
-    the reason in ``DecayCurve.dropped``.
+    burn and the dark relaxation are simulated once, and the states at every
+    delay come back as one record array.  Their spectra are taken in one
+    stacked pass, and the readout window is cut from them once.  Each delay
+    then gets the seeded readout noise that :func:`simulate_readout` adds,
+    from per-delay seeds spawned from ``seed``, and is measured by
+    :func:`measure_hole`.  The curve is bit-identical to running
+    :func:`evolve`, :func:`simulate_readout` and :func:`measure_hole` state by
+    state.  A delay whose hole has sunk below the noise floor
+    (:class:`NoHoleFound`) or whose hole fit does not converge
+    (:class:`FitDiverged`) is left out of the curve and listed with the
+    reason in ``DecayCurve.dropped``.
     """
     delays = np.asarray(sorted(delays), dtype=float)
     if delays.size == 0:
@@ -484,6 +499,8 @@ def hole_decay_experiment(b_field: float, delays: Sequence[float],
     if np.any(delays <= 5.0 * params.t1_opt):
         raise InvalidRange(
             f"delays must exceed 5 * t1_opt = {5 * params.t1_opt:.4g} s")
+    if repeats < 1:
+        raise NonPositiveInput(f"repeats must be >= 1, got {repeats}")
     p = params.with_(b_field=b_field)
     grid = make_grid(detuning - span, detuning + span, bin_width)
     state0 = init_equilibrium_state(grid, p)
@@ -491,17 +508,19 @@ def hole_decay_experiment(b_field: float, delays: Sequence[float],
                               power=burn_power, width=hole_width,
                               dark_after=float(delays[-1]) * 1.0001 + 1e-6)
     record = [burn_duration + d for d in delays]
-    states = evolve(state0, seq, p, tls, record)
+    records = _evolve_records(state0, seq, p, tls, record)
+    subgrid, sl = grid.subgrid(detuning - span / 2.0, detuning + span / 2.0)
+    window = _optical_depth(grid, state0.weight, records, p)[:, sl]
 
     root = seed if isinstance(seed, np.random.SeedSequence) \
         else np.random.SeedSequence(seed)
-    child_seeds = root.spawn(len(states))
+    child_seeds = root.spawn(len(records))
     # noiseless readouts can resolve arbitrarily faint holes
     floor = 1e-7 if noise_rel == 0 else None
     kept, areas, sigmas, dropped = [], [], [], []
-    for delay, st, child in zip(delays, states, child_seeds):
-        spect = simulate_readout(st, p, span=span, center=detuning,
-                                 noise_rel=noise_rel, repeats=repeats, seed=child)
+    for delay, od, child in zip(delays, window, child_seeds):
+        spect = AbsorptionSpectrum(grid=subgrid,
+                                   od=_sweep_noise(od, noise_rel, repeats, child))
         try:
             metrics = measure_hole(spect, detuning, min_depth=floor)
         except (NoHoleFound, FitDiverged) as exc:

@@ -248,6 +248,13 @@ def _numeric_jacobian(fun, params, x, rel_step=1e-6, floor=1e-8):
     return np.stack(cols, axis=1)
 
 
+def _filled(value, shape):
+    """A new float array of ``shape`` holding ``value`` broadcast to it."""
+    out = np.empty(shape)
+    out[...] = value
+    return out
+
+
 def _columns(n, *cols):
     """The (n, len(cols)) matrix of these columns, filled in place."""
     out = np.empty((n, len(cols)))
@@ -346,11 +353,8 @@ def fit_curve(model: ParametricModel, x, y, sigma=None, init=None, bounds=None,
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
         raise NonPositiveInput("x and y must be 1-D arrays of equal length")
-    if sigma is None:
-        sigma = np.ones_like(y)
-    else:
-        sigma = np.broadcast_to(np.asarray(sigma, dtype=float), y.shape).copy()
-    if np.any(sigma <= 0):
+    sigma = np.ones_like(y) if sigma is None else _filled(sigma, y.shape)
+    if (sigma <= 0).any():
         raise NonPositiveInput("sigmas must be > 0")
 
     n_par = model.n_params
@@ -373,11 +377,11 @@ def fit_curve(model: ParametricModel, x, y, sigma=None, init=None, bounds=None,
         lo = np.full(n_par, -np.inf)
         hi = np.full(n_par, np.inf)
     else:
-        lo = np.broadcast_to(np.asarray(bounds[0], dtype=float), (n_par,)).copy()
-        hi = np.broadcast_to(np.asarray(bounds[1], dtype=float), (n_par,)).copy()
-    if np.any(lo >= hi):
+        lo = _filled(bounds[0], (n_par,))
+        hi = _filled(bounds[1], (n_par,))
+    if (lo >= hi).any():
         raise InvalidBounds("lower bounds must be below upper bounds")
-    if np.any(p_ext < lo) or np.any(p_ext > hi):
+    if (p_ext < lo).any() or (p_ext > hi).any():
         raise InvalidBounds("initial guess lies outside the bounds")
 
     tr = model.transform
@@ -426,17 +430,17 @@ def fit_curve(model: ParametricModel, x, y, sigma=None, init=None, bounds=None,
     r, ext = residual(theta)
     cost = float(r @ r)
     # absolute floor below which the fit counts as an exact interpolation
-    cost_floor = x.size * (4e-12 * max(1.0, float(np.max(np.abs(y / sigma))))) ** 2
+    cost_floor = x.size * (4e-12 * max(1.0, float(np.abs(y / sigma).max()))) ** 2
     trace = [np.sqrt(cost)]
     lam = 1e-3
     iterations = 0
 
     j_ext, jac = jacobians(theta, ext)
-    if not np.all(np.isfinite(jac)):
+    if not np.isfinite(jac).all():
         raise SingularJacobian("non-finite Jacobian at the starting point")
     a_mat, col_norms, scale = _gram(jac)
     grad = jac.T @ r
-    if np.any(col_norms == 0.0):
+    if (col_norms == 0.0).any():
         dead = [model.param_names[i] for i in np.flatnonzero(col_norms == 0.0)]
         raise SingularJacobian(f"parameters with no model influence: {dead}")
     col_peak = col_norms
@@ -549,19 +553,24 @@ def fit_curve(model: ParametricModel, x, y, sigma=None, init=None, bounds=None,
     # it), from the columns that still influence the model
     live = ~lost
     a_live = jac[:, live].T @ jac[:, live]
-    cov_int = np.zeros((n_par, n_par))
     try:
-        cov_int[np.ix_(live, live)] = np.linalg.inv(a_live)
+        inv_live = np.linalg.inv(a_live)
     except np.linalg.LinAlgError:
-        cov_int[np.ix_(live, live)] = np.linalg.pinv(a_live)
+        inv_live = np.linalg.pinv(a_live)
+    if lost.any():
+        cov_int = np.zeros((n_par, n_par))
+        cov_int[np.ix_(live, live)] = inv_live
+    else:
+        cov_int = inv_live
     j_tr = tr.jac_external(theta)
     cov_ext = j_tr @ cov_int @ j_tr.T
-    # external parameters that depend on a lost coordinate are undetermined
-    undetermined = np.flatnonzero(np.any(j_tr[:, lost] != 0.0, axis=1))
-    cov_ext[undetermined, :] = np.nan
-    cov_ext[:, undetermined] = np.nan
-    cov_ext[undetermined, undetermined] = np.inf
-    std = np.sqrt(np.maximum(np.diag(cov_ext), 0.0))
+    if lost.any():
+        # external parameters that depend on a lost coordinate are undetermined
+        undetermined = np.flatnonzero((j_tr[:, lost] != 0.0).any(axis=1))
+        cov_ext[undetermined, :] = np.nan
+        cov_ext[:, undetermined] = np.nan
+        cov_ext[undetermined, undetermined] = np.inf
+    std = np.sqrt(np.maximum(cov_ext.diagonal(), 0.0))
 
     return FitResult(
         param_names=model.param_names,

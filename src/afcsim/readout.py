@@ -218,6 +218,10 @@ def _half_level_width(nu, od, i_min, level) -> float:
     return max(float(x_right - x_left), dnu)
 
 
+# the Lorentzian dip on a line that every hole fit uses; it holds no state
+_HOLE_DIP = model_lorentzian_dip(2)
+
+
 def measure_hole(spec: AbsorptionSpectrum, center_guess: float,
                  search_radius: Optional[float] = None,
                  min_depth: Optional[float] = None) -> HoleMetrics:
@@ -267,7 +271,6 @@ def measure_hole(spec: AbsorptionSpectrum, center_guess: float,
     scale = max(fwhm_est, 4.0 * (nu[1] - nu[0]))
     ref = float(nu[i_min])
     x = (nu[sel] - ref) / scale
-    model = model_lorentzian_dip(2)
     init = np.array([baseline_est, 0.0, depth_est, 0.0, fwhm_est / scale])
     x_span = float(x.max() - x.min())
     bounds = (np.array([-np.inf, -np.inf, -np.inf, float(x.min()), 1e-2]),
@@ -275,7 +278,7 @@ def measure_hole(spec: AbsorptionSpectrum, center_guess: float,
     try:
         # the floor keeps noiseless spectra fittable; estimates do not depend on
         # a uniform sigma, only the reported errors scale with it
-        res = fit_curve(model, x, od[sel], sigma=max(noise, 1e-12 * float(np.max(od))),
+        res = fit_curve(_HOLE_DIP, x, od[sel], sigma=max(noise, 1e-12 * float(np.max(od))),
                         init=init, bounds=bounds)
     except (MaxIterations, SingularJacobian) as exc:
         raise FitDiverged(str(exc)) from exc

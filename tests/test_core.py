@@ -5,7 +5,8 @@ import pytest
 from scipy.constants import physical_constants
 
 import afcsim as a
-from afcsim.core import AbsorptionSpectrum, _convolve_padded
+from afcsim import core
+from afcsim.core import AbsorptionSpectrum, _convolve_padded, _optical_depth, check_populations
 from afcsim.errors import (
     InvalidRange,
     NegativeField,
@@ -168,6 +169,42 @@ class TestEquilibriumState:
         with pytest.raises(NonPositiveInput):
             st.validate()
 
+    @pytest.mark.parametrize("defect", ["negative_weight", "nan", "outside_unit", "drift"])
+    def test_state_and_record_stack_give_one_message(self, defect):
+        # EnsembleState and evolve's record stack run the same population
+        # check, so each defect reads the same through both
+        p = a.MaterialParams()
+        g = a.make_grid(-10e6, 10e6, 1e6)
+        good = a.init_equilibrium_state(g, p)
+        arrays = [good.weight.copy(), good.n_g.copy(), good.n_z.copy(),
+                  good.n_h.copy(), good.n_e.copy()]
+        weight, n_g, n_z, n_h, _ = arrays
+        if defect == "negative_weight":
+            weight[5] = -1.0
+        elif defect == "nan":
+            n_h[5] = np.nan
+        elif defect == "outside_unit":
+            n_g[5] += 0.5
+            n_z[5] -= 0.5
+        else:
+            n_g[5] += 2e-9
+        with pytest.raises(NonPositiveInput) as as_state:
+            a.EnsembleState(g, *arrays)
+
+        clean = np.stack([good.n_g, good.n_z, good.n_h, good.n_e], axis=-1)
+        records = np.stack([clean, np.stack(arrays[1:], axis=-1), clean])
+        with pytest.raises(NonPositiveInput) as as_stack:
+            check_populations(weight, np.moveaxis(records, 2, 0))
+        assert str(as_stack.value) == str(as_state.value)
+
+        if defect != "nan":  # evolve reports a NaN as NonFiniteState first
+            for name, arr in zip(("weight", "n_g", "n_z", "n_h", "n_e"), arrays):
+                setattr(good, name, arr)
+            seq = a.build_hole_sequence(detuning=0.0, burn_duration=1e-3, width=4e6)
+            with pytest.raises(NonPositiveInput) as through_evolve:
+                a.evolve(good, seq, p, a.TlsParams.disabled(), [0.0])
+            assert str(through_evolve.value) == str(as_state.value)
+
     def test_custom_profile_rescaled(self):
         g = a.make_grid(-50e6, 50e6, 1e6)
         p = a.MaterialParams(peak_od=2.0)
@@ -189,6 +226,38 @@ class TestAbsorptionSpectrum:
             padded = np.pad(values, half, mode=pad_mode)
             expected = fftconvolve(padded, kernel, mode="same")[half:half + n]
             assert np.array_equal(_convolve_padded(values, kernel, pad_mode), expected), n
+            # a stack is transformed in one batched call, each row as alone
+            stack = np.stack([rng.random(n), values, rng.random(n)])
+            rows = _convolve_padded(stack, kernel, pad_mode)
+            assert np.array_equal(rows[1], expected), n
+            for row, one in zip(rows, stack):
+                assert np.array_equal(row, _convolve_padded(one, kernel, pad_mode)), n
+
+    @pytest.mark.parametrize("b_field,n_convolutions", [(0.001, 3), (0.035, 2)])
+    def test_stacked_rows_equal_single_spectra(self, b_field, n_convolutions, monkeypatch):
+        # at 10 G the anti-hole reaches the window; at 350 G its kernel is
+        # skipped (shift - 8 sigma >= span).  Rows: the equilibrium state
+        # (n_h = 0), burned states, and one with no population in n_z.
+        p = a.MaterialParams(b_field=b_field, beta_shf=0.3)
+        g = a.make_grid(150e6, 350e6, 0.5e6)
+        eq = a.init_equilibrium_state(g, p)
+        seq = a.build_hole_sequence(burn_duration=0.05, power=2e-6, dark_after=0.1)
+        states = [eq, *a.evolve(eq, seq, p, a.TlsParams(), [0.01, 0.05, 0.15])]
+        unflipped = eq.copy()
+        unflipped.n_g[:], unflipped.n_z[:] = 1.0, 0.0
+        states.insert(2, unflipped)
+        assert not states[0].n_h.any() and states[-1].n_h.any()
+
+        pops = np.stack([np.stack([s.n_g, s.n_z, s.n_h, s.n_e], axis=-1) for s in states])
+        calls = []
+        convolve = core._convolve_padded
+        monkeypatch.setattr(core, "_convolve_padded",
+                            lambda *args: calls.append(args) or convolve(*args))
+        od = _optical_depth(g, eq.weight, pops, p)
+        assert len(calls) == n_convolutions
+        monkeypatch.undo()
+        for row, state in zip(od, states):
+            assert row.tobytes() == a.absorption_spectrum(state, p).od.tobytes()
 
     def test_fresh_flat_spectrum(self):
         p = a.MaterialParams()

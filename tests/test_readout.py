@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 import afcsim as a
+from afcsim import core, experiments
 from afcsim.core import AbsorptionSpectrum
 from afcsim.errors import (
+    FitDiverged,
     InvalidRange,
     NoCombDetected,
     NoHoleFound,
@@ -281,7 +283,80 @@ class TestAfcEfficiency:
         assert np.all(np.diff(etas) > 0)
 
 
+def fig2_field(noise_rel):
+    """hole_decay_experiment's arguments for fig2's 350 G field at config
+    seed 3, with a fresh SeedSequence each call."""
+    config = experiments.default_config()
+    cfg = config.fig2
+    params = config.material.with_(beta_zeeman=cfg.beta_zeeman, beta_shf=cfg.beta_shf)
+    delays = np.geomspace(cfg.delay_min, cfg.delay_max, cfg.n_delays)
+    kwargs = dict(seed=np.random.SeedSequence(3).spawn(1)[0], burn_power=cfg.burn_power,
+                  detuning=cfg.detuning, hole_width=cfg.hole_width,
+                  burn_duration=cfg.burn_duration, span=cfg.span, noise_rel=noise_rel,
+                  repeats=cfg.repeats, bin_width=config.bin_width)
+    return cfg.fields_gauss[0] * 1e-4, delays, params, config.tls, kwargs
+
+
+def per_state_curve(b_field, delays, params, tls, kw):
+    """The decay curve from the public per-state functions: evolve's states,
+    one simulate_readout and one measure_hole each."""
+    p = params.with_(b_field=b_field)
+    det, span = kw["detuning"], kw["span"]
+    state = a.init_equilibrium_state(a.make_grid(det - span, det + span, kw["bin_width"]), p)
+    seq = a.build_hole_sequence(detuning=det, burn_duration=kw["burn_duration"],
+                                power=kw["burn_power"], width=kw["hole_width"],
+                                dark_after=float(delays[-1]) * 1.0001 + 1e-6)
+    states = a.evolve(state, seq, p, tls, [kw["burn_duration"] + d for d in delays])
+    floor = 1e-7 if kw["noise_rel"] == 0 else None
+    kept, areas, sigmas, dropped = [], [], [], []
+    for delay, st, child in zip(delays, states, kw["seed"].spawn(len(states))):
+        spect = a.simulate_readout(st, p, span=span, center=det, noise_rel=kw["noise_rel"],
+                                   repeats=kw["repeats"], seed=child)
+        try:
+            m = a.measure_hole(spect, det, min_depth=floor)
+        except (NoHoleFound, FitDiverged) as exc:
+            dropped.append((float(delay), str(exc)))
+            continue
+        kept.append(delay)
+        areas.append(m.area)
+        sigmas.append(m.area_err)
+    return np.array(kept), np.array(areas), np.array(sigmas), tuple(dropped)
+
+
 class TestHoleDecayExperiment:
+    @pytest.mark.parametrize("noise_rel", [0.0, 0.02])
+    def test_matches_the_per_state_path_bit_for_bit(self, noise_rel):
+        b_field, delays, params, tls, kw = fig2_field(noise_rel)
+        curve = a.hole_decay_experiment(b_field, delays, params, tls, **kw)
+        _, _, _, _, kw = fig2_field(noise_rel)
+        kept, areas, sigmas, dropped = per_state_curve(b_field, delays, params, tls, kw)
+        assert curve.delays.tobytes() == kept.tobytes()
+        assert curve.areas.tobytes() == areas.tobytes()
+        assert curve.sigmas.tobytes() == sigmas.tobytes()
+        assert curve.dropped == dropped
+        # the noisy curve loses its latest delays below the noise floor
+        assert bool(dropped) == (noise_rel > 0)
+
+    def test_one_spectrum_pass_per_field(self, monkeypatch):
+        # the convolutions of a whole decay are those of one spectrum, not
+        # one set per delay
+        p = a.MaterialParams(b_field=0.035, beta_zeeman=0.05, beta_shf=0.8)
+        g = a.make_grid(150e6, 350e6, 0.5e6)
+        seq = a.build_hole_sequence(burn_duration=0.3, power=2e-6, dark_after=0.1)
+        burned = a.evolve(a.init_equilibrium_state(g, p), seq, p, a.TlsParams(), [0.35])[0]
+        calls = []
+        convolve = core._convolve_padded
+        monkeypatch.setattr(core, "_convolve_padded",
+                            lambda *args: calls.append(args) or convolve(*args))
+        a.absorption_spectrum(burned, p)
+        per_spectrum = len(calls)
+        assert per_spectrum in (2, 3)
+        for _ in range(2):
+            calls.clear()
+            a.hole_decay_experiment(0.035, np.geomspace(0.02, 2.0, 8), p, a.TlsParams(),
+                                    seed=5, burn_power=2e-6)
+            assert len(calls) == per_spectrum
+
     def test_rejects_short_delays(self):
         p = a.MaterialParams()
         with pytest.raises(InvalidRange):

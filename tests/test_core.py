@@ -14,6 +14,7 @@ from afcsim.errors import (
     NonPositiveTemperature,
     TooManyBins,
 )
+from afcsim.pumping import _evolve_records
 
 MU_B = physical_constants["Bohr magneton"][0]
 K_B = physical_constants["Boltzmann constant"][0]
@@ -202,7 +203,7 @@ class TestEquilibriumState:
                 setattr(good, name, arr)
             seq = a.build_hole_sequence(detuning=0.0, burn_duration=1e-3, width=4e6)
             with pytest.raises(NonPositiveInput) as through_evolve:
-                a.evolve(good, seq, p, a.TlsParams.disabled(), [0.0])
+                _evolve_records(good, seq, p, a.TlsParams.disabled(), [0.0])
             assert str(through_evolve.value) == str(as_state.value)
 
     def test_custom_profile_rescaled(self):

@@ -448,12 +448,12 @@ def _optical_depth(grid: FrequencyGrid, weight: np.ndarray, pops: np.ndarray,
     od = _convolve_padded(weight * pops[..., 0],
                           _lorentzian_kernel(n, dn, params.gamma_h_fwhm), "edge")
 
-    shelved = np.any(pops[..., 2] > 0, axis=1)
+    shelved = (pops[..., 2] > 0).any(axis=1)
     if shelved.any():
         od[shelved] += _convolve_padded(weight * pops[shelved, :, 2],
                                         _gaussian_kernel(n, dn, params.shf_fwhm), "edge")
 
-    flipped = np.any(pops[..., 1] > 0, axis=1)
+    flipped = (pops[..., 1] > 0).any(axis=1)
     if flipped.any():
         shift = zeeman_splitting(params.b_field, params.g_factor)
         width = spin_inhom_width(params.b_field, params.gamma_spin_static,

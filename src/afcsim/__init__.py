@@ -46,6 +46,7 @@ from .fitting import (
     FitResult,
     ParametricModel,
     fit_curve,
+    fit_curves,
     load_curve_csv,
     model_double_exponential,
     model_flipflop_field,

@@ -18,6 +18,21 @@ Wright, *Numerical Optimization*, 2nd ed., section 10.3).  Each model supplies
 its curve's second derivatives (:attr:`ParametricModel.curvature`) and each
 transform carries them into its internal coordinates
 (:meth:`ParamTransform.curvature_internal`).
+
+The iteration runs on a batch: :func:`fit_curves` fits the rows of a
+``(n_curves, n_points)`` array together, and :func:`fit_curve` is the same
+loop with no batch axis.  Each row keeps its own damping, curvature switch,
+stop rule and covariance, so a row's result is exactly the one
+:func:`fit_curve` gives on that row alone, bit for bit; a row that ends in
+:class:`MaxIterations` or :class:`SingularJacobian` holds that error and the
+others go on.  Rows leave the batch only when they finish.  A batched model
+and transform take parameters of shape ``(n_curves, n_params)`` and abscissae
+of shape ``(n_curves, n_points)`` and must compute each row exactly as the
+one-curve call on it: elementwise arithmetic per row, sums along the last
+axis with the same reduction as one curve (``np.vecdot``), and no scalar
+``pow`` where the batch squares an array (``x * x``, not ``x ** 2``).  The
+Lorentzian dip and :class:`LogTransform` follow that rule; the other models
+and transforms, and models without analytic derivatives, serve single curves.
 """
 
 from __future__ import annotations
@@ -33,6 +48,7 @@ from scipy.linalg.lapack import dgesv
 
 from .core import K_B, MU_B
 from .errors import (
+    AfcSimError,
     InvalidBounds,
     MaxIterations,
     NonPositiveInput,
@@ -83,28 +99,36 @@ class ParamTransform:
         if type(self) is ParamTransform:
             return curv
         half = self.jac_internal(curv, internal, external)
-        return self.jac_internal(half.T, internal, external) + self.hess_external(grad, internal)
+        return (self.jac_internal(half.swapaxes(-1, -2), internal, external)
+                + self.hess_external(grad, internal))
 
 
 class LogTransform(ParamTransform):
-    """Fit selected strictly-positive parameters in log space."""
+    """Fit selected strictly-positive parameters in log space.  Every method
+    but ``jac_external`` broadcasts over leading (batch) axes."""
 
     def __init__(self, log_mask: Sequence[bool]):
         self.log_mask = np.asarray(log_mask, dtype=bool)
         self._log = np.flatnonzero(self.log_mask)
+        log = self._log
+        # the logged columns: a slice when they are one run, as in every
+        # shipped model
+        contiguous = log.size and np.array_equal(log, np.arange(log[0], log[-1] + 1))
+        self._cols = slice(log[0], log[-1] + 1) if contiguous else log
 
     def to_internal(self, external):
         ext = np.asarray(external, dtype=float)
-        if (ext[self._log] <= 0).any():
+        logged = ext[..., self._cols]
+        if (logged <= 0).any():
             raise InvalidBounds("log-fitted parameters must be > 0")
         out = ext.copy()
-        out[self._log] = np.log(ext[self._log])
+        out[..., self._cols] = np.log(logged)
         return out
 
     def to_external(self, internal):
-        out = np.asarray(internal, dtype=float).copy()
+        out = np.array(internal, dtype=float)
         # clipped so damped trial steps far uphill stay finite
-        out[self._log] = np.exp(np.minimum(np.maximum(out[self._log], -300.0), 300.0))
+        out[..., self._cols] = np.exp(np.minimum(np.maximum(out[..., self._cols], -300.0), 300.0))
         return out
 
     def jac_external(self, internal):
@@ -112,13 +136,28 @@ class LogTransform(ParamTransform):
 
     def jac_internal(self, jac, internal, external):
         out = np.array(jac, dtype=float)
-        for k in self._log:
-            out[:, k] *= external[k]
+        out[..., self._cols] *= external[..., None, self._cols]
         return out
 
     def hess_external(self, weights, internal):
-        external = self.to_external(internal)
-        return np.diag(np.where(self.log_mask, weights * external, 0.0))
+        n = self.log_mask.size
+        out = np.zeros(np.shape(weights) + (n,))
+        self._add_hess(out, weights, self.to_external(internal))
+        return out
+
+    def _add_hess(self, out, weights, external):
+        """Add ``hess_external(weights)`` to the matrices ``out`` in place:
+        ``weights * external`` on the logged diagonal entries."""
+        for k in self._log:
+            out[..., k, k] += weights[..., k] * external[..., k]
+
+    def curvature_internal(self, curv, grad, internal, external):
+        # the base class's chain rule, with the diagonal Hessian of the
+        # logged parameters added in place, from the external point in hand
+        half = self.jac_internal(curv, internal, external)
+        out = self.jac_internal(half.swapaxes(-1, -2), internal, external)
+        self._add_hess(out, grad, external)
+        return out
 
 
 class OrderedLifetimesTransform(ParamTransform):
@@ -137,26 +176,26 @@ class OrderedLifetimesTransform(ParamTransform):
 
     def to_external(self, internal):
         a_s, u, a_l, w = np.asarray(internal, dtype=float)
-        t_s = np.exp(np.clip(u, -300.0, 300.0))
-        return np.array([a_s, t_s, a_l, t_s + np.exp(np.clip(w, -300.0, 300.0))])
+        t_s = np.exp(min(max(u, -300.0), 300.0))
+        return np.array([a_s, t_s, a_l, t_s + np.exp(min(max(w, -300.0), 300.0))])
 
     def jac_external(self, internal):
         _, u, _, w = np.asarray(internal, dtype=float)
-        t_s = np.exp(np.clip(u, -300.0, 300.0))
+        t_s = np.exp(min(max(u, -300.0), 300.0))
         jac = np.zeros((4, 4))
         jac[0, 0] = 1.0
         jac[2, 2] = 1.0
         jac[1, 1] = t_s
         jac[3, 1] = t_s
-        jac[3, 3] = np.exp(np.clip(w, -300.0, 300.0))
+        jac[3, 3] = np.exp(min(max(w, -300.0), 300.0))
         return jac
 
     def hess_external(self, weights, internal):
         # t_short = e^u and t_long = e^u + e^w
         _, u, _, w = np.asarray(internal, dtype=float)
         hess = np.zeros((4, 4))
-        hess[1, 1] = np.exp(np.clip(u, -300.0, 300.0)) * (weights[1] + weights[3])
-        hess[3, 3] = np.exp(np.clip(w, -300.0, 300.0)) * weights[3]
+        hess[1, 1] = np.exp(min(max(u, -300.0), 300.0)) * (weights[1] + weights[3])
+        hess[3, 3] = np.exp(min(max(w, -300.0), 300.0)) * weights[3]
         return hess
 
 
@@ -255,19 +294,27 @@ def _filled(value, shape):
     return out
 
 
-def _columns(n, *cols):
-    """The (n, len(cols)) matrix of these columns, filled in place."""
-    out = np.empty((n, len(cols)))
+def _columns(shape, *cols):
+    """The ``shape + (len(cols),)`` array of these columns, filled in place."""
+    out = np.empty(shape + (len(cols),))
     for i, col in enumerate(cols):
-        out[:, i] = col
+        out[..., i] = col
     return out
+
+
+def _split(params):
+    """The parameters one by one, shaped to broadcast against the sample
+    axis: scalars for one curve, ``(n_curves, 1)`` columns for a batch."""
+    if params.ndim == 1:
+        return tuple(params)
+    return tuple(params.T[:, :, None])
 
 
 def _gram(jac):
     """``J^T J``, the column norms of ``J`` and the damping scale, all from
     the Gram matrix's diagonal."""
-    a_mat = jac.T @ jac
-    sq_norms = a_mat.diagonal()
+    a_mat = (jac.T if jac.ndim == 2 else jac.swapaxes(-1, -2)) @ jac
+    sq_norms = a_mat.diagonal(0, -2, -1)
     return a_mat, np.sqrt(sq_norms), np.maximum(sq_norms, 1e-300)
 
 
@@ -289,6 +336,81 @@ def _damped_step(a_mat, scale, lam, grad):
     return delta
 
 
+def _damped_rows(a_mat, scale, lam, grad):
+    """:func:`_damped_step` on every row of a batch, and the rows whose
+    damped matrix is singular (``None`` if none is); their step is zero.
+    Each row gets the same LAPACK call as a single fit, so its step does not
+    depend on the batch."""
+    delta = np.zeros_like(grad)
+    singular = np.zeros(len(grad), dtype=bool)
+    for j in range(len(grad)):
+        try:
+            delta[j] = _damped_step(a_mat[j], scale[j], lam[j], grad[j])
+        except SingularJacobian:
+            singular[j] = True
+    return delta, (singular if singular.any() else None)
+
+
+def _residual(model, theta, x, y, sigma):
+    ext = model.transform.to_external(theta)
+    return (model.evaluate(ext, x) - y) / sigma, ext
+
+
+def _jacobians(model, theta, ext, x, sigma):
+    """The model's Jacobian over the external parameters, and the residual's
+    over the internal ones."""
+    if model.jacobian is not None:
+        j_ext = np.asarray(model.jacobian(ext, x), dtype=float)
+    else:
+        j_ext = _numeric_jacobian(model.evaluate, ext, x)
+    return j_ext, model.transform.jac_internal(j_ext, theta, ext) / sigma[..., None]
+
+
+def _curvature(model, s):
+    """The residual curvature ``sum_i r_i Hess(r_i)`` over the internal
+    parameters, at the current point of every row of ``s``."""
+    if model.curvature is not None:
+        w = s.r / s.sigma
+        return model.transform.curvature_internal(
+            np.asarray(model.curvature(s.ext, s.x, w), dtype=float),
+            np.vecmat(w, s.j_ext), s.theta, s.ext)
+    # a single curve's model without curvature: differences of J^T r at
+    # fixed r, as for a model without a Jacobian.  Each step is 1e-4 of the
+    # parameter's scale: its size, or the move that shifts the curve by the
+    # residual's norm if that is larger, which stays clear of the rounding in
+    # a Jacobian that is itself differenced.  A side whose trial point leaves
+    # the bounds is replaced by the current point.
+    cols = []
+    for i, h in enumerate(1e-4 * np.maximum(np.abs(s.theta), math.sqrt(s.cost) / s.col_norms)):
+        ends = []
+        for step in (h, -h):
+            t = s.theta.copy()
+            t[i] += step
+            e = model.transform.to_external(t)
+            inside = bool(((e >= s.lo) & (e <= s.hi)).all())
+            ends.append((_jacobians(model, t, e, s.x, s.sigma)[1].T @ s.r, step) if inside
+                        else (s.grad, 0.0))
+        (g_up, s_up), (g_dn, s_dn) = ends
+        cols.append((g_up - g_dn) / (s_up - s_dn))
+    curv = np.stack(cols, axis=1)
+    return 0.5 * (curv + curv.T)
+
+
+def _cosines(grad, col_norms, root):
+    """:func:`_grad_cosine` of every row, from the residual norms ``root``
+    (all > 0) shaped against ``grad``."""
+    return (np.abs(grad) / (np.maximum(col_norms, 1e-300) * root)).max(-1)
+
+
+# Reductions over the rows of a batch and functions of each row's scalars,
+# and their cheaper Python forms for a single curve, which give the same value
+# for every number that is not NaN; the last makes a row's scalar (a cost, a
+# predicted gain) a Python float for a single curve
+_BATCH_OPS = (np.ndarray.any, np.ndarray.all, np.sqrt, np.isfinite, np.maximum, np.minimum,
+              np.asarray)
+_SINGLE_OPS = (bool, bool, math.sqrt, math.isfinite, max, min, float)
+
+
 # A parameter whose Jacobian column has shrunk below this fraction of the
 # largest norm it had along the path no longer moves the model: it is running
 # off to the edge of its range (a lifetime to infinity, say), where the data
@@ -296,14 +418,378 @@ def _damped_step(a_mat, scale, lam, grad):
 _LOST_INFLUENCE = 1e-6
 
 
+class _Rows:
+    """The state of the fits still running.  Every attribute holds one entry
+    per fit along its leading axes (none for a single curve); row ``j`` of a
+    batch belongs to fit ``ids[j]``."""
+
+    def keep(self, mask):
+        for name, value in list(vars(self).items()):
+            setattr(self, name, value[mask])
+
+
+def _damping_after(lam, rho, maximum):
+    """The damping after a step accepted with gain ratio ``rho``.  The cube
+    is taken by products, as pow may round differently on scalars and on
+    arrays."""
+    d = 2.0 * rho - 1.0
+    return maximum(lam * maximum(1.0 / 3.0, 1.0 - d * d * d), 1e-14)
+
+
+def _try_steps(model, s, h_mat, ops):
+    """One accepted step per row of ``s``, as far as one exists.
+
+    Each row solves its damped system and, while the step goes uphill or
+    leaves the transform's domain, retries with stronger damping; ``s.lam``
+    and ``s.nu`` follow each row's own trials.  Rows that disagree are
+    retried alone.  Sets the trial point ``s.theta_c, s.r_c, s.cost_c,
+    s.ext_c``, the step ``s.step_vec`` and its gain ratio ``s.rho``.  Returns
+    ``None`` if every row took a step, else each row's outcome: 0 accepted, 1
+    damping exhausted, 2 singular damped matrix."""
+    tr = model.transform
+    batched = ops is _BATCH_OPS
+    any_, all_, _, isfinite, maximum, minimum, scalar = ops
+    sel = None          # the rows still trying: None for every row
+    outcome = None
+    for _ in range(60):
+        if sel is None:
+            theta, grad, cost, lam, nu = s.theta, s.grad, s.cost, s.lam, s.nu
+            scale, lo, hi, h = s.scale, s.lo, s.hi, h_mat
+            x, y, sigma = s.x, s.y, s.sigma
+        else:
+            theta, grad, cost, lam, nu = s.theta[sel], s.grad[sel], s.cost[sel], \
+                s.lam[sel], s.nu[sel]
+            scale, lo, hi, h = s.scale[sel], s.lo[sel], s.hi[sel], h_mat[sel]
+            x, y, sigma = s.x[sel], s.y[sel], s.sigma[sel]
+        if batched:
+            delta, singular = _damped_rows(h, scale, lam, grad)
+        else:
+            try:
+                delta, singular = _damped_step(h, scale, lam, grad), None
+            except SingularJacobian:
+                delta, singular = np.zeros_like(grad), np.True_
+        ext_c = np.minimum(np.maximum(tr.to_external(theta + delta), lo), hi)
+        try:
+            theta_c = tr.to_internal(ext_c)
+        except InvalidBounds:
+            # the trial point left the transform's domain (for ordered
+            # lifetimes: t_short + exp(w) rounded to t_short); reject it like
+            # any other uphill step.  A batched transform's domain holds every
+            # point inside the bounds, so only a single curve gets here
+            if batched:
+                raise
+            theta_c = None
+        if theta_c is None:
+            ok = np.False_
+        else:
+            r_c, ext_c = _residual(model, theta_c, x, y, sigma)
+            cost_c = scalar(np.vecdot(r_c, r_c))
+            step_vec = theta_c - theta
+            # gain ratio against the local quadratic model of the actual step
+            predicted = scalar(-(2.0 * np.vecdot(grad, step_vec)
+                                 + np.vecdot(step_vec, np.matvec(h, step_vec))))
+            ok = isfinite(cost_c) & (cost_c < cost) & (predicted > 0)
+        if singular is not None:
+            ok &= ~singular
+        if outcome is None:
+            # every row agrees so far: all step downhill, or all retry
+            if all_(ok):
+                rho = (cost - cost_c) / predicted
+                s.lam = _damping_after(lam, rho, maximum)
+                s.nu = np.full_like(nu, 2.0) if batched else 2.0
+                s.theta_c, s.r_c, s.cost_c, s.ext_c = theta_c, r_c, cost_c, ext_c
+                s.step_vec, s.rho = step_vec, rho
+                return None
+            lam_up = minimum(lam * nu, 1e15)
+            if singular is None and not (any_(ok) or any_(lam_up >= 1e15)):
+                s.lam, s.nu = lam_up, minimum(nu * 2.0, 64.0)
+                continue
+        lam_up = np.minimum(lam * nu, 1e15)
+        if any_(ok):
+            rho = np.where(ok, (cost - cost_c) / np.where(ok, predicted, 1.0), 1.0)
+        else:
+            rho = np.ones_like(lam)
+        lam = np.where(ok, _damping_after(lam, rho, np.maximum), lam_up)
+        nu = np.where(ok, 2.0, np.minimum(nu * 2.0, 64.0))
+        code = np.where(ok, 0, np.where(lam_up >= 1e15, 1, -1))
+        if singular is not None:
+            code = np.where(singular, 2, code)
+        if sel is None:
+            s.lam, s.nu, outcome = lam, nu, code
+            if theta_c is not None:
+                s.theta_c, s.r_c, s.cost_c, s.ext_c = theta_c, r_c, cost_c, ext_c
+                s.step_vec, s.rho = step_vec, rho
+        else:
+            s.lam[sel], s.nu[sel], outcome[sel] = lam, nu, code
+            took = sel[ok]
+            s.theta_c[took], s.r_c[took], s.cost_c[took], s.ext_c[took] = \
+                theta_c[ok], r_c[ok], cost_c[ok], ext_c[ok]
+            s.step_vec[took], s.rho[took] = step_vec[ok], rho[ok]
+        pending = outcome < 0
+        if not pending.any():
+            break
+        sel = None if pending.all() else np.flatnonzero(pending)
+    return np.where(outcome < 0, 1, outcome)
+
+
+def _fit_result(model, theta, ext, jac, cost, grad, col_norms, lost, stop_reason,
+                iterations, trace, gtol_loose):
+    """One fit's :class:`FitResult` from the point where it stopped."""
+    n_par = model.n_params
+    if stop_reason in ("exact", "gtol"):
+        converged = True
+    elif lost.any():
+        converged = False
+    else:
+        converged = _grad_cosine(grad, col_norms, cost) <= gtol_loose
+
+    # local quadratic uncertainties in external coordinates (no chi^2 rescale:
+    # estimates are invariant under uniform sigma rescaling, errors scale with
+    # it), from the columns that still influence the model
+    live = ~lost
+    a_live = jac[:, live].T @ jac[:, live]
+    try:
+        inv_live = np.linalg.inv(a_live)
+    except np.linalg.LinAlgError:
+        inv_live = np.linalg.pinv(a_live)
+    if lost.any():
+        cov_int = np.zeros((n_par, n_par))
+        cov_int[np.ix_(live, live)] = inv_live
+    else:
+        cov_int = inv_live
+    tr = model.transform
+    j_tr = tr.jac_external(theta)
+    cov_ext = j_tr @ cov_int @ j_tr.T
+    if lost.any():
+        # external parameters that depend on a lost coordinate are undetermined
+        undetermined = np.flatnonzero((j_tr[:, lost] != 0.0).any(axis=1))
+        cov_ext[undetermined, :] = np.nan
+        cov_ext[:, undetermined] = np.nan
+        cov_ext[undetermined, undetermined] = np.inf
+    std = np.sqrt(np.maximum(cov_ext.diagonal(), 0.0))
+
+    return FitResult(
+        param_names=model.param_names,
+        params=ext,
+        std_errors=std,
+        covariance=cov_ext,
+        residual_norm=float(np.sqrt(cost)),
+        iterations=iterations,
+        converged=bool(converged),
+        residual_trace=tuple(trace),
+        stop_reason=stop_reason,
+    )
+
+
+def _levenberg_marquardt(model, x, y, sigma, p_ext, lo, hi, max_iter, gtol, xtol):
+    """The damped iteration of :func:`fit_curve` on every row of a batch.
+
+    ``y`` and everything else per fit carry the batch's leading axis, or none
+    for a single curve.  Returns one :class:`FitResult`, or the
+    :class:`SingularJacobian` or :class:`MaxIterations` that ends that fit,
+    per row (one for a single curve).  Each row follows its own rules, so its
+    outcome does not depend on the other rows: rows are only ever dropped from
+    the batch, when they finish, and rows that disagree inside an iteration
+    are updated by masks, which a single curve never needs."""
+    tr = model.transform
+    batched = y.ndim > 1
+    n_rows = len(y) if batched else 1
+    n_par = model.n_params
+    out = [None] * n_rows
+    traces = [[] for _ in range(n_rows)]
+    no_loss = np.zeros(n_par, dtype=bool)
+    gtol_loose = max(math.sqrt(gtol), 3e-3)
+    ops = _BATCH_OPS if batched else _SINGLE_OPS
+    any_, all_, sqrt, _, maximum, _, scalar = ops
+
+    s = _Rows()
+    if batched:
+        s.ids = np.arange(n_rows)
+    s.x, s.y, s.sigma, s.lo, s.hi = x, y, sigma, lo, hi
+    s.theta = tr.to_internal(p_ext)
+    s.r, s.ext = _residual(model, s.theta, x, y, sigma)
+    s.cost = scalar(np.vecdot(s.r, s.r))
+    # absolute floor below which the fit counts as an exact interpolation
+    floor = 4e-12 * maximum(1.0, np.abs(y / sigma).max(-1))
+    s.floor = y.shape[-1] * (floor * floor)
+    s.j_ext, s.jac = _jacobians(model, s.theta, s.ext, x, sigma)
+
+    def settle(mask, outcome):
+        """Record ``outcome(j, k)`` for every row ``j`` (fit ``k``) where
+        ``mask`` holds and drop those rows; True once no row is left."""
+        if not batched:
+            out[0] = outcome(None, 0)
+            return True
+        for j in np.flatnonzero(mask):
+            k = int(s.ids[j])
+            out[k] = outcome(j, k)
+        if mask.all():
+            return True
+        s.keep(~mask)
+        return False
+
+    def row(value, j):
+        """Row ``j`` of ``value``; a single curve's (``j`` None) is itself."""
+        return value if j is None else value[j]
+
+    def result(reason, iterations, lost=None):
+        return lambda j, k: _fit_result(
+            model, *(row(v, j) for v in (s.theta, s.ext, s.jac, s.cost, s.grad, s.col_norms)),
+            no_loss if lost is None else row(lost, j), reason, iterations, traces[k], gtol_loose)
+
+    def record():
+        """Note each row's residual norm ``s.root`` in its trace."""
+        s.root = sqrt(s.cost)
+        if batched:
+            for k, root in zip(s.ids.tolist(), s.root.tolist()):
+                traces[k].append(root)
+        else:
+            traces[0].append(s.root)
+
+    def nonfinite():
+        """Whether each row's Jacobian holds a non-finite entry."""
+        return ~np.isfinite(s.jac).all((-2, -1)) if batched else not np.isfinite(s.jac).all()
+
+    record()
+    stop = nonfinite()
+    if any_(stop) and settle(stop, lambda j, k: SingularJacobian(
+            "non-finite Jacobian at the starting point")):
+        return out
+    s.a_mat, s.col_norms, s.scale = _gram(s.jac)
+    s.grad = np.vecmat(s.r, s.jac)
+    dead = s.col_norms == 0.0
+    stop = dead.any(-1)
+    if any_(stop) and settle(stop, lambda j, k: SingularJacobian(
+            "parameters with no model influence: "
+            f"{[model.param_names[i] for i in np.flatnonzero(row(dead, j))]}")):
+        return out
+
+    def per_row(value):
+        """``value`` for every row: an array for a batch, else itself."""
+        return np.full(len(s.cost), value) if batched else value
+
+    s.col_peak = s.col_norms
+    s.lam, s.nu = per_row(1e-3), per_row(2.0)
+    # whether each step adds the residual curvature that J^T J leaves out;
+    # off until the Gauss-Newton model is seen to fail
+    s.curved = per_row(False)
+    s.stall = per_row(0)
+    s.window = s.cost
+    for it in range(1, max_iter + 1):
+        if it % 12 == 0:
+            # no meaningful progress over a whole window of iterations
+            stop = s.cost > (1.0 - 1e-6) * s.window
+            if any_(stop) and settle(stop, result("no_progress", it)):
+                break
+            s.window = s.cost
+        stop = s.cost <= s.floor
+        if any_(stop) and settle(stop, result("exact", it - 1)):
+            break
+        stop = _cosines(s.grad, s.col_norms, s.root[:, None] if batched else s.root) <= gtol
+        if any_(stop) and settle(stop, result("gtol", it - 1)):
+            break
+
+        h_mat = s.a_mat
+        if any_(s.curved):
+            h_mat = s.a_mat + _curvature(model, s)
+            if not all_(s.curved):
+                h_mat = np.where(s.curved[..., None, None], h_mat, s.a_mat)
+        outcome = _try_steps(model, s, h_mat, ops)
+        if outcome is not None:
+            stop = outcome == 2
+            if any_(stop) and settle(stop, lambda j, k: SingularJacobian("Singular matrix")):
+                break
+            # damping exhausted: no downhill step exists at this precision
+            stop = outcome[~stop] == 1 if batched else outcome == 1
+            if any_(stop) and settle(stop, result("max_damping", it)):
+                break
+
+        s.step = sqrt(np.vecdot(s.step_vec, s.step_vec))
+        s.improvement = s.cost - s.cost_c
+        s.theta, s.r, s.cost, s.ext = s.theta_c, s.r_c, s.cost_c, s.ext_c
+        record()
+        s.j_ext, s.jac = _jacobians(model, s.theta, s.ext, s.x, s.sigma)
+        # checked before any product: inf * 0 in J^T J would warn.  No step
+        # from a non-finite Jacobian can be trusted: end here, as the next
+        # iteration's damping would, with every parameter undetermined
+        stop = nonfinite()
+        if any_(stop) and settle(stop, result("max_damping", it + 1,
+                                              np.ones(np.shape(stop) + (n_par,), dtype=bool))):
+            break
+        s.a_mat, s.col_norms, s.scale = _gram(s.jac)
+        s.grad = np.vecmat(s.r, s.jac)
+        if it >= 3:
+            # past the first steps' nonlinearity, a misprediction by over a
+            # quarter means the residual curvature that J^T J leaves out matters
+            s.curved = s.curved | (abs(s.rho - 1.0) > 0.25)
+        s.col_peak = np.maximum(s.col_peak, s.col_norms)
+        lost = s.col_norms < _LOST_INFLUENCE * s.col_peak
+        stop = lost.any(-1)
+        if any_(stop) and settle(stop, lambda j, k: result(
+                "lost_influence:" + ",".join(model.param_names[i]
+                                             for i in np.flatnonzero(row(lost, j))),
+                it, lost)(j, k)):
+            break
+        stop = s.step <= xtol * (sqrt(np.vecdot(s.theta, s.theta)) + xtol)
+        if any_(stop) and settle(stop, result("xtol", it)):
+            break
+        # successive negligible improvements: accept the point as the optimum
+        s.stall = (s.stall + 1) * (s.improvement <= 1e-10 * maximum(s.cost, 1e-300))
+        stop = s.stall >= 3
+        if any_(stop) and settle(stop, result("stall", it)):
+            break
+    else:
+        settle(np.ones(np.shape(s.cost), dtype=bool), lambda j, k: MaxIterations(
+            f"no convergence after {max_iter} iterations "
+            f"(residual norm {np.sqrt(row(s.cost, j)):.3e})"))
+    return out
+
+
+def _checked(model, x, y, sigma, init, bounds):
+    """The sigmas, starting points and bounds of the fits of ``y``'s rows
+    (of ``y`` for a single curve), filled to their full shapes and checked."""
+    sigma = np.ones_like(y) if sigma is None else _filled(sigma, y.shape)
+    if (sigma <= 0).any():
+        raise NonPositiveInput("sigmas must be > 0")
+
+    n_par = model.n_params
+    if y.shape[-1] < n_par:
+        raise NonPositiveInput(
+            f"need at least {n_par} points for {n_par} parameters, got {y.shape[-1]}")
+
+    rows = y.shape[:-1]
+    if init is None:
+        if model.guess is None:
+            init = np.ones(n_par)
+        elif rows:
+            init = np.stack([model.guess(xr, yr) for xr, yr in zip(x, y)])
+        else:
+            init = model.guess(x, y)
+    p_ext = np.asarray(init, dtype=float)
+    if p_ext.shape[-1:] != (n_par,) or p_ext.shape[:-1] not in ((), rows):
+        raise InvalidBounds(f"init must have {n_par} entries")
+    p_ext = _filled(p_ext, rows + (n_par,))
+
+    if bounds is None:
+        bounds = model.bounds
+    lo, hi = (-np.inf, np.inf) if bounds is None else bounds
+    lo, hi = _filled(lo, rows + (n_par,)), _filled(hi, rows + (n_par,))
+    if (lo >= hi).any():
+        raise InvalidBounds("lower bounds must be below upper bounds")
+    if (p_ext < lo).any() or (p_ext > hi).any():
+        raise InvalidBounds("initial guess lies outside the bounds")
+    return sigma, p_ext, lo, hi
+
+
 def fit_curve(model: ParametricModel, x, y, sigma=None, init=None, bounds=None,
               max_iter: int = 200, gtol: float = 1e-10, xtol: float = 1e-12) -> FitResult:
     """Weighted nonlinear least squares: minimise sum(((y_model - y)/sigma)^2).
 
-    Deterministic for identical inputs.  Steps that do not reduce the
-    weighted residual, or whose trial point lies outside the domain of the
-    model's transform, are rejected and retried with stronger damping, so the
-    residual of accepted iterations is non-increasing.
+    The Levenberg-Marquardt loop of :func:`fit_curves`, on one curve with no
+    batch axis.  Deterministic for identical inputs.  Steps that do not
+    reduce the weighted residual, or whose trial point lies outside the
+    domain of the model's transform, are rejected and retried with stronger
+    damping, so the residual of accepted iterations is non-increasing.
 
     Each step solves ``(J^T J + S + lam diag(J^T J)) delta = -J^T r``, and
     its gain ratio (actual over predicted decrease of the residual) is taken
@@ -353,236 +839,39 @@ def fit_curve(model: ParametricModel, x, y, sigma=None, init=None, bounds=None,
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
         raise NonPositiveInput("x and y must be 1-D arrays of equal length")
-    sigma = np.ones_like(y) if sigma is None else _filled(sigma, y.shape)
-    if (sigma <= 0).any():
-        raise NonPositiveInput("sigmas must be > 0")
+    sigma, p_ext, lo, hi = _checked(model, x, y, sigma, init, bounds)
+    res, = _levenberg_marquardt(model, x, y, sigma, p_ext, lo, hi, max_iter, gtol, xtol)
+    if isinstance(res, AfcSimError):
+        raise res
+    return res
 
-    n_par = model.n_params
-    if x.size < n_par:
-        raise NonPositiveInput(
-            f"need at least {n_par} points for {n_par} parameters, got {x.size}")
 
-    if init is None:
-        if model.guess is not None:
-            init = model.guess(x, y)
-        else:
-            init = np.ones(n_par)
-    p_ext = np.asarray(init, dtype=float).copy()
-    if p_ext.size != n_par:
-        raise InvalidBounds(f"init must have {n_par} entries")
+def fit_curves(model: ParametricModel, x, y, sigma=None, init=None, bounds=None,
+               max_iter: int = 200, gtol: float = 1e-10, xtol: float = 1e-12) -> list:
+    """:func:`fit_curve` on every row of a batch of curves, in one iteration.
 
-    if bounds is None:
-        bounds = model.bounds
-    if bounds is None:
-        lo = np.full(n_par, -np.inf)
-        hi = np.full(n_par, np.inf)
-    else:
-        lo = _filled(bounds[0], (n_par,))
-        hi = _filled(bounds[1], (n_par,))
-    if (lo >= hi).any():
-        raise InvalidBounds("lower bounds must be below upper bounds")
-    if (p_ext < lo).any() or (p_ext > hi).any():
-        raise InvalidBounds("initial guess lies outside the bounds")
+    ``y`` holds one curve per row, shape ``(n_curves, n_points)``.  ``x`` and
+    ``sigma`` broadcast to that shape, ``init`` and both ``bounds`` to
+    ``(n_curves, n_params)``; without ``init`` each row starts from the
+    model's ``guess``.  The model and its transform must broadcast over the
+    leading axis (see the module docstring).
 
-    tr = model.transform
-    theta = tr.to_internal(p_ext)
-
-    def residual(th):
-        ext = tr.to_external(th)
-        return (model.evaluate(ext, x) - y) / sigma, ext
-
-    def jacobians(th, ext):
-        """The model's Jacobian over the external parameters, and the
-        residual's over the internal ones."""
-        if model.jacobian is not None:
-            j_ext = np.asarray(model.jacobian(ext, x), dtype=float)
-        else:
-            j_ext = _numeric_jacobian(model.evaluate, ext, x)
-        return j_ext, tr.jac_internal(j_ext, th, ext) / sigma[:, None]
-
-    def curvature(th, ext, r, j_ext):
-        """The residual curvature ``sum_i r_i Hess(r_i)`` over the internal
-        parameters."""
-        if model.curvature is None:
-            # differences of J^T r at fixed r, as for a model without a
-            # Jacobian.  Each step is 1e-4 of the parameter's scale: its size,
-            # or the move that shifts the curve by the residual's norm if that
-            # is larger, which stays clear of the rounding in a Jacobian that
-            # is itself differenced.  A side whose trial point leaves the
-            # bounds is replaced by the current point.
-            cols = []
-            for i, h in enumerate(1e-4 * np.maximum(np.abs(th), math.sqrt(cost) / col_norms)):
-                ends = []
-                for step in (h, -h):
-                    t = th.copy()
-                    t[i] += step
-                    e = tr.to_external(t)
-                    inside = bool(((e >= lo) & (e <= hi)).all())
-                    ends.append((jacobians(t, e)[1].T @ r, step) if inside else (grad, 0.0))
-                (g_up, s_up), (g_dn, s_dn) = ends
-                cols.append((g_up - g_dn) / (s_up - s_dn))
-            curv = np.stack(cols, axis=1)
-            return 0.5 * (curv + curv.T)
-        w = r / sigma
-        return tr.curvature_internal(np.asarray(model.curvature(ext, x, w), dtype=float),
-                                     j_ext.T @ w, th, ext)
-
-    r, ext = residual(theta)
-    cost = float(r @ r)
-    # absolute floor below which the fit counts as an exact interpolation
-    cost_floor = x.size * (4e-12 * max(1.0, float(np.abs(y / sigma).max()))) ** 2
-    trace = [np.sqrt(cost)]
-    lam = 1e-3
-    iterations = 0
-
-    j_ext, jac = jacobians(theta, ext)
-    if not np.isfinite(jac).all():
-        raise SingularJacobian("non-finite Jacobian at the starting point")
-    a_mat, col_norms, scale = _gram(jac)
-    grad = jac.T @ r
-    if (col_norms == 0.0).any():
-        dead = [model.param_names[i] for i in np.flatnonzero(col_norms == 0.0)]
-        raise SingularJacobian(f"parameters with no model influence: {dead}")
-    col_peak = col_norms
-    lost = np.zeros(n_par, dtype=bool)
-
-    gtol_loose = max(np.sqrt(gtol), 3e-3)
-    # whether each step adds the residual curvature that J^T J leaves out;
-    # off until the Gauss-Newton model is seen to fail
-    curved = False
-    nu = 2.0
-    stall_count = 0
-    window_cost = cost
-    for iterations in range(1, max_iter + 1):
-        if iterations % 12 == 0:
-            # no meaningful progress over a whole window of iterations
-            if cost > (1.0 - 1e-6) * window_cost:
-                stop_reason = "no_progress"
-                break
-            window_cost = cost
-        if cost <= cost_floor:
-            stop_reason = "exact"
-            iterations -= 1
-            break
-        if _grad_cosine(grad, col_norms, cost) <= gtol:
-            stop_reason = "gtol"
-            iterations -= 1
-            break
-
-        h_mat = a_mat + curvature(theta, ext, r, j_ext) if curved else a_mat
-        accepted = False
-        for _ in range(60):
-            delta = _damped_step(h_mat, scale, lam, grad)
-            ext_cand = np.minimum(np.maximum(tr.to_external(theta + delta), lo), hi)
-            try:
-                theta_cand = tr.to_internal(ext_cand)
-            except InvalidBounds:
-                # the trial point left the transform's domain (for ordered
-                # lifetimes: t_short + exp(w) rounded to t_short); reject it
-                # like any other uphill step
-                theta_cand = None
-            if theta_cand is not None:
-                r_cand, ext_cand = residual(theta_cand)
-                cost_cand = float(r_cand @ r_cand)
-                step_vec = theta_cand - theta
-                # gain ratio against the local quadratic model of the actual step
-                predicted = -(2.0 * float(grad @ step_vec)
-                              + float(step_vec @ (h_mat @ step_vec)))
-                if math.isfinite(cost_cand) and cost_cand < cost and predicted > 0:
-                    rho = (cost - cost_cand) / predicted
-                    lam = max(lam * max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3), 1e-14)
-                    nu = 2.0
-                    accepted = True
-                    break
-            lam = min(lam * nu, 1e15)
-            nu = min(nu * 2.0, 64.0)
-            if lam >= 1e15:
-                break
-        if not accepted:
-            # damping exhausted: no downhill step exists at this precision
-            stop_reason = "max_damping"
-            break
-
-        step = math.sqrt(float(step_vec @ step_vec))
-        improvement = cost - cost_cand
-        theta, r, cost, ext = theta_cand, r_cand, cost_cand, ext_cand
-        trace.append(np.sqrt(cost))
-        j_ext, jac = jacobians(theta, ext)
-        # checked before any product: inf * 0 in J^T J would warn
-        if not np.isfinite(jac).all():
-            # no step from a non-finite Jacobian can be trusted: end here, as
-            # the next iteration's damping would, with every parameter
-            # undetermined
-            stop_reason = "max_damping"
-            iterations += 1
-            lost[:] = True
-            break
-        a_mat, col_norms, scale = _gram(jac)
-        grad = jac.T @ r
-        if iterations >= 3 and abs(rho - 1.0) > 0.25:
-            # past the first steps' nonlinearity, a misprediction by over a
-            # quarter means the residual curvature that J^T J leaves out matters
-            curved = True
-        col_peak = np.maximum(col_peak, col_norms)
-        lost = col_norms < _LOST_INFLUENCE * col_peak
-        if lost.any():
-            names = [model.param_names[i] for i in np.flatnonzero(lost)]
-            stop_reason = "lost_influence:" + ",".join(names)
-            break
-        if step <= xtol * (math.sqrt(theta @ theta) + xtol):
-            stop_reason = "xtol"
-            break
-        # successive negligible improvements: accept the point as the optimum
-        stall_count = stall_count + 1 if improvement <= 1e-10 * max(cost, 1e-300) else 0
-        if stall_count >= 3:
-            stop_reason = "stall"
-            break
-    else:
-        raise MaxIterations(f"no convergence after {max_iter} iterations "
-                            f"(residual norm {np.sqrt(cost):.3e})")
-
-    if stop_reason in ("exact", "gtol"):
-        converged = True
-    elif lost.any():
-        converged = False
-    else:
-        converged = _grad_cosine(grad, col_norms, cost) <= gtol_loose
-
-    # local quadratic uncertainties in external coordinates (no chi^2 rescale:
-    # estimates are invariant under uniform sigma rescaling, errors scale with
-    # it), from the columns that still influence the model
-    live = ~lost
-    a_live = jac[:, live].T @ jac[:, live]
+    Returns one entry per row: exactly the :class:`FitResult` that
+    :func:`fit_curve` returns on that row alone, bit for bit, or the
+    :class:`SingularJacobian` or :class:`MaxIterations` it would raise.  Such a
+    row does not stop the others.  Inputs that :func:`fit_curve` rejects
+    before iterating (:class:`NonPositiveInput`, :class:`InvalidBounds`) are
+    raised for the whole batch.
+    """
+    y = np.asarray(y, dtype=float)
+    if y.ndim != 2:
+        raise NonPositiveInput("y must be a 2-D array of curves")
     try:
-        inv_live = np.linalg.inv(a_live)
-    except np.linalg.LinAlgError:
-        inv_live = np.linalg.pinv(a_live)
-    if lost.any():
-        cov_int = np.zeros((n_par, n_par))
-        cov_int[np.ix_(live, live)] = inv_live
-    else:
-        cov_int = inv_live
-    j_tr = tr.jac_external(theta)
-    cov_ext = j_tr @ cov_int @ j_tr.T
-    if lost.any():
-        # external parameters that depend on a lost coordinate are undetermined
-        undetermined = np.flatnonzero((j_tr[:, lost] != 0.0).any(axis=1))
-        cov_ext[undetermined, :] = np.nan
-        cov_ext[:, undetermined] = np.nan
-        cov_ext[undetermined, undetermined] = np.inf
-    std = np.sqrt(np.maximum(cov_ext.diagonal(), 0.0))
-
-    return FitResult(
-        param_names=model.param_names,
-        params=ext,
-        std_errors=std,
-        covariance=cov_ext,
-        residual_norm=float(np.sqrt(cost)),
-        iterations=iterations,
-        converged=bool(converged),
-        residual_trace=tuple(trace),
-        stop_reason=stop_reason,
-    )
+        x = _filled(x, y.shape)
+    except ValueError:
+        raise NonPositiveInput("x must broadcast to the shape of y") from None
+    sigma, p_ext, lo, hi = _checked(model, x, y, sigma, init, bounds)
+    return _levenberg_marquardt(model, x, y, sigma, p_ext, lo, hi, max_iter, gtol, xtol)
 
 
 # ---------------------------------------------------------------------------
@@ -598,7 +887,7 @@ def _double_exp_jac(params, t):
     a_s, t_s, a_l, t_l = params
     e_s = np.exp(-t / t_s)
     e_l = np.exp(-t / t_l)
-    return _columns(t.size, e_s, a_s * t * e_s / t_s ** 2, e_l, a_l * t * e_l / t_l ** 2)
+    return _columns(t.shape, e_s, a_s * t * e_s / t_s ** 2, e_l, a_l * t * e_l / t_l ** 2)
 
 
 def _double_exp_curvature(params, t, w):
@@ -675,7 +964,7 @@ def model_flipflop_field(alpha: float = 1e9, g_factor: float = 15.13,
         xarg = g_factor * MU_B * b / (2.0 * K_B * temperature)
         sech2 = 1.0 / np.cosh(xarg) ** 2
         denom = (gam_static + gam_slope * b) ** 2
-        return _columns(b.size, -alpha * sech2 / denom, -alpha * b * sech2 / denom)
+        return _columns(b.shape, -alpha * sech2 / denom, -alpha * b * sech2 / denom)
 
     def curvature(params, b, w):
         # rate = alpha sech^2 / d with d linear in both parameters, so
@@ -715,43 +1004,57 @@ def model_lorentzian_dip(baseline_terms: int = 1) -> ParametricModel:
     n_par = n_base + 3
 
     def evaluate(params, nu):
-        depth, center, fwhm = params[n_base:]
+        terms = _split(params)
+        depth, center, fwhm = terms[n_base:]
         half = fwhm / 2.0
-        dip = -depth * half ** 2 / ((nu - center) ** 2 + half ** 2)
+        # half * half, not half ** 2: a scalar's pow may round differently
+        # from an array's square, and a batch row must match a single curve
+        h2 = half * half
+        dip = -depth * h2 / ((nu - center) ** 2 + h2)
         if n_base == 0:
             return dip
         if n_base == 1:
-            return params[0] + dip
-        return params[0] + params[1] * nu + dip
+            return terms[0] + dip
+        return terms[0] + terms[1] * nu + dip
 
     def jacobian(params, nu):
-        depth, center, fwhm = params[n_base:]
+        depth, center, fwhm = _split(params)[n_base:]
         half = fwhm / 2.0
         dx = nu - center
-        denom = dx ** 2 + half ** 2
-        lshape = half ** 2 / denom
-        return _columns(nu.size, *(1.0, nu)[:n_base], -lshape,
+        h2 = half * half
+        denom = dx ** 2 + h2
+        lshape = h2 / denom
+        return _columns(dx.shape, *(1.0, nu)[:n_base], -lshape,
                         -depth * lshape * 2.0 * dx / denom,
                         -depth * half * dx ** 2 / denom ** 2)
 
     def curvature(params, nu, w):
         # second derivatives of -depth L, L = h^2 / D, h = fwhm / 2,
-        # D = (nu - center)^2 + h^2; the baseline is linear
-        depth, center, fwhm = params[n_base:]
+        # D = (nu - center)^2 + h^2; the baseline is linear.  The sums run
+        # along the last axis, so a batch gets one matrix per row
+        depth, center, fwhm = params.T[n_base:]
         half = fwhm / 2.0
         h2 = half * half
-        dx = nu - center
+        # per-row factors, and columns against the samples for a batch
+        center_c, h2_c = (center, h2) if params.ndim == 1 else (center[:, None], h2[:, None])
+        dx = nu - center_c
         dx2 = dx * dx
-        denom = dx2 + h2
+        denom = dx2 + h2_c
         q = w / denom ** 3
         qd = q * denom
-        s_dc = -2.0 * h2 * float(qd @ dx)
-        s_df = -half * float(qd @ dx2)
-        s_cc = -2.0 * depth * h2 * float(q @ (3.0 * dx2 - h2))
-        s_cf = -2.0 * depth * half * float(q @ (dx * (dx2 - h2)))
-        s_ff = -0.5 * depth * float(q @ (dx2 * (dx2 - 3.0 * h2)))
-        curv = np.zeros((n_par, n_par))
-        curv[n_base:, n_base:] = [[0.0, s_dc, s_df], [s_dc, s_cc, s_cf], [s_df, s_cf, s_ff]]
+        s_dc = -2.0 * h2 * np.vecdot(qd, dx)
+        s_df = -half * np.vecdot(qd, dx2)
+        s_cc = -2.0 * depth * h2 * np.vecdot(q, 3.0 * dx2 - h2_c)
+        s_cf = -2.0 * depth * half * np.vecdot(q, dx * (dx2 - h2_c))
+        s_ff = -0.5 * depth * np.vecdot(q, dx2 * (dx2 - 3.0 * h2_c))
+        curv = np.zeros(np.shape(depth) + (n_par, n_par))
+        block = [[0.0, s_dc, s_df], [s_dc, s_cc, s_cf], [s_df, s_cf, s_ff]]
+        if params.ndim == 1:
+            curv[n_base:, n_base:] = block
+        else:
+            for i, row in enumerate(block):
+                for j, value in enumerate(row):
+                    curv[:, n_base + i, n_base + j] = value
         return curv
 
     def guess(nu, od):

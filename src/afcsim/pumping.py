@@ -620,7 +620,9 @@ def _evolve_records(state: EnsembleState, seq: PumpSequence, params: MaterialPar
     if any(t < 0 for t in record_times) or record_times != sorted(record_times):
         raise InvalidRange("record_times must be sorted and non-negative")
     total = seq.total_duration
-    if record_times and record_times[-1] > total * (1 + 1e-12) + 1e-15:
+    # record times up to this count as the sequence end; all are recorded
+    end = total * (1 + 1e-12) + 1e-15
+    if record_times and record_times[-1] > end:
         raise InvalidRange(
             f"record time {record_times[-1]} beyond sequence end {total}")
 
@@ -692,7 +694,6 @@ def _evolve_records(state: EnsembleState, seq: PumpSequence, params: MaterialPar
             take_snapshots_at(now)
         now = seg_end
 
-    take_snapshots_at(total + eps)
-    records = records[:taken]
+    take_snapshots_at(end)
     check_populations(state.weight, np.moveaxis(records, 2, 0))
     return records

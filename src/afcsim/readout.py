@@ -3,9 +3,13 @@
 Readout returns the absorption spectrum over a sweep window with seeded,
 repeat-averaged detection noise.  Both metrologies fit the one Lorentzian of
 :func:`fitting.model_lorentzian_dip`.  Hole metrology fits it on a linear
-local baseline (``baseline_terms=2``).  Comb metrology locates the periodic
+local baseline (``baseline_terms=2``); it runs on a stack of spectra on one
+grid, with the set-up taken over the whole stack and the fits of equally long
+windows in one :func:`fitting.fit_curves` batch, and :func:`measure_hole` is
+its one-spectrum case.  Comb metrology locates the periodic
 teeth, refines each tooth top by fitting the bare dip (``baseline_terms=0``)
-to the negated spectrum above the local trough, measures the tooth widths and
+to the negated spectrum above the local trough, all teeth in one batch,
+measures the tooth widths and
 quantifies the residual background absorption ``d0`` in the troughs.  The
 forward-recall echo efficiency follows the standard square-tooth comb formula
 with an effective depth reduced by the finesse and the background.
@@ -38,7 +42,7 @@ from .errors import (
     SingularJacobian,
     SpanOutOfGrid,
 )
-from .fitting import fit_curve, model_lorentzian_dip
+from .fitting import fit_curve, fit_curves, model_lorentzian_dip
 from .pumping import _evolve_records, build_hole_sequence
 from .relaxation import TlsParams
 
@@ -189,12 +193,25 @@ def _sweep_noise(od: np.ndarray, noise_rel: float, repeats: int, seed) -> np.nda
 # Hole metrology
 # ---------------------------------------------------------------------------
 
-def _noise_mad(values: np.ndarray) -> float:
-    """Robust noise estimate from first differences."""
-    if values.size < 3:
-        return 0.0
-    diffs = np.diff(values)
-    return 1.4826 * float(np.median(np.abs(diffs - np.median(diffs)))) / np.sqrt(2.0)
+def _median(values: np.ndarray):
+    """``np.median`` along the last axis of finite values, bit for bit: the
+    middle order statistic, or the mean of the middle two, from one
+    partition and without ``np.median``'s overhead."""
+    n = values.shape[-1]
+    k = n // 2
+    if n % 2:
+        return np.partition(values, k, axis=-1)[..., k]
+    part = np.partition(values, (k - 1, k), axis=-1)
+    return (part[..., k - 1] + part[..., k]) / 2.0
+
+
+def _noise_mad(values: np.ndarray):
+    """Robust noise estimate from first differences, one per row of a stack
+    (along the last axis)."""
+    if values.shape[-1] < 3:
+        return np.zeros(values.shape[:-1])[()]
+    diffs = np.diff(values, axis=-1)
+    return 1.4826 * _median(np.abs(diffs - _median(diffs)[..., None])) / np.sqrt(2.0)
 
 
 def _half_level_width(nu, od, i_min, level) -> float:
@@ -218,8 +235,142 @@ def _half_level_width(nu, od, i_min, level) -> float:
     return max(float(x_right - x_left), dnu)
 
 
-# the Lorentzian dip on a line that every hole fit uses; it holds no state
+# the Lorentzian dips on a line that every hole fit uses and on a zero floor
+# that every comb tooth fit uses; they hold no state
 _HOLE_DIP = model_lorentzian_dip(2)
+_TOOTH_DIP = model_lorentzian_dip(0)
+
+
+@dataclass(frozen=True)
+class _HoleFit:
+    """One spectrum's hole fit: the ``(x, y, sigma, init, lo, hi)`` row of
+    :func:`_fit_rows`, with ``x`` the samples around the lowest point in
+    units of the estimated width ``scale`` about that point's frequency
+    ``ref``, and ``sigma`` the readout-noise estimate."""
+
+    row: tuple
+    ref: float
+    scale: float
+
+
+def _hole_fits(nu: np.ndarray, od: np.ndarray, center_guess: float,
+               search_radius: Optional[float], min_depth: Optional[float]) -> list:
+    """The hole-fit set-up of every row of the stack ``od`` of spectra on the
+    grid ``nu``: a :class:`_HoleFit`, or the :class:`NoHoleFound` of a row
+    without a dip above its noise floor.  The search window, the 85% baseline
+    percentile, the noise estimate and the thresholds are taken over the
+    whole stack at once."""
+    if nu.size < 8:
+        return [NoHoleFound("spectrum too short for hole metrology")] * len(od)
+    span = nu[-1] - nu[0]
+    radius = search_radius if search_radius is not None else span / 8.0
+    window = np.abs(nu - center_guess) <= radius
+    if not window.any():
+        return [NoHoleFound(f"no samples within {radius:.3g} Hz of guess")] * len(od)
+
+    idx = np.flatnonzero(window)
+    i_min = idx[np.argmin(od[:, idx], axis=1)]
+    # baseline from the upper od quantile of the whole window so that wide
+    # (power-broadened) holes do not drag the estimate down
+    baseline_est = np.percentile(od, 85.0, axis=1)
+    depth_est = baseline_est - od[np.arange(len(od)), i_min]
+    noise = _noise_mad(od)
+    threshold = np.full(len(od), min_depth) if min_depth is not None \
+        else np.maximum(0.01, 5.0 * noise)
+    # the floor keeps noiseless spectra fittable; estimates do not depend on
+    # a uniform sigma, only the reported errors scale with it
+    sigma = np.maximum(noise, 1e-12 * od.max(axis=1))
+    dnu = nu[1] - nu[0]
+    fits = []
+    for row, i, base, depth, limit, sig in zip(od, i_min.tolist(), baseline_est.tolist(),
+                                                depth_est.tolist(), threshold.tolist(),
+                                                sigma.tolist()):
+        if depth < limit:
+            fits.append(NoHoleFound(f"largest dip {depth:.4g} OD below threshold {limit:.4g}"))
+            continue
+        fwhm_est = _half_level_width(nu, row, i, base - depth / 2.0)
+        fwhm_est = min(fwhm_est, span / 2.0)
+        fit_radius = max(4.0 * fwhm_est, 12.0 * dnu)
+        sel = np.abs(nu - nu[i]) <= fit_radius
+        # fit in units of the estimated width so the normal equations stay
+        # well conditioned regardless of the absolute frequency scale
+        scale = max(fwhm_est, 4.0 * dnu)
+        ref = float(nu[i])
+        x = (nu[sel] - ref) / scale
+        x_lo, x_hi = float(x.min()), float(x.max())
+        fits.append(_HoleFit(row=(
+            x, row[sel], sig, np.array([base, 0.0, depth, 0.0, fwhm_est / scale]),
+            np.array([-np.inf, -np.inf, -np.inf, x_lo, 1e-2]),
+            np.array([np.inf, np.inf, np.inf, x_hi, 4.0 * (x_hi - x_lo)])), ref=ref, scale=scale))
+    return fits
+
+
+def _hole_metrics(fit: _HoleFit, res):
+    """The :class:`HoleMetrics` of one hole fit's result, or the
+    :class:`FitDiverged` or :class:`NoHoleFound` that rejects it."""
+    if isinstance(res, (MaxIterations, SingularJacobian)):
+        exc = FitDiverged(str(res))
+        exc.__cause__ = res
+        return exc
+    if not res.converged:
+        return FitDiverged(f"hole fit did not converge ({res.stop_reason})")
+    scale = fit.scale
+    depth = res["depth"]
+    fwhm = res["fwhm"] * scale
+    if depth <= 0:
+        return NoHoleFound("fit found no absorption dip")
+    d_err = res.error_of("depth")
+    f_err = res.error_of("fwhm") * scale
+    i_d = res.param_names.index("depth")
+    i_f = res.param_names.index("fwhm")
+    cov_df = float(res.covariance[i_d, i_f]) * scale
+    area = depth * (np.pi / 2.0) * fwhm
+    area_var = (np.pi / 2.0) ** 2 * (
+        (fwhm * d_err) ** 2 + (depth * f_err) ** 2 + 2.0 * fwhm * depth * cov_df)
+    return HoleMetrics(
+        center=fit.ref + res["center"] * scale, depth=depth, fwhm=fwhm, area=area,
+        depth_err=d_err, fwhm_err=f_err,
+        area_err=float(np.sqrt(max(area_var, 0.0))),
+    )
+
+
+def _fit_rows(model, rows) -> list:
+    """Fit every ``(x, y, sigma, init, lo, hi)`` row with ``model``.  Rows
+    with windows of the same length run as one :func:`fitting.fit_curves`
+    batch, a lone row through :func:`fitting.fit_curve`; each row gets what it
+    gets alone.  Returns each row's :class:`FitResult`, or the
+    :class:`MaxIterations` or :class:`SingularJacobian` that ends its fit."""
+    results = [None] * len(rows)
+    groups = {}
+    for k, row in enumerate(rows):
+        groups.setdefault(row[0].size, []).append(k)
+    for ks in groups.values():
+        if len(ks) == 1:
+            x, y, sigma, init, lo, hi = rows[ks[0]]
+            try:
+                results[ks[0]] = fit_curve(model, x, y, sigma=sigma, init=init, bounds=(lo, hi))
+            except (MaxIterations, SingularJacobian) as exc:
+                results[ks[0]] = exc
+            continue
+        x, y, sigma, init, lo, hi = (np.stack(col) for col in zip(*(rows[k] for k in ks)))
+        for k, res in zip(ks, fit_curves(model, x, y, sigma=sigma[:, None], init=init,
+                                          bounds=(lo, hi))):
+            results[k] = res
+    return results
+
+
+def _measure_holes(nu: np.ndarray, od: np.ndarray, center_guess: float,
+                   search_radius: Optional[float] = None,
+                   min_depth: Optional[float] = None) -> list:
+    """:func:`measure_hole` on every row of the stack ``od`` of spectra on the
+    grid ``nu``: per row, its :class:`HoleMetrics` or the
+    :class:`NoHoleFound` or :class:`FitDiverged` that :func:`measure_hole`
+    would raise."""
+    out = _hole_fits(nu, od, center_guess, search_radius, min_depth)
+    ks = [k for k, fit in enumerate(out) if isinstance(fit, _HoleFit)]
+    for k, res in zip(ks, _fit_rows(_HOLE_DIP, [out[k].row for k in ks])):
+        out[k] = _hole_metrics(out[k], res)
+    return out
 
 
 def measure_hole(spec: AbsorptionSpectrum, center_guess: float,
@@ -231,7 +382,9 @@ def measure_hole(spec: AbsorptionSpectrum, center_guess: float,
     widths around the minimum, so nearby structures only enter through the
     baseline slope.  The fit is weighted by the readout-noise estimate of the
     spectrum, so the ``*_err`` fields are 1-sigma uncertainties in data units
-    (OD, Hz, OD*Hz) propagated from that noise.
+    (OD, Hz, OD*Hz) propagated from that noise.  This is the one-spectrum
+    case of the stacked hole metrology that :func:`hole_decay_experiment`
+    runs over all its delays.
 
     Raises
     ------
@@ -240,67 +393,11 @@ def measure_hole(spec: AbsorptionSpectrum, center_guess: float,
     FitDiverged
         If the line-shape fit does not converge.
     """
-    nu = spec.grid.centers
-    od = spec.od
-    if nu.size < 8:
-        raise NoHoleFound("spectrum too short for hole metrology")
-    span = nu[-1] - nu[0]
-    radius = search_radius if search_radius is not None else span / 8.0
-    window = np.abs(nu - center_guess) <= radius
-    if not window.any():
-        raise NoHoleFound(f"no samples within {radius:.3g} Hz of guess")
-
-    idx = np.flatnonzero(window)
-    i_min = idx[int(np.argmin(od[idx]))]
-    # baseline from the upper od quantile of the whole window so that wide
-    # (power-broadened) holes do not drag the estimate down
-    baseline_est = float(np.percentile(od, 85.0))
-    depth_est = baseline_est - float(od[i_min])
-    noise = _noise_mad(od)
-    threshold = min_depth if min_depth is not None else max(0.01, 5.0 * noise)
-    if depth_est < threshold:
-        raise NoHoleFound(
-            f"largest dip {depth_est:.4g} OD below threshold {threshold:.4g}")
-
-    fwhm_est = _half_level_width(nu, od, i_min, baseline_est - depth_est / 2.0)
-    fwhm_est = min(fwhm_est, span / 2.0)
-    fit_radius = max(4.0 * fwhm_est, 12.0 * (nu[1] - nu[0]))
-    sel = np.abs(nu - nu[i_min]) <= fit_radius
-    # fit in units of the estimated width so the normal equations stay
-    # well conditioned regardless of the absolute frequency scale
-    scale = max(fwhm_est, 4.0 * (nu[1] - nu[0]))
-    ref = float(nu[i_min])
-    x = (nu[sel] - ref) / scale
-    init = np.array([baseline_est, 0.0, depth_est, 0.0, fwhm_est / scale])
-    x_span = float(x.max() - x.min())
-    bounds = (np.array([-np.inf, -np.inf, -np.inf, float(x.min()), 1e-2]),
-              np.array([np.inf, np.inf, np.inf, float(x.max()), 4.0 * x_span]))
-    try:
-        # the floor keeps noiseless spectra fittable; estimates do not depend on
-        # a uniform sigma, only the reported errors scale with it
-        res = fit_curve(_HOLE_DIP, x, od[sel], sigma=max(noise, 1e-12 * float(np.max(od))),
-                        init=init, bounds=bounds)
-    except (MaxIterations, SingularJacobian) as exc:
-        raise FitDiverged(str(exc)) from exc
-    if not res.converged:
-        raise FitDiverged(f"hole fit did not converge ({res.stop_reason})")
-    depth = res["depth"]
-    fwhm = res["fwhm"] * scale
-    if depth <= 0:
-        raise NoHoleFound("fit found no absorption dip")
-    d_err = res.error_of("depth")
-    f_err = res.error_of("fwhm") * scale
-    i_d = res.param_names.index("depth")
-    i_f = res.param_names.index("fwhm")
-    cov_df = float(res.covariance[i_d, i_f]) * scale
-    area = depth * (np.pi / 2.0) * fwhm
-    area_var = (np.pi / 2.0) ** 2 * (
-        (fwhm * d_err) ** 2 + (depth * f_err) ** 2 + 2.0 * fwhm * depth * cov_df)
-    return HoleMetrics(
-        center=ref + res["center"] * scale, depth=depth, fwhm=fwhm, area=area,
-        depth_err=d_err, fwhm_err=f_err,
-        area_err=float(np.sqrt(max(area_var, 0.0))),
-    )
+    res, = _measure_holes(spec.grid.centers, spec.od[None, :], center_guess,
+                          search_radius, min_depth)
+    if isinstance(res, Exception):
+        raise res
+    return res
 
 
 # ---------------------------------------------------------------------------
@@ -380,8 +477,7 @@ def analyze_comb(spec: AbsorptionSpectrum, spacing: float) -> CombMetrics:
     if teeth.size < 2:
         raise NoCombDetected(f"only {teeth.size} usable teeth in window")
 
-    dip = model_lorentzian_dip(0)
-    tops, widths = [], []
+    tops, teeth_fit, rows = [], [], []
     for tc in teeth:
         sel = np.abs(nu - tc) <= spacing / 2.0
         sub_nu, sub_od = nu[sel], od[sel]
@@ -395,21 +491,19 @@ def analyze_comb(spec: AbsorptionSpectrum, spacing: float) -> CombMetrics:
         # floor in the negated spectrum) refines the tooth top; the reported
         # width is the interpolated half-contrast width, which coincides with
         # the fitted fwhm for Lorentzian teeth and with the duty width for
-        # square ones
+        # square ones.  The teeth are fitted together
         i_pk = int(np.argmax(np.where(near, sub_od, -np.inf)))
         x = (sub_nu - tc) / spacing
         w_est = _half_level_width(sub_nu, -sub_od, i_pk,
                                   -(trough + (top - trough) / 2.0))
-        init = np.array([top - trough, (sub_nu[i_pk] - tc) / spacing,
-                         w_est / spacing])
-        bounds = (np.array([0.0, float(x.min()), 1e-3]),
-                  np.array([np.inf, float(x.max()), 2.0]))
-        try:
-            res = fit_curve(dip, x, trough - sub_od, init=init, bounds=bounds)
-            if res.converged:
-                top = max(top, res["depth"] + trough)
-        except (MaxIterations, SingularJacobian):
-            pass
+        teeth_fit.append((sub_nu, sub_od, i_pk, top, trough))
+        rows.append((x, trough - sub_od, 1.0,
+                     np.array([top - trough, (sub_nu[i_pk] - tc) / spacing, w_est / spacing]),
+                     np.array([0.0, float(x.min()), 1e-3]), np.array([np.inf, float(x.max()), 2.0])))
+    widths = []
+    for (sub_nu, sub_od, i_pk, top, trough), res in zip(teeth_fit, _fit_rows(_TOOTH_DIP, rows)):
+        if not isinstance(res, (MaxIterations, SingularJacobian)) and res.converged:
+            top = max(top, res["depth"] + trough)
         half_level = trough + (top - trough) / 2.0
         width = _half_level_width(sub_nu, -sub_od, i_pk, -half_level)
         widths.append(min(width, spacing))
@@ -488,8 +582,9 @@ def hole_decay_experiment(b_field: float, delays: Sequence[float],
     delay come back as one record array.  Their spectra are taken in one
     stacked pass, and the readout window is cut from them once.  Each delay
     then gets the seeded readout noise that :func:`simulate_readout` adds,
-    from per-delay seeds spawned from ``seed``, and is measured by
-    :func:`measure_hole`.  The curve is bit-identical to running
+    from per-delay seeds spawned from ``seed``, and all the delays' holes are
+    measured as one stack: one set-up and one batch of fits (see
+    :func:`measure_hole`).  The curve is bit-identical to running
     :func:`evolve`, :func:`simulate_readout` and :func:`measure_hole` state by
     state.  A delay whose hole has sunk below the noise floor
     (:class:`NoHoleFound`) or whose hole fit does not converge
@@ -518,16 +613,15 @@ def hole_decay_experiment(b_field: float, delays: Sequence[float],
     root = seed if isinstance(seed, np.random.SeedSequence) \
         else np.random.SeedSequence(seed)
     child_seeds = root.spawn(len(records))
+    swept = np.stack([_sweep_noise(od, noise_rel, repeats, child)
+                      for od, child in zip(window, child_seeds)])
     # noiseless readouts can resolve arbitrarily faint holes
     floor = 1e-7 if noise_rel == 0 else None
     kept, areas, sigmas, dropped = [], [], [], []
-    for delay, od, child in zip(delays, window, child_seeds):
-        spect = AbsorptionSpectrum(grid=subgrid,
-                                   od=_sweep_noise(od, noise_rel, repeats, child))
-        try:
-            metrics = measure_hole(spect, detuning, min_depth=floor)
-        except (NoHoleFound, FitDiverged) as exc:
-            dropped.append((float(delay), str(exc)))
+    for delay, metrics in zip(delays, _measure_holes(subgrid.centers, swept, detuning,
+                                                     min_depth=floor)):
+        if isinstance(metrics, (NoHoleFound, FitDiverged)):
+            dropped.append((float(delay), str(metrics)))
             continue
         kept.append(delay)
         areas.append(metrics.area)

@@ -13,7 +13,7 @@ import pytest
 
 import afcsim.experiments as ex
 import afcsim.readout as ro
-from afcsim.fitting import fit_curve
+from afcsim.fitting import fit_curve, fit_curves
 
 RESTART_MOVE = 1e-4  # sigma
 NAMED_STOPS = {"exact", "gtol", "xtol", "stall", "no_progress", "max_damping"}
@@ -27,16 +27,19 @@ REFERENCE_FLIPFLOP = {"gamma_spin_static": 405752995.25785416,
 
 
 def run_recording_hole_fits(config):
-    """``run_fig2`` without writing, plus every hole fit as (args, result)."""
+    """``run_fig2`` without writing, plus every hole fit as (args, result).
+    The fits of a field run as one batch; each row is recorded as the single
+    fit it equals."""
     calls = []
 
     def recording(model, x, y, sigma=None, init=None, bounds=None):
-        res = fit_curve(model, x, y, sigma=sigma, init=init, bounds=bounds)
-        calls.append(((model, x, y, sigma, bounds), res))
-        return res
+        results = fit_curves(model, x, y, sigma=sigma, init=init, bounds=bounds)
+        for k, res in enumerate(results):
+            calls.append(((model, x[k], y[k], sigma[k], (bounds[0][k], bounds[1][k])), res))
+        return results
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ro, "fit_curve", recording)
+        mp.setattr(ro, "fit_curves", recording)
         summary = ex.run_fig2(config, write=False)
     return summary, calls
 

@@ -1,0 +1,140 @@
+"""fit_curves: a batch of fits through the one Levenberg-Marquardt loop.
+
+Row k of a batch must be exactly what fit_curve returns (or raises) on row k
+alone, whatever the other rows do and in whatever order they come: the
+fixed rows below end by every stop rule, raise MaxIterations, or have a dead
+column at the start."""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+import afcsim as a
+from afcsim.errors import AfcSimError, MaxIterations, SingularJacobian
+from afcsim.fitting import fit_curves
+from test_fit_linear_algebra import assert_same_fit
+
+MODEL = a.model_lorentzian_dip(2)
+X = np.linspace(-4.0, 4.0, 41)
+LO = np.array([-np.inf, -np.inf, -np.inf, -4.0, 1e-2])
+HI = np.array([np.inf, np.inf, np.inf, 4.0, 32.0])
+
+
+def make_row(kind, seed):
+    """A dip (Lorentzian, Gaussian, or none) with noise, and a start taken
+    as ``readout.measure_hole`` takes it; ``dead`` starts at zero depth, so
+    the center and fwhm have no influence."""
+    rng = np.random.default_rng(seed)
+    if kind == "gauss":
+        y = 1.0 - rng.uniform(0.1, 1.0) * np.exp(-0.5 * (X / rng.uniform(0.05, 2.0)) ** 2)
+    elif kind == "flat":
+        y = np.ones_like(X)
+    else:
+        truth = np.array([1.0, rng.uniform(-0.05, 0.05), rng.uniform(0.05, 1.0),
+                          rng.uniform(-1.0, 1.0), rng.uniform(0.1, 3.0)])
+        y = MODEL.evaluate(truth, X)
+    noise = rng.choice([0.0, 1e-6, 1e-3, 0.05])
+    y = y + noise * rng.standard_normal(X.size)
+    i = int(np.argmin(y))
+    base = float(np.percentile(y, 85.0))
+    depth = 0.0 if kind == "dead" else max(base - y[i], 1e-3)
+    init = np.array([base, 0.0, depth, X[i], rng.uniform(0.05, 3.0)])
+    return y, init, max(noise, 1e-3)
+
+
+# one row for each way a fit ends
+FIXED = {
+    "gtol": ("lor", 8), "xtol": ("lor", 2), "max_damping": ("lor", 6),
+    "lost_influence": ("lor", 60), "exact": ("lor", 0), "stall": ("lor", 5),
+    "no_progress": ("flat", 2), "MaxIterations": ("lor", 10),
+    "SingularJacobian": ("dead", 1),
+}
+
+
+def single(y, init, sigma):
+    try:
+        return a.fit_curve(MODEL, X, y, sigma=sigma, init=init, bounds=(LO, HI))
+    except (MaxIterations, SingularJacobian) as exc:
+        return exc
+
+
+def batch(rows):
+    ys, inits, sigmas = zip(*rows)
+    return fit_curves(MODEL, X, np.stack(ys), sigma=np.array(sigmas)[:, None],
+                      init=np.stack(inits), bounds=(LO, HI))
+
+
+def assert_same_outcome(got, want):
+    if isinstance(want, AfcSimError):
+        assert type(got) is type(want) and str(got) == str(want)
+    else:
+        assert_same_fit(got, want)
+
+
+def outcome_name(res):
+    return type(res).__name__ if isinstance(res, AfcSimError) else res.stop_reason.split(":")[0]
+
+
+SINGLES = {name: single(*make_row(*spec)) for name, spec in FIXED.items()}
+
+
+def test_fixed_rows_end_as_named():
+    assert {name: outcome_name(res) for name, res in SINGLES.items()} == \
+        {name: name for name in FIXED}
+
+
+@settings(max_examples=12, deadline=None)
+@given(extra=st.lists(st.tuples(st.sampled_from(["lor", "gauss", "flat"]),
+                                st.integers(0, 10 ** 6)), max_size=4),
+       order=st.randoms(use_true_random=False))
+def test_rows_equal_single_fits_in_any_order(extra, order):
+    specs = list(FIXED.values()) + extra
+    rows = [make_row(*spec) for spec in specs]
+    want = list(SINGLES.values()) + [single(*row) for row in rows[len(FIXED):]]
+    for got, expected in zip(batch(rows), want):
+        assert_same_outcome(got, expected)
+    perm = list(range(len(rows)))
+    order.shuffle(perm)
+    for k, got in zip(perm, batch([rows[k] for k in perm])):
+        assert_same_outcome(got, want[k])
+
+
+def test_batch_of_one_and_shared_abscissae():
+    y, init, sigma = make_row(*FIXED["gtol"])
+    res, = fit_curves(MODEL, X, y[None], sigma=sigma, init=init, bounds=(LO, HI))
+    assert_same_fit(res, SINGLES["gtol"])
+
+
+def test_model_and_transform_rows_equal_single_calls():
+    # the broadcasting rule: each row of a batched call is computed exactly
+    # as the one-curve call on that row (scalar and array arithmetic can
+    # round differently, e.g. a scalar's pow against an array's square)
+    rng = np.random.default_rng(4)
+    n = 3000
+    params = np.column_stack([rng.uniform(0.5, 1.5, n), rng.uniform(-0.1, 0.1, n),
+                              rng.uniform(0.01, 2.0, n), rng.uniform(-2.0, 2.0, n),
+                              rng.uniform(0.02, 5.0, n)])
+    # a half width whose square pow rounds away from the product
+    params[0, 4] = 2.0 * 0.46275263427316826
+    x = rng.uniform(-4.0, 4.0, (n, X.size))
+    w = rng.standard_normal((n, X.size))
+    tr = MODEL.transform
+    internal = tr.to_internal(params)
+    jac = MODEL.jacobian(params, x)
+    curv = MODEL.curvature(params, x, w)
+    grad = np.vecmat(w, jac)
+    batched = {
+        "evaluate": MODEL.evaluate(params, x), "jacobian": jac, "curvature": curv,
+        "to_internal": internal, "to_external": tr.to_external(internal),
+        "jac_internal": tr.jac_internal(jac, internal, params),
+        "curvature_internal": tr.curvature_internal(curv, grad, internal, params),
+    }
+    for k in range(n):
+        p, xk, ik = params[k], x[k], internal[k]
+        single = {
+            "evaluate": MODEL.evaluate(p, xk), "jacobian": MODEL.jacobian(p, xk),
+            "curvature": MODEL.curvature(p, xk, w[k]), "to_internal": tr.to_internal(p),
+            "to_external": tr.to_external(ik), "jac_internal": tr.jac_internal(jac[k], ik, p),
+            "curvature_internal": tr.curvature_internal(curv[k], grad[k], ik, p),
+        }
+        for name, value in single.items():
+            assert np.array_equal(batched[name][k], value), (name, k)

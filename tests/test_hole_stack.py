@@ -1,0 +1,81 @@
+"""Stacked hole metrology: the set-up that readout takes over a whole stack
+of spectra at once (search window, 85% baseline percentile, noise estimate,
+threshold, width estimate, fit window) and the batched fits must give each
+row exactly what one spectrum gets alone, errors included."""
+
+import numpy as np
+
+import afcsim as a
+from afcsim import readout
+from afcsim.core import AbsorptionSpectrum
+from afcsim.errors import FitDiverged, NoHoleFound
+
+GRID = a.make_grid(200e6, 300e6, 0.5e6)
+NU = GRID.centers
+
+
+def spectrum(seed):
+    """A Lorentzian hole of random width, depth and noise near 250 MHz."""
+    rng = np.random.default_rng(seed)
+    half = rng.uniform(0.2e6, 3e6) / 2.0
+    depth = rng.uniform(0.05, 0.5)
+    center = 250e6 + rng.uniform(-5e6, 5e6)
+    od = 1.0 - depth * half ** 2 / ((NU - center) ** 2 + half ** 2)
+    return od + rng.uniform(0.0, 0.03) * rng.standard_normal(NU.size)
+
+
+# holes of several widths, so fit windows of several lengths; seed 3's hole
+# is below its noise floor and seed 136's narrow dip exhausts the iterations
+SEEDS = [0, 1, 2, 3, 4, 5, 136, 7, 8]
+STACK = np.stack([spectrum(s) for s in SEEDS])
+
+
+def per_spectrum_setup(od, guess=250e6):
+    """The set-up of one spectrum with the 1-D calls of a one-spectrum
+    readout: baseline, noise, threshold, lowest sample, width estimate."""
+    window = np.abs(NU - guess) <= (NU[-1] - NU[0]) / 8.0
+    idx = np.flatnonzero(window)
+    i_min = idx[int(np.argmin(od[idx]))]
+    baseline = float(np.percentile(od, 85.0))
+    diffs = np.diff(od)
+    noise = 1.4826 * float(np.median(np.abs(diffs - np.median(diffs)))) / np.sqrt(2.0)
+    depth = baseline - float(od[i_min])
+    fwhm = min(readout._half_level_width(NU, od, i_min, baseline - depth / 2.0),
+               (NU[-1] - NU[0]) / 2.0)
+    return i_min, baseline, noise, max(0.01, 5.0 * noise), depth, fwhm
+
+
+def test_stacked_setup_equals_per_spectrum_values():
+    fits = readout._hole_fits(NU, STACK, 250e6, None, None)
+    dnu = NU[1] - NU[0]
+    lengths = set()
+    for od, fit in zip(STACK, fits):
+        i_min, baseline, noise, threshold, depth, fwhm = per_spectrum_setup(od)
+        if depth < threshold:
+            assert isinstance(fit, NoHoleFound)
+            assert str(fit) == f"largest dip {depth:.4g} OD below threshold {threshold:.4g}"
+            continue
+        scale = max(fwhm, 4.0 * dnu)
+        sel = np.abs(NU - NU[i_min]) <= max(4.0 * fwhm, 12.0 * dnu)
+        x, y, sigma, init, _, _ = fit.row
+        assert fit.ref == NU[i_min] and fit.scale == scale
+        assert np.array_equal(x, (NU[sel] - NU[i_min]) / scale)
+        assert np.array_equal(y, od[sel])
+        assert sigma == max(noise, 1e-12 * float(np.max(od)))
+        assert np.array_equal(init, [baseline, 0.0, depth, 0.0, fwhm / scale])
+        lengths.add(x.size)
+    assert len(lengths) > 1
+
+
+def test_stacked_holes_equal_one_spectrum_each():
+    stacked = readout._measure_holes(NU, STACK, 250e6)
+    kinds = set()
+    for od, got in zip(STACK, stacked):
+        try:
+            want = a.measure_hole(AbsorptionSpectrum(grid=GRID, od=od), 250e6)
+        except (NoHoleFound, FitDiverged) as exc:
+            assert type(got) is type(exc) and str(got) == str(exc)
+            kinds.add(type(exc))
+            continue
+        assert got == want
+    assert kinds == {NoHoleFound, FitDiverged}

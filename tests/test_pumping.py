@@ -517,3 +517,18 @@ class TestEvolveSnapshots:
                     assert np.array_equal(getattr(snap, name), kept[k][name])
         for name in levels:
             assert np.array_equal(getattr(st, name), getattr(before, name))
+
+    def test_every_accepted_record_time_is_recorded(self):
+        # a last record time within the accepted rounding of a long
+        # sequence's end comes back, so records pair with their times
+        p = a.MaterialParams()
+        g = a.make_grid(240e6, 260e6, 1e6)
+        seq = a.build_hole_sequence(detuning=250e6, burn_duration=0.01, power=2e-5,
+                                    width=5e6, dark_after=1e4)
+        total = seq.total_duration
+        out = a.evolve(a.init_equilibrium_state(g, p), seq, p, TlsParams(),
+                       [1.0, total * (1 + 5e-13)])
+        assert len(out) == 2
+        with pytest.raises(InvalidRange):
+            a.evolve(a.init_equilibrium_state(g, p), seq, p, TlsParams(),
+                     [1.0, total * (1 + 2e-12)])

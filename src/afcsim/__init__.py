@@ -16,7 +16,6 @@ from .core import (
 from .relaxation import (
     TlsParams,
     flipflop_lifetime,
-    flipflop_rate_concentration,
     isd_broadening,
     tls_fill_rate,
 )

@@ -380,10 +380,6 @@ class AbsorptionSpectrum:
             lines.append(f"{nu:.6f},{od:.12g}")
         return "\n".join(lines) + "\n"
 
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="\n") as fh:
-            fh.write(self.to_csv())
-
 
 def _convolve_padded(values: np.ndarray, kernel: np.ndarray, pad_mode: str) -> np.ndarray:
     """Convolve every row of ``values`` (along its last axis) with an

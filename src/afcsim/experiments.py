@@ -437,7 +437,7 @@ def _comb_background(bandwidth: float, params: MaterialParams, tls: TlsParams,
     ``comb`` is the scenario's comb-protocol section (fig4, table1 or
     efficiency), read for spacing, pit width, duration, wait and power.
     Returns ``(CombMetrics, AbsorptionSpectrum section)`` for the comb at
-    zero detuning, assessed over the central +-100 MHz (bounded by the comb
+    zero detuning, assessed over the central +-150 MHz (bounded by the comb
     extent).  When a second comb is requested the total power is split
     between the two so the deposited pump energy matches the single-comb
     case.

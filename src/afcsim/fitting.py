@@ -994,12 +994,10 @@ def model_lorentzian_dip(baseline_terms: int = 1) -> ParametricModel:
     log space) on a baseline of ``baseline_terms`` coefficients:
 
     * 1, ``baseline``: the constant-baseline dip that ``afcsim fit dip`` fits;
-    * 2, ``baseline, slope`` (a line about x = 0): ``readout.measure_hole``;
-    * 0, a zero floor: ``readout.analyze_comb``, one fit per comb tooth in
-      the negated spectrum.
+    * 2, ``baseline, slope`` (a line about x = 0): ``readout.measure_hole``.
     """
-    if baseline_terms not in (0, 1, 2):
-        raise NonPositiveInput(f"baseline_terms must be 0, 1 or 2, got {baseline_terms}")
+    if baseline_terms not in (1, 2):
+        raise NonPositiveInput(f"baseline_terms must be 1 or 2, got {baseline_terms}")
     n_base = baseline_terms
     n_par = n_base + 3
 
@@ -1011,8 +1009,6 @@ def model_lorentzian_dip(baseline_terms: int = 1) -> ParametricModel:
         # from an array's square, and a batch row must match a single curve
         h2 = half * half
         dip = -depth * h2 / ((nu - center) ** 2 + h2)
-        if n_base == 0:
-            return dip
         if n_base == 1:
             return terms[0] + dip
         return terms[0] + terms[1] * nu + dip
@@ -1058,7 +1054,7 @@ def model_lorentzian_dip(baseline_terms: int = 1) -> ParametricModel:
         return curv
 
     def guess(nu, od):
-        baseline = float(np.median(od)) if n_base else 0.0
+        baseline = float(np.median(od))
         imin = int(np.argmin(od))
         depth = max(baseline - float(od[imin]), 1e-6)
         center = float(nu[imin])

@@ -1,18 +1,18 @@
 """Frequency-sweep readout emulation and hole/comb metrology.
 
 Readout returns the absorption spectrum over a sweep window with seeded,
-repeat-averaged detection noise.  Both metrologies fit the one Lorentzian of
-:func:`fitting.model_lorentzian_dip`.  Hole metrology fits it on a linear
-local baseline (``baseline_terms=2``); it runs on a stack of spectra on one
-grid, with the set-up taken over the whole stack and the fits of equally long
-windows in one :func:`fitting.fit_curves` batch, and :func:`measure_hole` is
-its one-spectrum case.  Comb metrology locates the periodic
-teeth, refines each tooth top by fitting the bare dip (``baseline_terms=0``)
-to the negated spectrum above the local trough, all teeth in one batch,
-measures the tooth widths and
+repeat-averaged detection noise.  Hole metrology fits the Lorentzian of
+:func:`fitting.model_lorentzian_dip` on a linear local baseline
+(``baseline_terms=2``); it runs on a stack of spectra on one grid, with the
+set-up taken over the whole stack and the fits of equally long windows in one
+:func:`fitting.fit_curves` batch, and :func:`measure_hole` is its
+one-spectrum case.  Comb metrology fits nothing: it locates the periodic
+teeth, takes each tooth's height from its sampled top and its width as the
+interpolated half-contrast width between that top and the local trough, and
 quantifies the residual background absorption ``d0`` in the troughs.  The
-forward-recall echo efficiency follows the standard square-tooth comb formula
-with an effective depth reduced by the finesse and the background.
+forward-recall echo efficiency combines the square-tooth effective depth
+``(d_peak - d0) / F`` with the Gaussian-tooth dephasing factor
+``exp(-7/F^2)`` and the background factor ``exp(-d0)``.
 """
 
 from __future__ import annotations
@@ -235,10 +235,8 @@ def _half_level_width(nu, od, i_min, level) -> float:
     return max(float(x_right - x_left), dnu)
 
 
-# the Lorentzian dips on a line that every hole fit uses and on a zero floor
-# that every comb tooth fit uses; they hold no state
+# the Lorentzian dip on a line that every hole fit uses; it holds no state
 _HOLE_DIP = model_lorentzian_dip(2)
-_TOOTH_DIP = model_lorentzian_dip(0)
 
 
 @dataclass(frozen=True)
@@ -433,11 +431,12 @@ def _folded_profile(nu, od, spacing):
 def analyze_comb(spec: AbsorptionSpectrum, spacing: float) -> CombMetrics:
     """Extract comb metrics at the given tooth spacing.
 
-    Teeth are located by folding the spectrum modulo the spacing; widths
-    come from per-tooth Lorentzian fits (numeric half-maximum width as a
-    fallback), medians are used across teeth for robustness, and trough
-    regions around zero detuning are excluded so the carrier-leak hole does
-    not contaminate the background estimate.
+    Teeth are located by folding the spectrum modulo the spacing.  Each
+    tooth's height is its sampled top, and its width the interpolated
+    half-contrast width between that top and the local trough; no line shape
+    is fitted.  Medians across teeth give ``d_peak`` and ``tooth_fwhm``, and
+    trough regions around zero detuning are excluded so the carrier-leak hole
+    does not contaminate the background estimate.
 
     Raises
     ------
@@ -477,7 +476,7 @@ def analyze_comb(spec: AbsorptionSpectrum, spacing: float) -> CombMetrics:
     if teeth.size < 2:
         raise NoCombDetected(f"only {teeth.size} usable teeth in window")
 
-    tops, teeth_fit, rows = [], [], []
+    tops, widths = [], []
     for tc in teeth:
         sel = np.abs(nu - tc) <= spacing / 2.0
         sub_nu, sub_od = nu[sel], od[sel]
@@ -487,25 +486,10 @@ def analyze_comb(spec: AbsorptionSpectrum, spacing: float) -> CombMetrics:
         tops.append(top)
         if top - trough <= 0:
             continue
-        # a Lorentzian fit above the local trough floor (a dip on a zero
-        # floor in the negated spectrum) refines the tooth top; the reported
-        # width is the interpolated half-contrast width, which coincides with
-        # the fitted fwhm for Lorentzian teeth and with the duty width for
-        # square ones.  The teeth are fitted together
+        # the width at half contrast is the fwhm of a lone Lorentzian tooth
+        # and the duty width of a square one
         i_pk = int(np.argmax(np.where(near, sub_od, -np.inf)))
-        x = (sub_nu - tc) / spacing
-        w_est = _half_level_width(sub_nu, -sub_od, i_pk,
-                                  -(trough + (top - trough) / 2.0))
-        teeth_fit.append((sub_nu, sub_od, i_pk, top, trough))
-        rows.append((x, trough - sub_od, 1.0,
-                     np.array([top - trough, (sub_nu[i_pk] - tc) / spacing, w_est / spacing]),
-                     np.array([0.0, float(x.min()), 1e-3]), np.array([np.inf, float(x.max()), 2.0])))
-    widths = []
-    for (sub_nu, sub_od, i_pk, top, trough), res in zip(teeth_fit, _fit_rows(_TOOTH_DIP, rows)):
-        if not isinstance(res, (MaxIterations, SingularJacobian)) and res.converged:
-            top = max(top, res["depth"] + trough)
-        half_level = trough + (top - trough) / 2.0
-        width = _half_level_width(sub_nu, -sub_od, i_pk, -half_level)
+        width = _half_level_width(sub_nu, -sub_od, i_pk, -(trough + (top - trough) / 2.0))
         widths.append(min(width, spacing))
 
     if not widths:
@@ -550,13 +534,17 @@ def storage_time(spacing: float) -> float:
 
 
 def afc_efficiency(metrics: CombMetrics) -> float:
-    """Forward-recall echo efficiency of a square-tooth comb.
+    """Forward-recall echo efficiency from the comb metrics.
 
-    Uses the effective depth ``d_eff = (d_peak - d0) / F`` with the
-    square-tooth dephasing factor exp(-7/F^2) and background suppression
-    exp(-d0):
+    Combines the square-tooth effective depth ``d_eff = (d_peak - d0) / F``
+    with the Gaussian-tooth dephasing factor exp(-7/F^2) and the background
+    suppression exp(-d0):
 
         eta = d_eff^2 * exp(-d_eff) * exp(-7/F^2) * exp(-d0)
+
+    This matches neither form of Afzelius et al., PRA 79, 052329 (2009): a
+    square-tooth comb dephases by sinc^2(pi/F), and a Gaussian-tooth comb
+    has the effective depth ``(d_peak - d0) * sqrt(pi / (4 ln 2)) / F``.
     """
     d_eff = (metrics.d_peak - metrics.d0) / metrics.finesse
     return float(d_eff ** 2 * np.exp(-d_eff)

@@ -1,9 +1,8 @@
 """Closed-form relaxation and broadening models.
 
 Covers the field/temperature dependence of the spin flip-flop lifetime, the
-instantaneous-spectral-diffusion (ISD) estimate, dipolar concentration
-scaling of flip-flop rates, and the phenomenological two-level-system (TLS)
-hole-filling rate.
+instantaneous-spectral-diffusion (ISD) estimate, and the phenomenological
+two-level-system (TLS) hole-filling rate.
 """
 
 from __future__ import annotations
@@ -20,11 +19,6 @@ from .errors import (
     NonPositiveInput,
     NonPositiveTemperature,
 )
-
-# Reference point for dipolar flip-flop concentration scaling, extrapolated
-# from published erbium flip-flop rates at lower doping.
-FLIPFLOP_REF_DENSITY = 1.5e19  # cm^-3
-FLIPFLOP_REF_RATE = 0.5        # Hz
 
 
 @dataclass(frozen=True)
@@ -98,21 +92,6 @@ def isd_broadening(excited_density: float, c_isd: float) -> float:
     if excited_density < 0 or c_isd < 0:
         raise NonPositiveInput("excited_density and c_isd must be >= 0")
     return c_isd * excited_density
-
-
-def flipflop_rate_concentration(density: float, ref_density: float = FLIPFLOP_REF_DENSITY,
-                                ref_rate: float = FLIPFLOP_REF_RATE,
-                                exponent: float = 2.0) -> float:
-    """Flip-flop rate extrapolated to another dopant concentration.
-
-    Pairwise dipolar flip-flops scale as r^-6 with the ion distance and
-    r is proportional to density^(-1/3), so the pair rate scales with the
-    square of the density.  The exponent is exposed because the underlying
-    scaling law is an extrapolation.
-    """
-    if density <= 0 or ref_density <= 0 or ref_rate <= 0:
-        raise NonPositiveInput("density, ref_density and ref_rate must be > 0")
-    return ref_rate * (density / ref_density) ** exponent
 
 
 def tls_fill_rate(absorbed_power: float, tls: TlsParams) -> float:

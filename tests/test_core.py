@@ -361,14 +361,12 @@ class TestAbsorptionSpectrum:
         # the bin turned dark: only the hole shows, no new absorption anywhere
         assert np.all(spec.od <= ref.od + 1e-12)
 
-    def test_csv_serialization(self, tmp_path):
+    def test_csv_serialization(self):
         p = a.MaterialParams()
         g = a.make_grid(-10e6, 10e6, 1e6)
         st = a.init_equilibrium_state(g, p)
         spec = a.absorption_spectrum(st, p)
-        path = tmp_path / "spec.csv"
-        spec.write_csv(path)
-        text = path.read_text()
+        text = spec.to_csv()
         assert text.startswith("detuning_hz,od\n")
         assert "\r" not in text
         rows = text.strip().split("\n")[1:]

@@ -55,7 +55,6 @@ def dip_points(baseline_terms):
 
 # (model, random parameter point, abscissae), as in tests_jacobian_helper
 CASES = {
-    "dip0": (lambda: a.model_lorentzian_dip(0), dip_points(0), np.linspace(-30, 30, 41)),
     "dip1": (lambda: a.model_lorentzian_dip(1), dip_points(1), np.linspace(-30, 30, 41)),
     "dip2": (lambda: a.model_lorentzian_dip(2), dip_points(2), np.linspace(-30, 30, 41)),
     "double_exponential": (

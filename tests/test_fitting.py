@@ -188,6 +188,11 @@ class TestModels:
         with pytest.raises(NonPositiveTemperature):
             a.model_flipflop_field(temperature=-1.0)
 
+    @pytest.mark.parametrize("terms", [0, 3])
+    def test_dip_baseline_terms_outside_one_or_two_rejected(self, terms):
+        with pytest.raises(NonPositiveInput):
+            a.model_lorentzian_dip(terms)
+
     def test_jacobians_match_finite_differences(self):
         rng = np.random.default_rng(11)
         cases = []
@@ -206,10 +211,9 @@ class TestModels:
             params = np.array([rng.uniform(0.5, 3), rng.uniform(0.1, 2),
                                rng.uniform(-10, 10), rng.uniform(1, 8)])
             x = np.linspace(-30, 30, 41)
-            # every baseline form; the slope comes from the drawn center
+            # both baseline forms; the slope comes from the drawn center
             # (within +-0.1 per unit x), so the draws below stay as they were
             for model, p in ((a.model_lorentzian_dip(), params),
-                             (a.model_lorentzian_dip(0), params[1:]),
                              (a.model_lorentzian_dip(2), np.insert(params, 1, params[2] / 100.0))):
                 jac = model.jacobian(p, x)
                 ref = central_fd_jacobian(model, p, x)

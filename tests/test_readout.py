@@ -37,6 +37,27 @@ def square_comb(d_peak=2.0, d0=0.0, spacing=50e6, duty=0.5, span=1e9,
     return AbsorptionSpectrum(grid=g, od=od)
 
 
+def lorentzian_comb(fwhm, spacing=50e6, floor=0.2, peak=0.7, span=300e6,
+                    bin_width=0.5e6):
+    """Noiseless comb of Lorentzian teeth on every multiple of ``spacing``,
+    scaled to run from ``floor`` in the troughs to ``peak`` on the teeth, and
+    the closed-form width of its teeth at half contrast."""
+    g = a.make_grid(-span / 2, span / 2, bin_width)
+    half = fwhm / 2.0
+    u = 2.0 * np.pi * half / spacing
+    amp = np.pi * half / spacing * np.sinh(u)
+
+    def periodic(nu):
+        # sum over k of half^2 / ((nu - k spacing)^2 + half^2)
+        return amp / (np.cosh(u) - np.cos(2.0 * np.pi * nu / spacing))
+
+    top, bottom = periodic(0.0), periodic(spacing / 2.0)
+    od = floor + (peak - floor) * (periodic(g.centers) - bottom) / (top - bottom)
+    level = (top + bottom) / 2.0
+    width = 2.0 * np.arccos(np.cosh(u) - amp / level) * spacing / (2.0 * np.pi)
+    return AbsorptionSpectrum(grid=g, od=od), width
+
+
 class TestSimulateReadout:
     def setup_method(self):
         self.p = a.MaterialParams()
@@ -182,6 +203,14 @@ class TestAnalyzeComb:
         assert m3.d_peak == pytest.approx(m0.d_peak, rel=1e-6)
         assert m3.d0 == pytest.approx(m0.d0, abs=1e-9)
         assert m3.tooth_fwhm == pytest.approx(m0.tooth_fwhm, rel=1e-3)
+
+    @pytest.mark.parametrize("fwhm", [10e6, 12e6, 14e6, 16e6])
+    def test_lorentzian_teeth_width_at_half_contrast(self, fwhm):
+        # the width at half contrast between the sampled tooth top and the
+        # trough, interpolated between samples to within a tenth of a bin
+        spec, width = lorentzian_comb(fwhm)
+        m = a.analyze_comb(spec, 50e6)
+        assert abs(m.tooth_fwhm - width) < 0.1 * spec.grid.bin_width
 
     def test_nonpositive_spacing(self):
         spec = square_comb()

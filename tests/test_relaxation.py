@@ -74,26 +74,6 @@ class TestIsdBroadening:
             a.isd_broadening(-1.0, 2e-13)
 
 
-class TestConcentrationScaling:
-    def test_identity(self):
-        assert a.flipflop_rate_concentration(1.5e19, 1.5e19, 2.0) == pytest.approx(2.0)
-
-    def test_quadratic(self):
-        assert a.flipflop_rate_concentration(3e19, 1.5e19, 2.0) == pytest.approx(8.0)
-
-    def test_default_reference_gives_few_hz(self):
-        rate = a.flipflop_rate_concentration(3.6e19)
-        assert 1.0 < rate < 10.0
-
-    def test_custom_exponent(self):
-        assert a.flipflop_rate_concentration(2.0, 1.0, 1.0, exponent=3.0) == \
-            pytest.approx(8.0)
-
-    def test_nonpositive_rejected(self):
-        with pytest.raises(NonPositiveInput):
-            a.flipflop_rate_concentration(0.0, 1.5e19, 2.0)
-
-
 class TestTlsFillRate:
     def test_dark(self):
         assert a.tls_fill_rate(0.0, TlsParams()) == 0.0

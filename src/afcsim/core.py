@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
-from typing import Callable, Union
 
 import numpy as np
 from scipy.constants import physical_constants
@@ -84,11 +83,6 @@ class FrequencyGrid:
         eps = 1e-6 * self.bin_width
         return (lo >= self.nu_min - eps) and (hi <= self.nu_min + self.span + eps)
 
-    def index_of(self, nu: float) -> int:
-        """Index of the bin containing detuning ``nu``."""
-        i = int(np.floor((nu - self.nu_min) / self.bin_width))
-        return min(max(i, 0), self.n_bins - 1)
-
     def subgrid(self, lo: float, hi: float) -> tuple["FrequencyGrid", slice]:
         """Aligned sub-grid covering ``[lo, hi]`` and the index slice into self."""
         i0 = int(np.floor((lo - self.nu_min) / self.bin_width + 1e-9))
@@ -117,10 +111,13 @@ def make_grid(nu_min: float, nu_max: float, bin_width: float) -> FrequencyGrid:
     Raises
     ------
     InvalidRange
-        If the window is empty or the bin width not positive.
+        If an edge or the bin width is not finite, the window is empty or
+        the bin width not positive.
     TooManyBins
         If more than ``MAX_BINS`` bins would be needed.
     """
+    if not all(map(math.isfinite, (nu_min, nu_max, bin_width))):
+        raise InvalidRange(f"grid values must be finite, got {nu_min}, {nu_max}, {bin_width}")
     if not (nu_min < nu_max):
         raise InvalidRange(f"nu_min={nu_min} must be below nu_max={nu_max}")
     if bin_width <= 0:
@@ -255,25 +252,23 @@ def boltzmann_polarization(b_field: float, temperature: float, g_factor: float) 
 # Ensemble state
 # ---------------------------------------------------------------------------
 
-ProfileLike = Union[str, np.ndarray, Callable[[np.ndarray], np.ndarray]]
-
-
-def check_populations(weight: np.ndarray, levels, atol: float = CONSERVATION_ATOL) -> None:
+def check_populations(weight: np.ndarray, levels) -> None:
     """Raise :class:`NonPositiveInput` unless ``weight >= 0`` and the four
     level arrays ``levels = (n_g, n_z, n_h, n_e)`` are finite, lie in [0, 1]
-    and sum to 1 per bin, each within ``atol``.  The level arrays may hold a
-    stack of states along leading axes; ``weight`` broadcasts against them.
+    and sum to 1 per bin, each within ``CONSERVATION_ATOL``.  The level
+    arrays may hold a stack of states along leading axes; ``weight``
+    broadcasts against them.
     """
     if np.any(weight < 0):
         raise NonPositiveInput("weight must be >= 0 everywhere")
     for arr in levels:
         if not np.all(np.isfinite(arr)):
             raise NonPositiveInput("populations must be finite")
-        if np.any(arr < -atol) or np.any(arr > 1 + atol):
+        if np.any(arr < -CONSERVATION_ATOL) or np.any(arr > 1 + CONSERVATION_ATOL):
             raise NonPositiveInput("populations must lie in [0, 1]")
     n_g, n_z, n_h, n_e = levels
     drift = np.max(np.abs(n_g + n_z + n_h + n_e - 1.0))
-    if drift > atol:
+    if drift > CONSERVATION_ATOL:
         raise NonPositiveInput(f"class conservation violated by {drift:.3e}")
 
 
@@ -302,47 +297,19 @@ class EnsembleState:
             object.__setattr__(self, name, arr)
         self.validate()
 
-    def validate(self, atol: float = CONSERVATION_ATOL) -> None:
+    def validate(self) -> None:
         """Check class conservation, population ranges and weight positivity."""
-        check_populations(self.weight, (self.n_g, self.n_z, self.n_h, self.n_e), atol)
-
-    def copy(self) -> "EnsembleState":
-        return EnsembleState(
-            grid=self.grid,
-            weight=self.weight.copy(),
-            n_g=self.n_g.copy(),
-            n_z=self.n_z.copy(),
-            n_h=self.n_h.copy(),
-            n_e=self.n_e.copy(),
-        )
+        check_populations(self.weight, (self.n_g, self.n_z, self.n_h, self.n_e))
 
 
-def init_equilibrium_state(grid: FrequencyGrid, params: MaterialParams,
-                           profile: ProfileLike = "flat") -> EnsembleState:
+def init_equilibrium_state(grid: FrequencyGrid, params: MaterialParams) -> EnsembleState:
     """Thermal-equilibrium state before any burning.
 
-    The inhomogeneous profile is flat by default (the simulated window is
-    small compared with the full line).  A per-bin array or a callable of the
-    bin centres can be supplied instead; it is rescaled so that its peak
-    optical depth equals ``params.peak_od``.
+    The inhomogeneous profile is flat at ``params.peak_od`` (the simulated
+    window is small compared with the full line).
     """
     n = grid.n_bins
-    if isinstance(profile, str):
-        if profile != "flat":
-            raise NonPositiveInput(f"unknown profile {profile!r}")
-        weight = np.full(n, params.peak_od, dtype=float)
-    elif callable(profile):
-        weight = np.asarray(profile(grid.centers), dtype=float)
-    else:
-        weight = np.asarray(profile, dtype=float).copy()
-    if weight.shape != (n,):
-        raise InvalidRange(f"profile must produce {n} values")
-    if np.any(weight < 0) or not np.all(np.isfinite(weight)):
-        raise NonPositiveInput("profile weights must be finite and >= 0")
-    peak = weight.max()
-    if peak > 0 and not isinstance(profile, str):
-        weight *= params.peak_od / peak
-
+    weight = np.full(n, params.peak_od, dtype=float)
     p = boltzmann_polarization(params.b_field, params.temperature, params.g_factor)
     n_g = np.full(n, (1.0 + p) / 2.0)
     n_z = np.full(n, (1.0 - p) / 2.0)

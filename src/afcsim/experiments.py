@@ -265,8 +265,9 @@ def _is_finite_number(value) -> bool:
 
 def _typed(key: str, value, default):
     """``value`` if it has the type of the field's ``default`` (an int passes
-    for a float, and a list of numbers for a tuple, as a tuple).  Floats
-    must be finite: ``dump_config`` could not write ``inf`` or ``nan`` back."""
+    for a float, and a non-empty list of numbers for a tuple, as a tuple).
+    Floats must be finite: ``dump_config`` could not write ``inf`` or ``nan``
+    back.  Every tuple field is a scan, which needs a point."""
     expected = type(default).__name__
     if isinstance(default, bool):
         ok = isinstance(value, bool)
@@ -276,9 +277,10 @@ def _typed(key: str, value, default):
         ok = _is_finite_number(value)
         expected = "a finite float"
     elif isinstance(default, tuple):
-        ok = isinstance(value, (list, tuple)) and all(_is_finite_number(v) for v in value)
+        ok = (isinstance(value, (list, tuple)) and len(value) > 0
+              and all(_is_finite_number(v) for v in value))
         value = tuple(value) if ok else value
-        expected = "a list of finite numbers"
+        expected = "a non-empty list of finite numbers"
     else:
         ok = isinstance(value, type(default))
     if not ok:
@@ -751,18 +753,15 @@ def run_all(config: ExperimentConfig, write: bool = True) -> dict:
 # TLS calibration
 # ---------------------------------------------------------------------------
 
-def calibrate_tls(config: Optional[ExperimentConfig] = None,
-                  depth_ratio_target: float = 3.0,
-                  width_growth_target: float = 5e6,
-                  rounds: int = 5,
-                  verbose: bool = False) -> TlsParams:
+def calibrate_tls(config: Optional[ExperimentConfig] = None) -> TlsParams:
     """Fix the TLS coefficients from the two pump-probe observables.
 
     Alternates two one-dimensional solves with damping: ``kappa_fill`` on
-    the probe-depth ratio between minimum and maximum pump power, then
-    ``kappa_diff`` on the probe-width growth.  The two couple (spectral
-    diffusion also shallows the hole), so the alternation is damped in log
-    space until both targets hold.
+    the probe-depth ratio between minimum and maximum pump power (target 3),
+    then ``kappa_diff`` on the probe-width growth (target 5 MHz).  The two
+    couple (spectral diffusion also shallows the hole), so the alternation
+    is damped in log space, for at most five rounds, until both targets hold
+    to 5%.
     """
     from scipy.optimize import brentq
 
@@ -796,6 +795,7 @@ def calibrate_tls(config: Optional[ExperimentConfig] = None,
                 f_hi = fun(np.log10(x_hi))
         return 10 ** brentq(fun, np.log10(x_lo), np.log10(x_hi), xtol=1e-3)
 
+    depth_ratio_target, width_growth_target, rounds = 3.0, 5e6, 5
     kf, kd = config.tls.kappa_fill or 1.5e4, config.tls.kappa_diff or 4e18
     for rnd in range(rounds):
         kf_solved = bracket_solve(
@@ -805,10 +805,6 @@ def calibrate_tls(config: Optional[ExperimentConfig] = None,
             lambda lk: targets(kf, 10 ** lk)[1] - width_growth_target, kd)
         kd = float(np.sqrt(kd * kd_solved)) if rnd < rounds - 1 else float(kd_solved)
         ratio, growth = targets(kf, kd)
-        if verbose:
-            print(f"calibration round {rnd}: kappa_fill={kf:.5g} "
-                  f"kappa_diff={kd:.5g} ratio={ratio:.3f} "
-                  f"width growth={growth/1e6:+.3f} MHz")
         if (abs(ratio - depth_ratio_target) < 0.05 * depth_ratio_target
                 and abs(growth - width_growth_target) < 0.05 * width_growth_target):
             break

@@ -218,9 +218,7 @@ class ParametricModel:
     constraints.
     """
 
-    name: str
     param_names: tuple
-    units: tuple
     evaluate: Callable[[np.ndarray, np.ndarray], np.ndarray]
     jacobian: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     guess: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
@@ -417,6 +415,12 @@ _SINGLE_OPS = (bool, bool, math.sqrt, math.isfinite, max, min, float)
 # cannot pin it.
 _LOST_INFLUENCE = 1e-6
 
+# the limits of the stop rules that fit_curve documents
+_MAX_ITER = 200
+_GTOL = 1e-10
+_GTOL_LOOSE = 3e-3
+_XTOL = 1e-12
+
 
 class _Rows:
     """The state of the fits still running.  Every attribute holds one entry
@@ -533,7 +537,7 @@ def _try_steps(model, s, h_mat, ops):
 
 
 def _fit_result(model, theta, ext, jac, cost, grad, col_norms, lost, stop_reason,
-                iterations, trace, gtol_loose):
+                iterations, trace):
     """One fit's :class:`FitResult` from the point where it stopped."""
     n_par = model.n_params
     if stop_reason in ("exact", "gtol"):
@@ -541,7 +545,7 @@ def _fit_result(model, theta, ext, jac, cost, grad, col_norms, lost, stop_reason
     elif lost.any():
         converged = False
     else:
-        converged = _grad_cosine(grad, col_norms, cost) <= gtol_loose
+        converged = _grad_cosine(grad, col_norms, cost) <= _GTOL_LOOSE
 
     # local quadratic uncertainties in external coordinates (no chi^2 rescale:
     # estimates are invariant under uniform sigma rescaling, errors scale with
@@ -581,7 +585,7 @@ def _fit_result(model, theta, ext, jac, cost, grad, col_norms, lost, stop_reason
     )
 
 
-def _levenberg_marquardt(model, x, y, sigma, p_ext, lo, hi, max_iter, gtol, xtol):
+def _levenberg_marquardt(model, x, y, sigma, p_ext, lo, hi):
     """The damped iteration of :func:`fit_curve` on every row of a batch.
 
     ``y`` and everything else per fit carry the batch's leading axis, or none
@@ -598,7 +602,6 @@ def _levenberg_marquardt(model, x, y, sigma, p_ext, lo, hi, max_iter, gtol, xtol
     out = [None] * n_rows
     traces = [[] for _ in range(n_rows)]
     no_loss = np.zeros(n_par, dtype=bool)
-    gtol_loose = max(math.sqrt(gtol), 3e-3)
     ops = _BATCH_OPS if batched else _SINGLE_OPS
     any_, all_, sqrt, _, maximum, _, scalar = ops
 
@@ -635,7 +638,7 @@ def _levenberg_marquardt(model, x, y, sigma, p_ext, lo, hi, max_iter, gtol, xtol
     def result(reason, iterations, lost=None):
         return lambda j, k: _fit_result(
             model, *(row(v, j) for v in (s.theta, s.ext, s.jac, s.cost, s.grad, s.col_norms)),
-            no_loss if lost is None else row(lost, j), reason, iterations, traces[k], gtol_loose)
+            no_loss if lost is None else row(lost, j), reason, iterations, traces[k])
 
     def record():
         """Note each row's residual norm ``s.root`` in its trace."""
@@ -675,7 +678,7 @@ def _levenberg_marquardt(model, x, y, sigma, p_ext, lo, hi, max_iter, gtol, xtol
     s.curved = per_row(False)
     s.stall = per_row(0)
     s.window = s.cost
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         if it % 12 == 0:
             # no meaningful progress over a whole window of iterations
             stop = s.cost > (1.0 - 1e-6) * s.window
@@ -685,7 +688,7 @@ def _levenberg_marquardt(model, x, y, sigma, p_ext, lo, hi, max_iter, gtol, xtol
         stop = s.cost <= s.floor
         if any_(stop) and settle(stop, result("exact", it - 1)):
             break
-        stop = _cosines(s.grad, s.col_norms, s.root[:, None] if batched else s.root) <= gtol
+        stop = _cosines(s.grad, s.col_norms, s.root[:, None] if batched else s.root) <= _GTOL
         if any_(stop) and settle(stop, result("gtol", it - 1)):
             break
 
@@ -730,7 +733,7 @@ def _levenberg_marquardt(model, x, y, sigma, p_ext, lo, hi, max_iter, gtol, xtol
                                              for i in np.flatnonzero(row(lost, j))),
                 it, lost)(j, k)):
             break
-        stop = s.step <= xtol * (sqrt(np.vecdot(s.theta, s.theta)) + xtol)
+        stop = s.step <= _XTOL * (sqrt(np.vecdot(s.theta, s.theta)) + _XTOL)
         if any_(stop) and settle(stop, result("xtol", it)):
             break
         # successive negligible improvements: accept the point as the optimum
@@ -740,7 +743,7 @@ def _levenberg_marquardt(model, x, y, sigma, p_ext, lo, hi, max_iter, gtol, xtol
             break
     else:
         settle(np.ones(np.shape(s.cost), dtype=bool), lambda j, k: MaxIterations(
-            f"no convergence after {max_iter} iterations "
+            f"no convergence after {_MAX_ITER} iterations "
             f"(residual norm {np.sqrt(row(s.cost, j)):.3e})"))
     return out
 
@@ -749,6 +752,9 @@ def _checked(model, x, y, sigma, init, bounds):
     """The sigmas, starting points and bounds of the fits of ``y``'s rows
     (of ``y`` for a single curve), filled to their full shapes and checked."""
     sigma = np.ones_like(y) if sigma is None else _filled(sigma, y.shape)
+    for name, arr in (("x", x), ("y", y), ("sigma", sigma)):
+        if not np.isfinite(arr).all():
+            raise NonPositiveInput(f"{name} must be finite")
     if (sigma <= 0).any():
         raise NonPositiveInput("sigmas must be > 0")
 
@@ -781,8 +787,7 @@ def _checked(model, x, y, sigma, init, bounds):
     return sigma, p_ext, lo, hi
 
 
-def fit_curve(model: ParametricModel, x, y, sigma=None, init=None, bounds=None,
-              max_iter: int = 200, gtol: float = 1e-10, xtol: float = 1e-12) -> FitResult:
+def fit_curve(model: ParametricModel, x, y, sigma=None, init=None, bounds=None) -> FitResult:
     """Weighted nonlinear least squares: minimise sum(((y_model - y)/sigma)^2).
 
     The Levenberg-Marquardt loop of :func:`fit_curves`, on one curve with no
@@ -809,15 +814,15 @@ def fit_curve(model: ParametricModel, x, y, sigma=None, init=None, bounds=None,
 
     ``"exact"``, ``"gtol"``
         the residual reached the floating-point floor, or the largest cosine
-        between a Jacobian column and the residual fell below ``gtol``;
+        between a Jacobian column and the residual fell below 1e-10;
         always converged.
     ``"xtol"``, ``"stall"``, ``"no_progress"``, ``"max_damping"``
-        the step fell below ``xtol``, three successive improvements were
-        negligible, a 12-iteration window gained nothing, or no downhill
-        step exists at maximum damping; converged if the gradient cosine is
-        below ``max(sqrt(gtol), 3e-3)``.  A Jacobian that turns non-finite
-        at an accepted point also ends the fit there as ``"max_damping"``,
-        not converged, with every error infinite.
+        the step fell below 1e-12 of the internal parameters' norm, three
+        successive improvements were negligible, a 12-iteration window
+        gained nothing, or no downhill step exists at maximum damping;
+        converged if the gradient cosine is below 3e-3.  A Jacobian that
+        turns non-finite at an accepted point also ends the fit there as
+        ``"max_damping"``, not converged, with every error infinite.
     ``"lost_influence:<names>"``
         the Jacobian column of the named parameters shrank below 1e-6 of its
         largest norm along the path: the optimum lies at the edge of their
@@ -830,24 +835,26 @@ def fit_curve(model: ParametricModel, x, y, sigma=None, init=None, bounds=None,
     SingularJacobian
         If a parameter has no influence on the model at the starting point.
     MaxIterations
-        If ``max_iter`` steps are accepted without any stop rule firing; a
-        rule that fires on the last step still returns a result.
+        If 200 steps are accepted without any stop rule firing; a rule that
+        fires on the last step still returns a result.
     InvalidBounds
         If bounds are inconsistent or exclude the initial guess.
+    NonPositiveInput
+        If ``x``, ``y`` or ``sigma`` holds a non-finite value, or a sigma is
+        not positive.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
         raise NonPositiveInput("x and y must be 1-D arrays of equal length")
     sigma, p_ext, lo, hi = _checked(model, x, y, sigma, init, bounds)
-    res, = _levenberg_marquardt(model, x, y, sigma, p_ext, lo, hi, max_iter, gtol, xtol)
+    res, = _levenberg_marquardt(model, x, y, sigma, p_ext, lo, hi)
     if isinstance(res, AfcSimError):
         raise res
     return res
 
 
-def fit_curves(model: ParametricModel, x, y, sigma=None, init=None, bounds=None,
-               max_iter: int = 200, gtol: float = 1e-10, xtol: float = 1e-12) -> list:
+def fit_curves(model: ParametricModel, x, y, sigma=None, init=None, bounds=None) -> list:
     """:func:`fit_curve` on every row of a batch of curves, in one iteration.
 
     ``y`` holds one curve per row, shape ``(n_curves, n_points)``.  ``x`` and
@@ -871,7 +878,7 @@ def fit_curves(model: ParametricModel, x, y, sigma=None, init=None, bounds=None,
     except ValueError:
         raise NonPositiveInput("x must broadcast to the shape of y") from None
     sigma, p_ext, lo, hi = _checked(model, x, y, sigma, init, bounds)
-    return _levenberg_marquardt(model, x, y, sigma, p_ext, lo, hi, max_iter, gtol, xtol)
+    return _levenberg_marquardt(model, x, y, sigma, p_ext, lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -929,9 +936,7 @@ def model_double_exponential() -> ParametricModel:
     reparameterisation, so the labels cannot switch during a fit.
     """
     return ParametricModel(
-        name="double_exponential",
         param_names=("a_short", "t_short", "a_long", "t_long"),
-        units=("", "s", "", "s"),
         evaluate=_double_exp_eval,
         jacobian=_double_exp_jac,
         curvature=_double_exp_curvature,
@@ -977,9 +982,7 @@ def model_flipflop_field(alpha: float = 1e9, g_factor: float = 15.13,
         return np.array([[float(q.sum()), s_b], [s_b, float(q @ (b * b))]])
 
     return ParametricModel(
-        name="flipflop_field",
         param_names=("gamma_spin_static", "gamma_spin_slope"),
-        units=("Hz", "Hz/T"),
         evaluate=evaluate,
         jacobian=jacobian,
         curvature=curvature,
@@ -1067,9 +1070,7 @@ def model_lorentzian_dip(baseline_terms: int = 1) -> ParametricModel:
         return np.array([baseline, 0.0][:n_base] + [depth, center, fwhm])
 
     return ParametricModel(
-        name="lorentzian_dip",
         param_names=("baseline", "slope")[:n_base] + ("depth", "center", "fwhm"),
-        units=("od", "od/Hz")[:n_base] + ("od", "Hz", "Hz"),
         evaluate=evaluate,
         jacobian=jacobian,
         curvature=curvature,

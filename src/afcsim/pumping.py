@@ -23,19 +23,20 @@ proportional to the deposited pump energy: every level diffuses over the
 grid with the reflective-boundary Laplacian.
 
 While the pump is constant all of this is one linear system with a fixed
-generator, and :func:`evolve` applies its exponential directly on each
-record interval.  Without diffusion the generator is a 4x4 block per bin,
-exponentiated exactly in one batched ``expm``.  With diffusion it is banded,
-and ``exp(tau A) x`` comes from the type-(14, 14) Caratheodory-Fejer rational
-approximation of exp on (-inf, 0] (Trefethen, Weideman & Schmelzer, BIT 46,
-2006), the approximation CRAM uses: seven complex banded LAPACK solves, four
-of them with one step of iterative refinement, off from ``expm_multiply`` by
-about 1e-13 in population.  The rule is held accurate where the spectrum of
-``tau A`` lies within 22.8 degrees of the negative real axis or within 0.5 of
-0.  A guard checks the spectra of the 4x4 blocks, one per distinct pump
-rate, before the solves.  It needs no LAPACK: each block's eigenvalues other
-than 0 are the roots of a cubic whose coefficients are affine in the pump
-rate, found in closed form for all rates at once.
+generator, and :func:`evolve` applies its exponential directly on each record
+interval.  Without diffusion the generator is a 4x4 block per bin,
+exponentiated exactly by ``scipy.linalg.expm`` on the stack of distinct-rate
+blocks (in SciPy 1.17 a Python loop over the blocks).  With diffusion it is
+banded, and ``exp(tau A) x`` comes from the type-(14, 14) Caratheodory-Fejer
+rational approximation of exp on (-inf, 0] (Trefethen, Weideman & Schmelzer,
+BIT 46, 2006), the approximation CRAM uses: seven complex banded LAPACK
+solves, four of them with one step of iterative refinement, off from
+``expm_multiply`` by about 1e-13 in population.  The rule is held accurate
+where the spectrum of ``tau A`` lies within 22.8 degrees of the negative real
+axis or within 0.5 of 0.  A guard checks the spectra of the 4x4 blocks, one
+per distinct pump rate, before the solves.  It needs no LAPACK: each block's
+eigenvalues other than 0 are the roots of a cubic whose coefficients are
+affine in the pump rate, found in closed form for all rates at once.
 """
 
 from __future__ import annotations
@@ -146,10 +147,6 @@ class PumpSequence:
     def total_duration(self) -> float:
         return sum(s.duration for s in self.segments) + self.dark_after
 
-    @property
-    def burn_duration(self) -> float:
-        return sum(s.duration for s in self.segments)
-
     def to_json(self) -> str:
         """Serialise to the documented JSON schema."""
         doc = {
@@ -211,26 +208,25 @@ def _json_get(obj, key, default=None, kind=(int, float)):
 # Builders
 # ---------------------------------------------------------------------------
 
-def serrodyne_efficiency(detuning: float, eff_at_1ghz: float = 0.5) -> float:
+def serrodyne_efficiency(detuning: float) -> float:
     """Serrodyne frequency-shift efficiency at a given detuning.
 
-    Linear fall-off anchored at 100% for an unshifted carrier and
-    ``eff_at_1ghz`` at 1 GHz, clamped at zero.  The complementary power stays
-    at zero detuning (carrier leak).
+    Linear fall-off anchored at 100% for an unshifted carrier and 50% at
+    1 GHz, clamped at zero.  The complementary power stays at zero detuning
+    (carrier leak).
     """
     if detuning < 0:
         raise InvalidGeometry(f"detuning must be >= 0, got {detuning}")
-    return max(0.0, 1.0 - (1.0 - eff_at_1ghz) * detuning / 1e9)
+    return max(0.0, 1.0 - 0.5 * detuning / 1e9)
 
 
 def build_hole_sequence(detuning: float = 250e6, burn_duration: float = 0.3,
                         power: float = 1e-4, width: float = 25e6,
-                        dark_after: float = 0.0,
-                        eff_at_1ghz: float = 0.5) -> PumpSequence:
+                        dark_after: float = 0.0) -> PumpSequence:
     """Single-hole burning protocol: one narrow feature at ``detuning``."""
     if power <= 0:
         raise NonPositivePower(f"power must be > 0, got {power}")
-    eff = serrodyne_efficiency(abs(detuning), eff_at_1ghz)
+    eff = serrodyne_efficiency(abs(detuning))
     seg = PumpSegment(
         duration=burn_duration,
         features=(PumpFeature(detuning, width, power * eff),),
@@ -244,7 +240,6 @@ def build_afc_sequence(bandwidth: float, spacing: float = 50e6,
                        pit_width: float = 25e6, total_duration: float = 0.3,
                        total_power: float = 5e-4, dark_after: float = 0.0,
                        shape: str = "tophat",
-                       eff_at_1ghz: float = 0.5,
                        center: float = 0.0) -> PumpSequence:
     """Comb-burning protocol: equally spaced pits sharing the total power.
 
@@ -267,7 +262,7 @@ def build_afc_sequence(bandwidth: float, spacing: float = 50e6,
     features = []
     leak = 0.0
     for off in offsets:
-        eff = serrodyne_efficiency(abs(center + off), eff_at_1ghz)
+        eff = serrodyne_efficiency(abs(center + off))
         features.append(PumpFeature(center + off, pit_width, per_pit * eff))
         leak += per_pit * (1.0 - eff)
     seg = PumpSegment(
@@ -283,8 +278,7 @@ def build_afc_sequence(bandwidth: float, spacing: float = 50e6,
 def build_two_hole_sequence(separation: float = 200e6, hole_width: float = 25e6,
                             pump_power: float = 1e-4, probe_power: float = 2e-5,
                             center: float = 250e6, burn_duration: float = 0.3,
-                            dark_after: float = 0.0,
-                            eff_at_1ghz: float = 0.5) -> PumpSequence:
+                            dark_after: float = 0.0) -> PumpSequence:
     """Pump-probe hole pair: two features ``separation`` apart.
 
     The first feature (below ``center``) is the pump hole whose power is
@@ -301,7 +295,7 @@ def build_two_hole_sequence(separation: float = 200e6, hole_width: float = 25e6,
     features = []
     leak = 0.0
     for c, p in zip(centers, powers):
-        eff = serrodyne_efficiency(abs(c), eff_at_1ghz)
+        eff = serrodyne_efficiency(abs(c))
         features.append(PumpFeature(c, hole_width, p * eff))
         leak += p * (1.0 - eff)
     total = pump_power + probe_power
@@ -571,8 +565,9 @@ def evolve(state: EnsembleState, seq: PumpSequence, params: MaterialParams,
     :func:`readout.hole_decay_experiment` takes that array directly.
 
     Without spectral diffusion (the dark, or TLS off) ``A`` is block
-    diagonal, and each bin's exact 4x4 propagator comes from one batched
-    ``expm`` over the distinct pump rates.  With diffusion ``A`` is banded
+    diagonal, and each bin's exact 4x4 propagator comes from one ``expm``
+    call on the stack of the distinct pump rates' blocks, which SciPy (1.17)
+    runs as a Python loop over the blocks.  With diffusion ``A`` is banded
     (4 sub- and 4 super-diagonals in bin-major order), and ``exp(tau A) x``
     is the type-(14, 14) Caratheodory-Fejer rational approximation of exp:
     7 complex banded solves, one per pole in the upper half-plane, using

@@ -332,8 +332,8 @@ def _hole_metrics(fit: _HoleFit, res):
     )
 
 
-def _fit_rows(model, rows) -> list:
-    """Fit every ``(x, y, sigma, init, lo, hi)`` row with ``model``.  Rows
+def _fit_rows(rows) -> list:
+    """Fit every ``(x, y, sigma, init, lo, hi)`` row with ``_HOLE_DIP``.  Rows
     with windows of the same length run as one :func:`fitting.fit_curves`
     batch, a lone row through :func:`fitting.fit_curve`; each row gets what it
     gets alone.  Returns each row's :class:`FitResult`, or the
@@ -346,12 +346,13 @@ def _fit_rows(model, rows) -> list:
         if len(ks) == 1:
             x, y, sigma, init, lo, hi = rows[ks[0]]
             try:
-                results[ks[0]] = fit_curve(model, x, y, sigma=sigma, init=init, bounds=(lo, hi))
+                results[ks[0]] = fit_curve(_HOLE_DIP, x, y, sigma=sigma, init=init,
+                                           bounds=(lo, hi))
             except (MaxIterations, SingularJacobian) as exc:
                 results[ks[0]] = exc
             continue
         x, y, sigma, init, lo, hi = (np.stack(col) for col in zip(*(rows[k] for k in ks)))
-        for k, res in zip(ks, fit_curves(model, x, y, sigma=sigma[:, None], init=init,
+        for k, res in zip(ks, fit_curves(_HOLE_DIP, x, y, sigma=sigma[:, None], init=init,
                                           bounds=(lo, hi))):
             results[k] = res
     return results
@@ -366,7 +367,7 @@ def _measure_holes(nu: np.ndarray, od: np.ndarray, center_guess: float,
     would raise."""
     out = _hole_fits(nu, od, center_guess, search_radius, min_depth)
     ks = [k for k, fit in enumerate(out) if isinstance(fit, _HoleFit)]
-    for k, res in zip(ks, _fit_rows(_HOLE_DIP, [out[k].row for k in ks])):
+    for k, res in zip(ks, _fit_rows([out[k].row for k in ks])):
         out[k] = _hole_metrics(out[k], res)
     return out
 

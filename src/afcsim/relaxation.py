@@ -8,7 +8,7 @@ two-level-system (TLS) hole-filling rate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,9 +55,6 @@ class TlsParams:
     def disabled(cls) -> "TlsParams":
         """TLS mechanism switched off."""
         return cls(kappa_fill=0.0, kappa_diff=0.0)
-
-    def with_(self, **kwargs) -> "TlsParams":
-        return replace(self, **kwargs)
 
 
 def flipflop_lifetime(b_field: float, temperature: float, params: MaterialParams) -> float:

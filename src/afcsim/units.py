@@ -7,6 +7,7 @@ Accepts forms like ``350G``, ``6.4GHz``, ``50MHz``, ``0.3s``, ``30ms``,
 
 from __future__ import annotations
 
+import math
 import re
 
 from .errors import NonPositiveInput
@@ -41,19 +42,21 @@ def parse_quantity(text: str, kind: str | None = None) -> float:
 
     A bare number is accepted as already being in SI units.  When ``kind``
     is given (``field``, ``frequency``, ``time``, ``power`` or
-    ``temperature``), a mismatched suffix raises.
+    ``temperature``), a mismatched suffix raises, and so does a value that
+    overflows to infinity.
     """
     m = _PATTERN.match(text)
     if not m:
         raise NonPositiveInput(f"cannot parse quantity {text!r}")
-    value = float(m.group(1))
     suffix = m.group(2)
-    if not suffix:
-        return value
-    if suffix not in _SUFFIXES:
+    if suffix and suffix not in _SUFFIXES:
         raise NonPositiveInput(f"unknown unit suffix {suffix!r} in {text!r}")
-    suffix_kind, scale = _SUFFIXES[suffix]
+    # a bare number is in SI units of whatever kind is asked for
+    suffix_kind, scale = _SUFFIXES.get(suffix, (kind, 1.0))
     if kind is not None and suffix_kind != kind:
         raise NonPositiveInput(
             f"expected a {kind} but {text!r} carries a {suffix_kind} unit")
-    return value * scale
+    value = float(m.group(1)) * scale
+    if not math.isfinite(value):
+        raise NonPositiveInput(f"quantity {text!r} is not a finite number")
+    return value

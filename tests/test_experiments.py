@@ -70,6 +70,14 @@ class TestConfig:
         with pytest.raises(NonPositiveInput, match=key):
             ex.load_config(line)
 
+    @pytest.mark.parametrize("section,key", [
+        ("fig2", "fields_gauss"), ("fig4", "bandwidths_ghz"),
+        ("table1", "detunings_ghz"), ("fig5", "pump_powers")])
+    def test_empty_scan_list_names_the_key(self, section, key):
+        # an empty scan left each scenario to fail in max() or an index
+        with pytest.raises(NonPositiveInput, match=f"{key}.*non-empty"):
+            ex.load_config(f"[{section}]\n{key} = []\n")
+
     def test_int_accepted_for_float(self):
         assert ex.load_config("[material]\ntemperature = 1\n").material.temperature == 1.0
 
@@ -117,7 +125,7 @@ def generated_config(data):
         number = st.floats(min_value=0.0, max_value=0.5) if name.startswith("beta_") \
             else st.floats(min_value=1e-300, max_value=1e300)
         if isinstance(default, tuple):
-            return tuple(data.draw(st.lists(number, max_size=4)))
+            return tuple(data.draw(st.lists(number, min_size=1, max_size=4)))
         return data.draw(number)
 
     cfg = ex.default_config()
@@ -156,6 +164,11 @@ class TestUnits:
     def test_garbage(self):
         with pytest.raises(NonPositiveInput):
             parse_quantity("abc", "field")
+
+    @pytest.mark.parametrize("text", ["1e300GHz", "1e400", "-1e305GHz"])
+    def test_overflow_to_infinity_rejected(self, text):
+        with pytest.raises(NonPositiveInput, match="not a finite number"):
+            parse_quantity(text)
 
 
 class TestExport:
@@ -388,6 +401,20 @@ class TestCli:
                        "--outdir", str(tmp_path)])
         assert rc == 1
         assert "error" in capsys.readouterr().err
+
+    def test_infinite_bandwidth_exits_with_an_error_line(self, tmp_path, capsys):
+        rc = cli_main(["simulate", "afc", "--bandwidth", "1e300GHz",
+                       "--outdir", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: quantity '1e300GHz' is not a finite number\n"
+
+    def test_empty_scan_list_exits_with_an_error_line(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.toml"
+        cfg_path.write_text("[fig4]\nbandwidths_ghz = []\n")
+        rc = cli_main(["reproduce", "fig4", "--config", str(cfg_path),
+                       "--outdir", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: config key 'bandwidths_ghz' ")
 
     def test_fit_missing_columns_exits_nonzero(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"

@@ -145,8 +145,7 @@ def gauss_profile_dips(n_dips=6):
 def user_gaussian_line():
     """A user model with neither a Jacobian nor a curvature."""
     return ParametricModel(
-        name="gaussian_line", param_names=("base", "depth", "center", "width"),
-        units=("", "", "", ""),
+        param_names=("base", "depth", "center", "width"),
         evaluate=lambda p, x: p[0] - p[1] * np.exp(-0.5 * ((x - p[2]) / p[3]) ** 2))
 
 
@@ -194,7 +193,7 @@ def test_differencing_steps_follow_the_parameter_scale(seed):
         return np.stack([e, p[0] * t / p[1] ** 2 * e], axis=1)
 
     model = ParametricModel(
-        name="decay", param_names=("amp", "tau"), units=("", "s"),
+        param_names=("amp", "tau"),
         evaluate=lambda p, t: p[0] * np.exp(-t / p[1]), jacobian=jacobian,
         bounds=([-np.inf, 1e-12], [np.inf, np.inf]))
     rng = np.random.default_rng(seed)

@@ -163,7 +163,7 @@ def decay(bad=None, clean_calls=1):
                 jac[at] = value
         return jac
 
-    return ParametricModel(name="decay", param_names=("amp", "tau"), units=("", "s"),
+    return ParametricModel(param_names=("amp", "tau"),
                            evaluate=lambda p, x: p[0] * np.exp(-x / p[1]),
                            jacobian=jacobian)
 

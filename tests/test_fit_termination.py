@@ -43,7 +43,7 @@ class TestStopRules:
                 return super().to_internal(external)
 
         line = ParametricModel(
-            name="line", param_names=("slope",), units=("",),
+            param_names=("slope",),
             evaluate=lambda p, x: p[0] * x,
             jacobian=lambda p, x: x[:, None],
             transform=CappedTransform())

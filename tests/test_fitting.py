@@ -78,7 +78,7 @@ class TestEngine:
 
     def test_singular_jacobian_dead_parameter(self):
         dead = ParametricModel(
-            name="dead", param_names=("a", "b"), units=("", ""),
+            param_names=("a", "b"),
             evaluate=lambda p, x: p[0] * x,
             jacobian=lambda p, x: np.stack([x, np.zeros_like(x)], axis=1))
         x = np.linspace(0, 1, 10)
@@ -91,6 +91,24 @@ class TestEngine:
         y = model.evaluate(np.array([2.0, 1.0, 0.0, 0.3]), x)
         with pytest.raises(NonPositiveInput):
             a.fit_curve(model, x, y, sigma=np.zeros_like(y))
+
+    @pytest.mark.parametrize("name", ["x", "y", "sigma"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_names_the_array(self, name, bad):
+        # a NaN in y used to end as max_damping with a NaN residual, a NaN
+        # sigma as a non-finite Jacobian, and an inf in x in a RuntimeWarning
+        model = a.model_lorentzian_dip()
+        x = np.linspace(-1, 1, 20)
+        clean = {"x": x, "y": model.evaluate(np.array([2.0, 1.0, 0.0, 0.3]), x),
+                 "sigma": np.full(x.size, 0.1)}
+        spoiled = dict(clean, **{name: clean[name].copy()})
+        spoiled[name][7] = bad
+        with pytest.raises(NonPositiveInput, match=f"^{name} must be finite"):
+            a.fit_curve(model, **spoiled)
+        # in a batch, only the second row is spoiled
+        batch = {k: np.stack([clean[k], spoiled[k]]) for k in clean}
+        with pytest.raises(NonPositiveInput, match=f"^{name} must be finite"):
+            a.fit_curves(model, **batch)
 
     def test_residual_trace_nonincreasing(self):
         model = a.model_double_exponential()

@@ -1,8 +1,11 @@
-"""What ``afcsim`` imports: every name a module imports is used in that
-module, and ``import afcsim`` loads no heavy scipy subpackage.
+"""What ``afcsim`` imports and keeps: every name a module imports is used in
+that module, every module-level private name (one starting with ``_``) is
+used somewhere in the package, and ``import afcsim`` loads no heavy scipy
+subpackage.
 
-No linter runs on this repository, so the scan is what keeps unused
-imports out.  ``__init__.py`` is skipped: its imports are the public API.
+No linter runs on this repository, so the scans are what keep unused
+imports and orphaned helpers out.  The import scan skips ``__init__.py``:
+its imports are the public API.
 """
 
 import ast
@@ -41,6 +44,44 @@ def test_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unused_private_names(sources):
+    """``(module, line, name)`` of every module-level name starting with a
+    single ``_`` in ``sources`` (``{module: source}``) that no source loads,
+    by name or as an attribute."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    loaded = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id if isinstance(node, ast.Name) else node.attr)
+    unused = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            unused += [(module, node.lineno, name) for name in names
+                       if name.startswith("_") and not name.startswith("__")
+                       and name not in loaded]
+    return sorted(unused)
+
+
+def test_scan_finds_an_unused_private_name():
+    sources = {"one": "_A, _B = 1, 2\n_C: int = 3\ndef _helper():\n    return _A\n",
+               "two": "from one import _helper\nimport one\nprint(one._C, _helper())\n"}
+    assert unused_private_names(sources) == [("one", 1, "_B")]
+
+
+def test_every_private_name_is_used_in_the_package():
+    package = Path(afcsim.__file__).parent
+    sources = {p.name: p.read_text() for p in sorted(package.glob("*.py"))}
+    assert unused_private_names(sources) == []
 
 
 # each would add to every process's start-up time and memory; the one use of

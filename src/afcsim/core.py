@@ -56,19 +56,23 @@ class FrequencyGrid:
     """
 
     nu_min: float
-    nu_max: float
     bin_width: float
     n_bins: int
 
     def __post_init__(self):
-        if not (self.nu_min < self.nu_max):
-            raise InvalidRange(f"empty range [{self.nu_min}, {self.nu_max}]")
+        if not all(map(math.isfinite, (self.nu_min, self.bin_width, self.nu_max))):
+            raise InvalidRange(f"grid edges must be finite, got nu_min={self.nu_min}, "
+                               f"bin_width={self.bin_width}, n_bins={self.n_bins}")
         if self.bin_width <= 0:
             raise InvalidRange(f"bin_width must be > 0, got {self.bin_width}")
         if self.n_bins < 2:
             raise InvalidRange(f"grid needs at least 2 bins, got {self.n_bins}")
         if self.n_bins > MAX_BINS:
             raise TooManyBins(f"{self.n_bins} bins exceeds limit {MAX_BINS}")
+
+    @property
+    def nu_max(self) -> float:
+        return self.nu_min + self.n_bins * self.bin_width
 
     @property
     def centers(self) -> np.ndarray:
@@ -81,7 +85,7 @@ class FrequencyGrid:
 
     def contains(self, lo: float, hi: float) -> bool:
         eps = 1e-6 * self.bin_width
-        return (lo >= self.nu_min - eps) and (hi <= self.nu_min + self.span + eps)
+        return (lo >= self.nu_min - eps) and (hi <= self.nu_max + eps)
 
     def subgrid(self, lo: float, hi: float) -> tuple["FrequencyGrid", slice]:
         """Aligned sub-grid covering ``[lo, hi]`` and the index slice into self."""
@@ -89,12 +93,8 @@ class FrequencyGrid:
         i1 = int(np.ceil((hi - self.nu_min) / self.bin_width - 1e-9))
         i0 = max(i0, 0)
         i1 = min(i1, self.n_bins)
-        sub = FrequencyGrid(
-            nu_min=self.nu_min + i0 * self.bin_width,
-            nu_max=self.nu_min + i1 * self.bin_width,
-            bin_width=self.bin_width,
-            n_bins=i1 - i0,
-        )
+        sub = FrequencyGrid(nu_min=self.nu_min + i0 * self.bin_width,
+                            bin_width=self.bin_width, n_bins=i1 - i0)
         return sub, slice(i0, i1)
 
 
@@ -123,9 +123,7 @@ def make_grid(nu_min: float, nu_max: float, bin_width: float) -> FrequencyGrid:
     if bin_width <= 0:
         raise InvalidRange(f"bin_width must be > 0, got {bin_width}")
     n = int(round((nu_max - nu_min) / bin_width))
-    if n > MAX_BINS:
-        raise TooManyBins(f"{n} bins exceeds limit {MAX_BINS}")
-    return FrequencyGrid(nu_min=nu_min, nu_max=nu_max, bin_width=bin_width, n_bins=n)
+    return FrequencyGrid(nu_min=nu_min, bin_width=bin_width, n_bins=n)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional
@@ -45,9 +45,8 @@ from .fitting import (
     model_flipflop_field,
 )
 from .pumping import (
-    PumpSegment,
     PumpSequence,
-    build_afc_sequence,
+    _comb_segment,
     build_two_hole_sequence,
     evolve,
 )
@@ -180,15 +179,10 @@ class ExperimentConfig:
         return Path(root)
 
 
-_SECTIONS = {
-    "material": MaterialParams,
-    "tls": TlsParams,
-    "fig2": Fig2Config,
-    "fig4": Fig4Config,
-    "table1": Table1Config,
-    "fig5": Fig5Config,
-    "efficiency": EfficiencyConfig,
-}
+#: ``{section name: its dataclass}`` and the top-level keys, in field order
+_SECTIONS = {f.name: f.default_factory for f in fields(ExperimentConfig)
+             if f.default_factory is not MISSING}
+_TOP_KEYS = tuple(f.name for f in fields(ExperimentConfig) if f.name not in _SECTIONS)
 
 
 def default_config() -> ExperimentConfig:
@@ -216,9 +210,9 @@ def _dump_line(key: str, value) -> str:
 def dump_config(config: ExperimentConfig) -> str:
     """Serialise the configuration to a TOML-style key/value document."""
     lines = ["# afcsim experiment configuration", ""]
-    for key in ("seed", "outdir", "bin_width"):
+    for key in _TOP_KEYS:
         lines.append(_dump_line(key, getattr(config, key)))
-    for section, _ in _SECTIONS.items():
+    for section in _SECTIONS:
         obj = getattr(config, section)
         lines.append("")
         lines.append(f"[{section}]")
@@ -323,7 +317,7 @@ def load_config(source) -> ExperimentConfig:
 
     config = ExperimentConfig()
     for key, value in top.items():
-        if key not in ("seed", "outdir", "bin_width"):
+        if key not in _TOP_KEYS:
             raise NonPositiveInput(f"unknown top-level config key {key!r}")
         setattr(config, key, _typed(key, value, getattr(config, key)))
     for name, cls in _SECTIONS.items():
@@ -431,42 +425,30 @@ def _write_scenario(config: ExperimentConfig, name: str, summary: dict,
 # ---------------------------------------------------------------------------
 
 def _comb_background(bandwidth: float, params: MaterialParams, tls: TlsParams,
-                     comb, bin_width: float,
-                     second_comb: Optional[dict] = None,
+                     comb, bin_width: float, others: tuple = (),
                      grid_lo: Optional[float] = None) -> tuple:
-    """Burn one comb (optionally alongside a second one) and analyse it.
+    """Burn a comb at zero detuning, and any ``others`` beside it, and
+    analyse the first.
 
     ``comb`` is the scenario's comb-protocol section (fig4, table1 or
     efficiency), read for spacing, pit width, duration, wait and power.
-    Returns ``(CombMetrics, AbsorptionSpectrum section)`` for the comb at
-    zero detuning, assessed over the central +-150 MHz (bounded by the comb
-    extent).  When a second comb is requested the total power is split
-    between the two so the deposited pump energy matches the single-comb
-    case.
+    ``others`` holds a ``(bandwidth, centre)`` pair per further comb; the
+    grid reaches 100 MHz below each of them, and its top edge is set by the
+    first comb alone.  All combs are burned in one segment that shares the
+    total power equally between them, so the deposited pump energy matches
+    the single-comb case.  Returns ``(CombMetrics,
+    AbsorptionSpectrum section)`` for the comb at zero detuning, assessed
+    over the central +-150 MHz (bounded by the comb extent).
     """
-    spacing, pit_width, duration = comb.spacing, comb.pit_width, comb.duration
-    total_power = comb.total_power
+    spacing = comb.spacing
     half = bandwidth / 2.0
-    lo = -half - 150e6 if grid_lo is None else grid_lo
-    if second_comb is not None:
-        lo = min(lo, -second_comb["center_abs"] - second_comb["bandwidth"] / 2 - 100e6)
+    lo = min([-half - 150e6 if grid_lo is None else grid_lo]
+             + [center - width / 2 - 100e6 for width, center in others])
     grid = make_grid(lo, half + 150e6, bin_width)
     state = init_equilibrium_state(grid, params)
-
-    if second_comb is None:
-        seq = build_afc_sequence(bandwidth, spacing, pit_width, duration,
-                                 total_power, dark_after=comb.wait)
-    else:
-        p_each = total_power / 2.0
-        s1 = build_afc_sequence(bandwidth, spacing, pit_width, duration, p_each)
-        s2 = build_afc_sequence(second_comb["bandwidth"], spacing, pit_width,
-                                duration, p_each,
-                                center=-second_comb["center_abs"])
-        features = tuple(list(s1.segments[0].features) + list(s2.segments[0].features))
-        leak = (s1.segments[0].carrier_leak + s2.segments[0].carrier_leak) * p_each
-        seg = PumpSegment(duration=duration, features=features,
-                          carrier_leak=leak / total_power, total_power=total_power)
-        seq = PumpSequence(segments=(seg,), dark_after=comb.wait)
+    seg = _comb_segment(((bandwidth, 0.0), *others), spacing, comb.pit_width,
+                        comb.duration, comb.total_power, "tophat")
+    seq = PumpSequence(segments=(seg,), dark_after=comb.wait)
 
     final = evolve(state, seq, params, tls, [seq.total_duration])[0]
     spec = absorption_spectrum(final, params)
@@ -616,9 +598,9 @@ def run_table1(config: ExperimentConfig, write: bool = True) -> dict:
     d0s = []
     for det_ghz in cfg.detunings_ghz:
         det = det_ghz * 1e9
-        second = None if det == 0 else {"center_abs": det, "bandwidth": cfg.bandwidth}
+        others = () if det == 0 else ((cfg.bandwidth, -det),)
         metrics, _ = _comb_background(cfg.bandwidth, params, config.tls, cfg,
-                                      config.bin_width, second_comb=second)
+                                      config.bin_width, others)
         d0s.append(metrics.d0)
 
     summary = {
@@ -645,7 +627,7 @@ def run_table1(config: ExperimentConfig, write: bool = True) -> dict:
                                   config.bin_width, grid_lo=grid_lo)
         overlap, _ = _comb_background(
             cfg.bandwidth, ctrl_params, ctrl_tls, cfg, config.bin_width,
-            second_comb={"center_abs": det, "bandwidth": cfg.control_bandwidth2},
+            ((cfg.control_bandwidth2, -det),),
             grid_lo=grid_lo)
         summary["control"] = {
             "d0_reference": ref.d0,

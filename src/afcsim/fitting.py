@@ -775,13 +775,16 @@ def _checked(model, x, y, sigma, init, bounds):
     if p_ext.shape[-1:] != (n_par,) or p_ext.shape[:-1] not in ((), rows):
         raise InvalidBounds(f"init must have {n_par} entries")
     p_ext = _filled(p_ext, rows + (n_par,))
+    if not np.isfinite(p_ext).all():
+        raise InvalidBounds("init must be finite")
 
     if bounds is None:
         bounds = model.bounds
     lo, hi = (-np.inf, np.inf) if bounds is None else bounds
     lo, hi = _filled(lo, rows + (n_par,)), _filled(hi, rows + (n_par,))
-    if (lo >= hi).any():
-        raise InvalidBounds("lower bounds must be below upper bounds")
+    if not (lo < hi).all():
+        raise InvalidBounds("bounds must not be NaN, and each lower bound must be "
+                            "below its upper bound")
     if (p_ext < lo).any() or (p_ext > hi).any():
         raise InvalidBounds("initial guess lies outside the bounds")
     return sigma, p_ext, lo, hi
@@ -838,7 +841,8 @@ def fit_curve(model: ParametricModel, x, y, sigma=None, init=None, bounds=None) 
         If 200 steps are accepted without any stop rule firing; a rule that
         fires on the last step still returns a result.
     InvalidBounds
-        If bounds are inconsistent or exclude the initial guess.
+        If the start is not finite, a bound is NaN, or the bounds are
+        inconsistent or exclude the start.
     NonPositiveInput
         If ``x``, ``y`` or ``sigma`` holds a non-finite value, or a sigma is
         not positive.

@@ -220,58 +220,72 @@ def serrodyne_efficiency(detuning: float) -> float:
     return max(0.0, 1.0 - 0.5 * detuning / 1e9)
 
 
+def _serrodyne_segment(centers, width: float, powers, total_power: float,
+                       duration: float, shape: str) -> PumpSegment:
+    """The segment that requests ``powers`` for pits of ``width`` at
+    ``centers``: each pit gets ``serrodyne_efficiency(|centre|)`` of its
+    request and the rest leaks into the carrier at zero detuning, stored as
+    a fraction of ``total_power`` (the sum of the requests)."""
+    features, leak = [], 0.0
+    for center, power in zip(centers, powers):
+        eff = serrodyne_efficiency(abs(center))
+        features.append(PumpFeature(center, width, power * eff))
+        leak += power * (1.0 - eff)
+    return PumpSegment(
+        duration=duration,
+        features=tuple(features),
+        carrier_leak=leak / total_power if total_power > 0 else 0.0,
+        shape=shape,
+        total_power=total_power,
+    )
+
+
+def _comb_segment(combs, spacing: float, pit_width: float, duration: float,
+                  total_power: float, shape: str) -> PumpSegment:
+    """One segment burning every ``(bandwidth, centre)`` comb of ``combs``.
+
+    The combs share ``total_power`` equally and each shares its part
+    equally among its ``round(bandwidth / spacing)`` pits, placed
+    symmetrically about its centre at multiples of ``spacing``.
+    """
+    if total_power <= 0:
+        raise NonPositivePower(f"total_power must be > 0, got {total_power}")
+    if not (0 < pit_width < spacing):
+        raise InvalidCombGeometry(
+            f"pit_width {pit_width} must be within (0, spacing={spacing})")
+    centers, powers = [], []
+    for bandwidth, center in combs:
+        if not bandwidth >= spacing:
+            raise InvalidCombGeometry(f"bandwidth {bandwidth} must be >= spacing {spacing}")
+        n_pits = int(round(bandwidth / spacing))
+        centers.extend(center + (np.arange(n_pits) - (n_pits - 1) / 2.0) * spacing)
+        powers.extend([total_power / len(combs) / n_pits] * n_pits)
+    return _serrodyne_segment(centers, pit_width, powers, total_power, duration, shape)
+
+
 def build_hole_sequence(detuning: float = 250e6, burn_duration: float = 0.3,
                         power: float = 1e-4, width: float = 25e6,
                         dark_after: float = 0.0) -> PumpSequence:
     """Single-hole burning protocol: one narrow feature at ``detuning``."""
     if power <= 0:
         raise NonPositivePower(f"power must be > 0, got {power}")
-    eff = serrodyne_efficiency(abs(detuning))
-    seg = PumpSegment(
-        duration=burn_duration,
-        features=(PumpFeature(detuning, width, power * eff),),
-        carrier_leak=1.0 - eff,
-        total_power=power,
-    )
+    seg = _serrodyne_segment((detuning,), width, (power,), power, burn_duration, "tophat")
     return PumpSequence(segments=(seg,), dark_after=dark_after)
 
 
 def build_afc_sequence(bandwidth: float, spacing: float = 50e6,
                        pit_width: float = 25e6, total_duration: float = 0.3,
                        total_power: float = 5e-4, dark_after: float = 0.0,
-                       shape: str = "tophat",
-                       center: float = 0.0) -> PumpSequence:
+                       shape: str = "tophat") -> PumpSequence:
     """Comb-burning protocol: equally spaced pits sharing the total power.
 
-    Pit centres are placed symmetrically about ``center`` at multiples of
-    ``spacing``; the pit count is ``round(bandwidth / spacing)``.  The total
-    pump power and duration are independent of the bandwidth, so widening
-    the comb lowers the per-pit power spectral density.
+    Pit centres are placed symmetrically about zero detuning at multiples
+    of ``spacing``; the pit count is ``round(bandwidth / spacing)``.  The
+    total pump power and duration are independent of the bandwidth, so
+    widening the comb lowers the per-pit power spectral density.
     """
-    if total_power <= 0:
-        raise NonPositivePower(f"total_power must be > 0, got {total_power}")
-    if bandwidth < spacing or spacing <= 0:
-        raise InvalidCombGeometry(
-            f"bandwidth {bandwidth} must be >= spacing {spacing} > 0")
-    if not (0 < pit_width < spacing):
-        raise InvalidCombGeometry(
-            f"pit_width {pit_width} must be within (0, spacing={spacing})")
-    n_pits = int(round(bandwidth / spacing))
-    offsets = (np.arange(n_pits) - (n_pits - 1) / 2.0) * spacing
-    per_pit = total_power / n_pits
-    features = []
-    leak = 0.0
-    for off in offsets:
-        eff = serrodyne_efficiency(abs(center + off))
-        features.append(PumpFeature(center + off, pit_width, per_pit * eff))
-        leak += per_pit * (1.0 - eff)
-    seg = PumpSegment(
-        duration=total_duration,
-        features=tuple(features),
-        carrier_leak=leak / total_power,
-        shape=shape,
-        total_power=total_power,
-    )
+    seg = _comb_segment(((bandwidth, 0.0),), spacing, pit_width, total_duration,
+                        total_power, shape)
     return PumpSequence(segments=(seg,), dark_after=dark_after)
 
 
@@ -290,21 +304,9 @@ def build_two_hole_sequence(separation: float = 200e6, hole_width: float = 25e6,
     if separation <= hole_width:
         raise InvalidGeometry(
             f"separation {separation} must exceed hole width {hole_width}")
-    centers = (center - separation / 2.0, center + separation / 2.0)
-    powers = (pump_power, probe_power)
-    features = []
-    leak = 0.0
-    for c, p in zip(centers, powers):
-        eff = serrodyne_efficiency(abs(c))
-        features.append(PumpFeature(c, hole_width, p * eff))
-        leak += p * (1.0 - eff)
-    total = pump_power + probe_power
-    seg = PumpSegment(
-        duration=burn_duration,
-        features=tuple(features),
-        carrier_leak=(leak / total) if total > 0 else 0.0,
-        total_power=total,
-    )
+    seg = _serrodyne_segment(
+        (center - separation / 2.0, center + separation / 2.0), hole_width,
+        (pump_power, probe_power), pump_power + probe_power, burn_duration, "tophat")
     return PumpSequence(segments=(seg,), dark_after=dark_after)
 
 

@@ -58,6 +58,18 @@ class TestMakeGrid:
         with pytest.raises(InvalidRange, match="finite"):
             a.make_grid(*edges)
 
+    @pytest.mark.parametrize("fields", [
+        (np.inf, 1e6, 10), (-np.inf, 1e6, 10), (np.nan, 1e6, 10),
+        (0.0, np.inf, 10), (0.0, np.nan, 10), (0.0, 1e308, 10)])
+    def test_direct_construction_rejects_non_finite_edges(self, fields):
+        # the last bin's edge overflows even though both fields are finite
+        with pytest.raises(InvalidRange, match="finite"):
+            core.FrequencyGrid(*fields)
+
+    def test_upper_edge_is_the_last_bin_edge(self):
+        # the window is rounded to whole bins; the edge follows the bins
+        assert a.make_grid(0.0, 10.3e6, 1e6).nu_max == 10e6
+
     def test_subgrid_alignment(self):
         g = a.make_grid(-100e6, 100e6, 0.5e6)
         sub, sl = g.subgrid(-50e6, 50e6)

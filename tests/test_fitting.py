@@ -110,6 +110,36 @@ class TestEngine:
         with pytest.raises(NonPositiveInput, match=f"^{name} must be finite"):
             a.fit_curves(model, **batch)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_start_names_init(self, bad):
+        # a NaN start used to be reported as a non-finite Jacobian
+        model = a.model_lorentzian_dip()
+        x = np.linspace(-1, 1, 20)
+        truth = np.array([2.0, 1.0, 0.0, 0.3])
+        y = model.evaluate(truth, x)
+        spoiled = truth.copy()
+        spoiled[2] = bad
+        with pytest.raises(InvalidBounds, match="^init must be finite"):
+            a.fit_curve(model, x, y, init=spoiled)
+        with pytest.raises(InvalidBounds, match="^init must be finite"):
+            a.fit_curves(model, np.stack([x, x]), np.stack([y, y]),
+                         init=np.stack([truth, spoiled]))
+
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_nan_bound_names_bounds(self, side):
+        # a NaN bound passed both bound checks and the fit ended as max_damping
+        model = a.model_lorentzian_dip()
+        x = np.linspace(-1, 1, 20)
+        y = model.evaluate(np.array([2.0, 1.0, 0.0, 0.3]), x)
+        bounds = [np.array(b, dtype=float) for b in model.bounds]
+        bounds[side][2] = np.nan
+        with pytest.raises(InvalidBounds, match="^bounds must not be NaN"):
+            a.fit_curve(model, x, y, bounds=tuple(bounds))
+        with pytest.raises(InvalidBounds, match="^bounds must not be NaN"):
+            a.fit_curves(model, np.stack([x, x]), np.stack([y, y]), bounds=tuple(bounds))
+        # infinite bounds, as the model's own, stay legal
+        assert a.fit_curve(model, x, y, bounds=model.bounds).converged
+
     def test_residual_trace_nonincreasing(self):
         model = a.model_double_exponential()
         truth = np.array([0.6, 0.06, 0.4, 1.0])

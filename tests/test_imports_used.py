@@ -1,7 +1,7 @@
 """What ``afcsim`` imports and keeps: every name a module imports is used in
 that module, every module-level private name (one starting with ``_``) is
-used somewhere in the package, and ``import afcsim`` loads no heavy scipy
-subpackage.
+used somewhere in the package, every error class is raised somewhere in the
+package, and ``import afcsim`` loads no heavy scipy subpackage.
 
 No linter runs on this repository, so the scans are what keep unused
 imports and orphaned helpers out.  The import scan skips ``__init__.py``:
@@ -82,6 +82,44 @@ def test_every_private_name_is_used_in_the_package():
     package = Path(afcsim.__file__).parent
     sources = {p.name: p.read_text() for p in sorted(package.glob("*.py"))}
     assert unused_private_names(sources) == []
+
+
+def unraised_errors(error_source, sources):
+    """Names of the classes defined in ``error_source``, other than the base
+    ``AfcSimError``, that no source of ``sources`` raises or builds (an
+    error built and returned, as a batch fit's per-row outcome, is raised by
+    its caller)."""
+    classes = [node.name for node in ast.parse(error_source).body
+               if isinstance(node, ast.ClassDef)]
+    made = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            target = node.func if isinstance(node, ast.Call) else (
+                node.exc if isinstance(node, ast.Raise) else None)
+            if isinstance(target, ast.Name):
+                made.add(target.id)
+            elif isinstance(target, ast.Attribute):
+                made.add(target.attr)
+    return sorted(c for c in classes if c != "AfcSimError" and c not in made)
+
+
+def test_scan_finds_an_unraised_error():
+    error_source = ("class AfcSimError(Exception): pass\n"
+                    "class Raised(AfcSimError): pass\n"
+                    "class Built(AfcSimError): pass\n"
+                    "class Bare(AfcSimError): pass\n"
+                    "class Caught(AfcSimError): pass\n")
+    sources = ["import errors\nraise errors.Raised('x')\n",
+               "from errors import Built, Bare\ndef f():\n    return [Built('y')]\n"
+               "def g():\n    raise Bare\n",
+               "from errors import Caught\ntry:\n    f()\nexcept Caught:\n    pass\n"]
+    assert unraised_errors(error_source, sources) == ["Caught"]
+
+
+def test_every_error_is_raised_in_the_package():
+    package = Path(afcsim.__file__).parent
+    sources = [p.read_text() for p in sorted(package.glob("*.py"))]
+    assert unraised_errors((package / "errors.py").read_text(), sources) == []
 
 
 # each would add to every process's start-up time and memory; the one use of

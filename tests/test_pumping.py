@@ -9,7 +9,7 @@ from scipy.linalg import expm
 
 import afcsim as a
 from afcsim.core import boltzmann_polarization
-from afcsim.pumping import _contour_expmv
+from afcsim.pumping import _comb_segment, _contour_expmv
 from afcsim.errors import (
     InvalidCombGeometry,
     InvalidGeometry,
@@ -95,6 +95,30 @@ class TestBuilders:
             delivered = sum(f.power for f in seg.features)
             assert delivered + seg.carrier_leak * seg.total_power == \
                 pytest.approx(5e-4)
+
+    @pytest.mark.parametrize("second", [(0.2e9, -0.6e9), (0.4e9, -1e9)])
+    def test_comb_pair_power_accounting(self, second):
+        # table1's pairs: the measured comb at zero detuning beside a second
+        # one below it, burned in one segment
+        total = 5e-4
+        seg = _comb_segment(((0.2e9, 0.0), second), 50e6, 25e6, 0.3, total, "tophat")
+        n_second = int(round(second[0] / 50e6))
+        combs = (seg.features[:4], seg.features[4:])
+        assert len(combs[1]) == n_second
+        # each comb requests half the total, shared equally by its pits, and
+        # each pit gets the serrodyne efficiency at its detuning of that share
+        for comb in combs:
+            for f in comb:
+                assert f.power == total / 2 / len(comb) * a.serrodyne_efficiency(abs(f.center))
+        centers = np.array([f.center for f in combs[1]])
+        assert centers.mean() == pytest.approx(second[1], rel=1e-12)
+        delivered = sum(f.power for f in seg.features)
+        assert delivered + seg.carrier_power == pytest.approx(total, rel=1e-15)
+        assert seg.total_power == total
+
+    def test_one_comb_segment_is_the_afc_segment(self):
+        seg = _comb_segment(((6.4e9, 0.0),), 50e6, 25e6, 0.3, 5e-4, "tophat")
+        assert seg == a.build_afc_sequence(6.4e9, 50e6, 25e6, 0.3, 5e-4).segments[0]
 
     def test_two_hole_geometry(self):
         seq = a.build_two_hole_sequence(pump_power=1e-5, probe_power=2e-6)

@@ -337,8 +337,15 @@ def _damped_step(a_mat, scale, lam, grad):
 def _damped_rows(a_mat, scale, lam, grad):
     """:func:`_damped_step` on every row of a batch, and the rows whose
     damped matrix is singular (``None`` if none is); their step is zero.
-    Each row gets the same LAPACK call as a single fit, so its step does not
-    depend on the batch."""
+    The rows go to LAPACK gesv as one stack, the routine a single fit calls,
+    so a row's step does not depend on the batch.  If a row is singular, the
+    rows are solved one by one to find which."""
+    damped = a_mat.copy()
+    damped.reshape(len(grad), -1)[:, ::scale.shape[1] + 1] += lam[:, None] * scale
+    try:
+        return np.linalg.solve(damped, -grad[..., None])[..., 0], None
+    except np.linalg.LinAlgError:
+        pass
     delta = np.zeros_like(grad)
     singular = np.zeros(len(grad), dtype=bool)
     for j in range(len(grad)):

@@ -29,8 +29,10 @@ exponentiated exactly by ``scipy.linalg.expm`` on the stack of distinct-rate
 blocks (in SciPy 1.17 a Python loop over the blocks).  With diffusion it is
 banded, and ``exp(tau A) x`` comes from the type-(14, 14) Caratheodory-Fejer
 rational approximation of exp on (-inf, 0] (Trefethen, Weideman & Schmelzer,
-BIT 46, 2006), the approximation CRAM uses: seven complex banded LAPACK
-solves, four of them with one step of iterative refinement, off from
+BIT 46, 2006), the approximation CRAM uses, one shifted solve per pole.  Each
+bin's total population only diffuses, so at each of the seven poles it comes
+from a tridiagonal solve, and the other three levels from a complex banded
+LAPACK solve, four of them with one step of iterative refinement: off from
 ``expm_multiply`` by about 1e-13 in population.  The rule is held accurate
 where the spectrum of ``tau A`` lies within 22.8 degrees of the negative real
 axis or within 0.5 of 0.  A guard checks the spectra of the 4x4 blocks, one
@@ -49,7 +51,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 from scipy.linalg import expm
-from scipy.linalg.lapack import zgbtrf, zgbtrs
+from scipy.linalg.lapack import zgbtrf, zgbtrs, zgtsv
 from scipy.special import voigt_profile
 
 from .core import (
@@ -393,8 +395,12 @@ _W = np.array([
     91.28908768255246 - 93.86980911316265j,
     -204.3000126478722 + 55.75232454932658j,
 ])
-# sum |w / p| is 66, so a solve's rounding can grow 66-fold in the sum; the
-# four poles with |w / p| > 1 get one step of iterative refinement
+# sum |w / p| is 66, so a solve's rounding can grow 66-fold in the sum; at
+# the four poles with |w / p| > 1 the (z, h, e) solve gets one step of
+# iterative refinement.  The totals' solve needs none: it solves for their
+# deviation from their mean, which a physical state's totals (1 up to
+# rounding) leave at rounding level; the drift of a bin's total is 4.4e-16
+# on fig4's combs and 2.2e-15 on a 20-bin hole burned at up to 1e10 W
 _REFINED = np.abs(_W / _P) > 1.0
 # r is held accurate to 2e-11 within 22.8 degrees of the negative real axis
 # and within 0.5 of 0, so the block spectra of tau A must lie there
@@ -419,12 +425,20 @@ def _rate_matrices(params: MaterialParams, spin_rate: float,
     return relax, pump
 
 
+def _reduced_blocks(relax: np.ndarray, pump: np.ndarray) -> tuple:
+    """``(b_relax, b_pump)``: the columns of a block ``m = relax + R * pump``
+    sum to zero, so putting ``g = total - z - h - e`` into its rows for
+    (z, h, e) leaves the 3x3 block ``B = b_relax + R * b_pump`` on them, with
+    ``B[i, j] = m[i, j] - m[i, 0]`` for i, j >= 1 (levels ordered g, z, h, e)."""
+    return relax[1:, 1:] - relax[1:, :1], pump[1:, 1:] - pump[1:, :1]
+
+
 def _block_spectrum(relax: np.ndarray, pump: np.ndarray, rates: np.ndarray) -> np.ndarray:
     """Eigenvalues other than 0 of every block ``relax + R * pump``, one row
     of three per ``R`` in ``rates``.
 
     The columns of a block ``m`` sum to zero, so ``m`` is similar to
-    ``[[0, 0], [*, B]]`` with ``B[i, j] = m[i, j] - m[i, 0]`` for i, j >= 1,
+    ``[[0, 0], [*, B]]`` with ``B`` the block of :func:`_reduced_blocks`,
     and the other three eigenvalues are the roots of B's characteristic cubic
     ``x^3 + a x^2 + b x + c``.  The pump moves population between g and e
     only, so ``R`` enters B's last row alone, and each coefficient is affine
@@ -435,14 +449,14 @@ def _block_spectrum(relax: np.ndarray, pump: np.ndarray, rates: np.ndarray) -> n
     quadratic for the other two.  Where those two merge, they move by about
     sqrt(eps) of the spectral radius, as ``np.linalg.eigvals``' do.
     """
-    top = relax[1:3, 1:] - relax[1:3, :1]
+    b_relax, b_pump = _reduced_blocks(relax, pump)
+    top = b_relax[:2]
     # a, b, c = fixed + lin @ (last row of B)
     fixed = np.array([-top[0, 0] - top[1, 1], top[0, 0] * top[1, 1] - top[0, 1] * top[1, 0], 0.0])
     lin = np.array([[0.0, 0.0, -1.0],
                     [-top[0, 2], -top[1, 2], top[0, 0] + top[1, 1]],
                     -np.cross(top[0], top[1])])
-    a, b, c = (fixed + lin @ (relax[3, 1:] - relax[3, 0]))[:, None] \
-        + np.outer(lin @ (pump[3, 1:] - pump[3, 0]), rates)
+    a, b, c = (fixed + lin @ b_relax[2])[:, None] + np.outer(lin @ b_pump[2], rates)
     # x = t - a/3 gives the depressed cubic t^3 + p t + q
     p = b - a * a / 3.0
     q = (2.0 * a * a / 27.0 - b / 3.0) * a + c
@@ -490,18 +504,22 @@ def _check_sector(eigs: np.ndarray, tau: float) -> None:
 
 def _shifted_residual(relax: np.ndarray, pump: np.ndarray, rate: np.ndarray,
                       diff: float, tau: float, p: complex, x: np.ndarray,
-                      y: np.ndarray, out: np.ndarray) -> None:
-    """``out = x - (p - tau A) y`` for the generator of :func:`_contour_expmv`,
-    formed level by level with no matrix product.  The pump and diffusion
-    terms are scaled after the differences of ``y`` they act on are taken, so
-    their rounding is of the size of the term, not of ``tau A``."""
-    ys, res = y.reshape(-1, 4), out.reshape(-1, 4)
+                      total: np.ndarray, y: np.ndarray, out: np.ndarray) -> None:
+    """``out`` is the residual of the (z, h, e) system that
+    :func:`_contour_expmv` solves at pole ``p``: the levels 1-3 of
+    ``x - (p - tau A) y``, with ``y``'s g level ``total - z - h - e``.  It is
+    formed level by level from the rows of ``relax`` and ``pump``, with no
+    matrix product.  The pump and diffusion terms are scaled after the
+    differences of the levels they act on are taken, so their rounding is of
+    the size of the term, not of ``tau A``."""
+    ys, res = y.reshape(-1, 3), out.reshape(-1, 3)
+    levels = (total - ys.sum(axis=1), ys[:, 0], ys[:, 1], ys[:, 2])
     np.multiply(y, -p, out=out)
-    out += x
-    for row in range(4):
-        relaxed = sum(relax[row, col] * ys[:, col] for col in range(4) if relax[row, col])
-        pumped = sum(pump[row, col] * ys[:, col] for col in range(4) if pump[row, col])
-        res[:, row] += tau * (relaxed + rate * pumped)
+    res += x
+    for row in range(1, 4):
+        relaxed = sum(relax[row, col] * levels[col] for col in range(4) if relax[row, col])
+        pumped = sum(pump[row, col] * levels[col] for col in range(4) if pump[row, col])
+        res[:, row - 1] += tau * (relaxed + rate * pumped)
     # the reflective-boundary Laplacian over bins, on every level
     flux = (tau * diff) * (ys[1:] - ys[:-1])
     res[:-1] += flux
@@ -513,39 +531,76 @@ def _contour_expmv(relax: np.ndarray, pump: np.ndarray, rate: np.ndarray,
     """``exp(tau A) x`` on the bin-major state, for the generator
     ``A = blockdiag(relax + rate_i pump) + diff (L x I4)`` with ``L`` the
     reflective-boundary Laplacian: the rational rule
-    ``sum_j Im(w_j (p_j - tau A)^-1 x)``, one complex banded solve per pole.
-    At the four poles with ``|w / p| > 1`` the solve gets one step of
-    iterative refinement: factor, solve, form the residual, solve again.
+    ``sum_j Im(w_j (p_j - tau A)^-1 x)``.
+
+    The columns of every block sum to zero and diffusion acts alike on all
+    four levels, so ``(p - tau A)`` maps each bin's total ``g + z + h + e``
+    through the scalar tridiagonal ``p - tau diff L``, whatever the pump
+    does.  At each pole the totals ``t`` come from that system: the mean
+    ``c`` of the input's totals ``s`` is a null vector of ``L``, so
+    ``t = c / p + (p - tau diff L)^-1 (s - c)``.  Putting ``g = t - z - h - e``
+    into the other three rows leaves a banded system on (z, h, e), with 3
+    sub- and 3 super-diagonals, the blocks of :func:`_reduced_blocks` and
+    ``tau m[:, g] t`` added to the right-hand side: one complex banded solve
+    per pole.  At the four poles with ``|w / p| > 1`` that solve gets one
+    step of iterative refinement: factor, solve, form the residual, solve
+    again.  The result's g is its totals, ``c + sum_j Im(w_j (t_j - c / p_j))``,
+    less its z, h and e.
     """
-    m = x.size
-    # zgbtrf's band layout, 4 sub- and 4 super-diagonals: (p - tau A)[r, c] at
-    # row 8 + r - c, column c, and rows 0-3 take the LU fill-in.  One
-    # Fortran-ordered buffer is refilled in place, so f2py copies nothing, and
-    # every solve runs in place in ``y``.
-    lu = np.empty((13, m), dtype=complex, order="F")
-    y = np.empty(m, dtype=complex)
-    correction = np.empty(m, dtype=complex)
-    acc = np.zeros(m)
+    n = rate.size
+    xs = x.reshape(n, 4)
+    total = xs.sum(axis=1)
+    mean = total.mean()
+    deviation = total - mean
+    b_relax, b_pump = _reduced_blocks(relax, pump)
+    # the diagonal of -tau diff L; off it, -tau diff
+    diag = np.full(n, 2.0 * tau * diff)
+    diag[[0, -1]] = tau * diff
+    # zgbtrf's band layout, 3 sub- and 3 super-diagonals: (p - tau B - tau diff
+    # L)[r, c] at row 6 + r - c, column c, and rows 0-2 take the LU fill-in.
+    # The band less p is filled once; each pole copies it into one
+    # Fortran-ordered buffer, so f2py copies nothing, and every solve runs in
+    # place in ``y``.
+    band = np.zeros((10, 3 * n), dtype=complex, order="F")
+    for row in range(3):
+        for col in range(3):
+            band[6 + row - col, col::3] = -tau * (b_relax[row, col] + b_pump[row, col] * rate)
+    band[3, 3:] = band[9, :-3] = -tau * diff
+    band[6] += np.repeat(diag, 3)
+    lu = np.empty_like(band, order="F")
+    # the g column of each block, which carries the totals into (z, h, e)
+    lead = tau * (relax[1:, 0] + np.outer(rate, pump[1:, 0]))
+    y = np.empty(3 * n, dtype=complex)
+    ys = y.reshape(n, 3)
+    correction = np.empty(3 * n, dtype=complex)
+    acc = np.zeros(3 * n)
+    acc_total = np.full(n, mean)
     for p, w, refine in zip(_P, _W, _REFINED):
-        lu[:] = 0.0
-        for row in range(4):
-            for col in range(4):
-                lu[8 + row - col, col::4] = -tau * (relax[row, col] + pump[row, col] * rate)
-        lu[4, 4:] = lu[12, :-4] = -tau * diff
-        lu[8] += p + 2.0 * tau * diff
-        lu[8, :4] -= tau * diff
-        lu[8, -4:] -= tau * diff
-        _, piv, info = zgbtrf(lu, 4, 4, overwrite_ab=1)
+        off = np.full(n - 1, -tau * diff, dtype=complex)
+        *_, u, info = zgtsv(off, diag + p, off.copy(), deviation[:, None],
+                            overwrite_dl=1, overwrite_d=1, overwrite_du=1)
+        if info != 0:
+            raise SpectrumOutsideContour(f"pole {p:.4g} is an eigenvalue of the diffusion")
+        u = u[:, 0]
+        t = mean / p + u
+        lu[:] = band
+        lu[6] += p
+        _, piv, info = zgbtrf(lu, 3, 3, overwrite_ab=1)
         if info != 0:
             raise SpectrumOutsideContour(f"pole {p:.4g} is an eigenvalue of the generator")
-        y[:] = x
-        zgbtrs(lu, 4, 4, y, piv, overwrite_b=1)
+        np.multiply(lead, t[:, None], out=ys)
+        ys += xs[:, 1:]
+        zgbtrs(lu, 3, 3, y, piv, overwrite_b=1)
         if refine:
-            _shifted_residual(relax, pump, rate, diff, tau, p, x, y, correction)
-            zgbtrs(lu, 4, 4, correction, piv, overwrite_b=1)
+            _shifted_residual(relax, pump, rate, diff, tau, p, xs[:, 1:], t, y, correction)
+            zgbtrs(lu, 3, 3, correction, piv, overwrite_b=1)
             y += correction
         acc += w.real * y.imag + w.imag * y.real
-    return acc
+        acc_total += w.real * u.imag + w.imag * u.real
+    out = np.empty((n, 4))
+    out[:, 1:] = acc.reshape(n, 3)
+    out[:, 0] = acc_total - out[:, 1:].sum(axis=1)
+    return out.ravel()
 
 
 def evolve(state: EnsembleState, seq: PumpSequence, params: MaterialParams,
@@ -569,25 +624,36 @@ def evolve(state: EnsembleState, seq: PumpSequence, params: MaterialParams,
     Without spectral diffusion (the dark, or TLS off) ``A`` is block
     diagonal, and each bin's exact 4x4 propagator comes from one ``expm``
     call on the stack of the distinct pump rates' blocks, which SciPy (1.17)
-    runs as a Python loop over the blocks.  With diffusion ``A`` is banded
-    (4 sub- and 4 super-diagonals in bin-major order), and ``exp(tau A) x``
-    is the type-(14, 14) Caratheodory-Fejer rational approximation of exp:
-    7 complex banded solves, one per pole in the upper half-plane, using
-    conjugate symmetry.  On (-inf, 0] it is off from exp by at most 3.5e-14,
-    on the 20.7- and 22.8-degree rays by 8.6e-12 and 1.8e-11, and within 0.5
-    of 0 by 1.8e-11.  Its weights are up to 37 times their pole, so at the
-    four poles where ``|w / p| > 1`` the solve gets one step of iterative
-    refinement, with the residual formed level by level from the pump,
-    relaxation and diffusion terms.  Against ``expm_multiply`` that is off by
-    less than 1e-10 in population: on fig5's hole pair at 1e-4 W by 1.0e-13
-    at 1 ms, inside the burn, at its end and after the wait; on the 0.2 and
-    3.2 GHz combs of fig4 by 1.7e-13 and 4.0e-13.  The per-bin mass drifts
-    by less than 1e-12: 1.3e-14 on fig5's pair, 8e-15 to 9e-15 on the 0.2,
-    3.2 and 6.4 GHz combs.  On a 20-bin hole burned for 50 ms it drifts by
-    1.3e-13, 5.0e-12 and 1.0e-11 at 1, 10 and 100 W (peak pump rates 1e8 to
-    1e10 s^-1), and by up to 5e-10 at 1 kW.  A diffusive interval that moves
-    a bin's total population by more than ``CONSERVATION_ATOL`` raises
-    :class:`MassDrift`; on that hole that happens from about 10 kW on.
+    runs as a Python loop over the blocks.  With diffusion ``A`` is banded,
+    and ``exp(tau A) x`` is the type-(14, 14) Caratheodory-Fejer rational
+    approximation of exp: one shifted solve per pole in the upper half-plane,
+    using conjugate symmetry.  On (-inf, 0] it is off from exp by at most
+    3.5e-14, on the 20.7- and 22.8-degree rays by 8.6e-12 and 1.8e-11, and
+    within 0.5 of 0 by 1.8e-11.  The columns of every block sum to zero and
+    diffusion acts alike on the four levels, so each bin's total population
+    only diffuses, whatever the pump does: at each pole the totals come from
+    a scalar tridiagonal solve, with their mean, which diffusion keeps, taken
+    out first.  With g written as the total less ``z + h + e``, the other
+    levels come from a complex banded solve on (z, h, e), with 3 sub- and 3
+    super-diagonals in bin-major order.  The weights are up to 37 times their
+    pole, so at the four poles where ``|w / p| > 1`` that solve gets one step
+    of iterative refinement, with the residual formed level by level from the
+    pump, relaxation and diffusion terms.  Against ``expm_multiply`` that is
+    off by less than 1e-10 in population: on fig5's hole pair at 1e-4 W by
+    1.0e-13 at 1 ms, inside the burn, at its end and after the wait; on the
+    0.2 and 3.2 GHz combs of fig4 by 1.6e-13 and 4.0e-13.  The per-bin mass
+    drifts by less than 1e-14: 5.6e-16 on fig5's pair, 4.4e-16 on the 0.2,
+    3.2 and 6.4 GHz combs, and 2.2e-15 on a 20-bin hole burned for 50 ms at
+    any power up to 1e10 W.  At high pump rates the error goes into how each
+    bin's total is shared among its levels: on that hole, against a dense
+    ``scipy.linalg.expm`` of its 80x80 generator, the populations are off by
+    1.5e-10, 2.4e-10 and 1.0e-8 at 1, 10 and 100 W (peak pump rates 1e8 to
+    1e10 s^-1), which the tests hold to 4e-10, 7e-10 and 3e-8, and by
+    2.5e-7 at 1 kW.  A diffusive interval that moves a bin's total population
+    by more than ``CONSERVATION_ATOL`` raises :class:`MassDrift`.  Since the
+    totals no longer pass through the level solve, no generator of valid
+    parameters does so (none on that hole up to 1e10 W): the check guards
+    the rule itself.
     The rule is held accurate where ``tau`` times the generator's spectrum
     lies within 22.8 degrees of the negative real axis or within 0.5 of 0.
     Before the solves, the eigenvalues of the 4x4 block of every distinct

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
+from scipy.fft import dct, idct
 from scipy.linalg import expm
 
 import afcsim as a
 from afcsim.core import boltzmann_polarization
-from afcsim.pumping import _comb_segment, _contour_expmv
+from afcsim.pumping import _comb_segment, _contour_expmv, _rate_matrices
 from afcsim.errors import (
     InvalidCombGeometry,
     InvalidGeometry,
@@ -522,6 +523,23 @@ class TestHeatKernel:
             got = _contour_expmv(zeros, zeros, np.zeros(n), coeff, float(steps), pops.ravel())
             want = expm(steps * coeff * reflective_laplacian(n)) @ pops
             assert np.max(np.abs(got.reshape(n, 4) - want)) <= 1e-11
+
+    # 3708 is the product of the burn time and the diffusion rate of fig4's
+    # combs, where a dense expm of the Laplacian is itself off by about 3e-12
+    @pytest.mark.parametrize("coeff", [0.05, 3.0, 100.0, 3708.0])
+    def test_totals_follow_the_heat_kernel_with_pumping_on(self, coeff):
+        # whatever the pump does, each bin's total g + z + h + e obeys the
+        # heat equation alone; here the totals start away from 1, so they
+        # are not left fixed by the diffusion
+        rng = np.random.default_rng(11)
+        n = 60
+        relax, pump = _rate_matrices(a.MaterialParams(), 20.0, 0.3)
+        pops = rng.uniform(size=(n, 4))
+        got = _contour_expmv(relax, pump, rng.uniform(0.0, 1e3, n), coeff, 1.0, pops.ravel())
+        # exp(coeff L) in the cosine basis that diagonalises L
+        decay = np.exp(-4.0 * coeff * np.sin(np.pi * np.arange(n) / (2 * n)) ** 2)
+        want = idct(decay * dct(pops.sum(axis=1), norm="ortho"), norm="ortho")
+        assert np.max(np.abs(got.reshape(n, 4).sum(axis=1) - want)) <= 1e-13
 
 
 class TestEvolveSnapshots:

@@ -19,6 +19,16 @@ its curve's second derivatives (:attr:`ParametricModel.curvature`) and each
 transform carries them into its internal coordinates
 (:meth:`ParamTransform.curvature_internal`).
 
+A fit stops once it is at its optimum to the precision of its data: when the
+chi^2 that the undamped Gauss-Newton step from the current point would
+remove is at most ``1e-10 * min(chi^2, 1)`` (MINPACK's predicted-reduction
+test; More, *The Levenberg-Marquardt algorithm: implementation and theory*,
+1978).  That predicted reduction is the Gauss-Newton decrement
+``g^T (J^T J)^-1 g``, ``g = J^T r`` (Boyd & Vandenberghe, *Convex
+Optimization*, section 9.5.1).  With the reported covariance ``(J^T J)^-1``
+it is the squared length of the step in standard errors, so for chi^2 >= 1
+the step moves no parameter by more than 1e-5 of its error.
+
 The iteration runs on a batch: :func:`fit_curves` fits the rows of a
 ``(n_curves, n_points)`` array together, and :func:`fit_curve` is the same
 loop with no batch axis.  Each row keeps its own damping, curvature switch,
@@ -237,7 +247,11 @@ class FitResult:
 
     ``stop_reason`` names the rule that ended the iteration (see
     :func:`fit_curve`); ``converged`` says whether the end point is an
-    optimum with every parameter determined by the data.
+    optimum with every parameter determined by the data.  An ``"exact"`` or
+    ``"gtol"`` stop is always converged: the point is an exact fit, or no
+    undamped Gauss-Newton step from it moves a parameter by more than 1e-5
+    of its standard error.  The other rules are converged if the gradient
+    cosine is below 3e-3, which a point short of the optimum can also meet.
     """
 
     param_names: tuple
@@ -425,6 +439,10 @@ _LOST_INFLUENCE = 1e-6
 # the limits of the stop rules that fit_curve documents
 _MAX_ITER = 200
 _GTOL = 1e-10
+# the Gauss-Newton decrement g^T (J^T J)^-1 g at which gtol also fires: for
+# chi^2 >= 1 the undamped step then moves the parameters by at most 1e-5 of
+# their standard errors, whose covariance is (J^T J)^-1
+_NEWTON_TOL = 1e-10
 _GTOL_LOOSE = 3e-3
 _XTOL = 1e-12
 
@@ -660,6 +678,30 @@ def _levenberg_marquardt(model, x, y, sigma, p_ext, lo, hi):
         """Whether each row's Jacobian holds a non-finite entry."""
         return ~np.isfinite(s.jac).all((-2, -1)) if batched else not np.isfinite(s.jac).all()
 
+    def newton_converged():
+        """Whether each row's Gauss-Newton decrement ``g^T (J^T J)^-1 g``,
+        ``g = J^T r``, is at most ``_NEWTON_TOL * min(chi^2, 1)``; False
+        where ``J^T J`` is singular."""
+        if batched:
+            delta, singular = _damped_rows(s.a_mat, s.scale, np.zeros(len(s.cost)), s.grad)
+            ok = -np.vecdot(s.grad, delta) <= _NEWTON_TOL * np.minimum(s.cost, 1.0)
+            return ok if singular is None else ok & ~singular
+        try:
+            delta = _damped_step(s.a_mat, s.scale, 0.0, s.grad)
+        except SingularJacobian:
+            return False
+        return float(-np.vecdot(s.grad, delta)) <= _NEWTON_TOL * min(s.cost, 1.0)
+
+    def at_optimum(iterations):
+        """Settle the rows whose point is an exact fit or meets ``gtol``,
+        after ``iterations`` accepted steps; True once no row is left."""
+        stop = s.cost <= s.floor
+        if any_(stop) and settle(stop, result("exact", iterations)):
+            return True
+        stop = ((_cosines(s.grad, s.col_norms, s.root[:, None] if batched else s.root) <= _GTOL)
+                | newton_converged())
+        return any_(stop) and settle(stop, result("gtol", iterations))
+
     record()
     stop = nonfinite()
     if any_(stop) and settle(stop, lambda j, k: SingularJacobian(
@@ -685,6 +727,8 @@ def _levenberg_marquardt(model, x, y, sigma, p_ext, lo, hi):
     s.curved = per_row(False)
     s.stall = per_row(0)
     s.window = s.cost
+    if at_optimum(0):
+        return out
     for it in range(1, _MAX_ITER + 1):
         if it % 12 == 0:
             # no meaningful progress over a whole window of iterations
@@ -692,12 +736,6 @@ def _levenberg_marquardt(model, x, y, sigma, p_ext, lo, hi):
             if any_(stop) and settle(stop, result("no_progress", it)):
                 break
             s.window = s.cost
-        stop = s.cost <= s.floor
-        if any_(stop) and settle(stop, result("exact", it - 1)):
-            break
-        stop = _cosines(s.grad, s.col_norms, s.root[:, None] if batched else s.root) <= _GTOL
-        if any_(stop) and settle(stop, result("gtol", it - 1)):
-            break
 
         h_mat = s.a_mat
         if any_(s.curved):
@@ -739,6 +777,8 @@ def _levenberg_marquardt(model, x, y, sigma, p_ext, lo, hi):
                 "lost_influence:" + ",".join(model.param_names[i]
                                              for i in np.flatnonzero(row(lost, j))),
                 it, lost)(j, k)):
+            break
+        if at_optimum(it):
             break
         stop = s.step <= _XTOL * (sqrt(np.vecdot(s.theta, s.theta)) + _XTOL)
         if any_(stop) and settle(stop, result("xtol", it)):
@@ -823,9 +863,18 @@ def fit_curve(model: ParametricModel, x, y, sigma=None, init=None, bounds=None) 
     The returned ``stop_reason`` names the rule that ended the iteration:
 
     ``"exact"``, ``"gtol"``
-        the residual reached the floating-point floor, or the largest cosine
-        between a Jacobian column and the residual fell below 1e-10;
-        always converged.
+        the residual reached the floating-point floor; or the largest cosine
+        between a Jacobian column and the residual fell below 1e-10, or the
+        Gauss-Newton decrement ``g^T (J^T J)^-1 g`` (``g = J^T r``, the
+        chi^2 that the undamped Gauss-Newton step would remove) fell to
+        ``1e-10 * min(chi^2, 1)``.  With the covariance ``(J^T J)^-1`` the
+        decrement is the step's squared length in standard errors, so for
+        chi^2 >= 1 the step moves no parameter by more than 1e-5 of its
+        error; for chi^2 < 1 it removes at most 1e-10 of chi^2, so exact data
+        still ends by ``"exact"``.  A point where ``J^T J`` is singular skips
+        the decrement test.  Always converged.  Both rules are tested at the
+        start and at every accepted point, before ``"xtol"`` and
+        ``"stall"``.
     ``"xtol"``, ``"stall"``, ``"no_progress"``, ``"max_damping"``
         the step fell below 1e-12 of the internal parameters' norm, three
         successive improvements were negligible, a 12-iteration window

@@ -338,23 +338,45 @@ def pump_rate_profile(segment: PumpSegment, grid: FrequencyGrid,
 
     Each feature contributes ``pump_xsec * (power / width)`` at its peak,
     shaped by the pit profile convolved with the homogeneous line; the
-    carrier leak adds a narrow feature at zero detuning.  Contributions add.
+    carrier leak adds a narrow feature at zero detuning.  Contributions add,
+    in the order of the features.
+
+    A pit's shape depends only on its width and on ``nu - center``, so pits
+    of one width whose centres fall at the same place inside their bins (a
+    comb's pits, whole bins apart) share one shape: it is evaluated once, on
+    the grid extended by their spread, and each pit adds it shifted by whole
+    bins.  Any other pit is a group of one.
     """
-    nu = grid.centers
-    rate = np.zeros_like(nu)
-    for f in segment.features:
-        if f.power == 0.0:
-            continue
-        psd = f.power / f.width
-        rate += params.pump_xsec * psd * _feature_shape(
-            nu, f.center, f.width, params.gamma_h_fwhm, segment.shape)
+    pits = [(f.center, f.width, segment.shape, f.power / f.width)
+            for f in segment.features if f.power != 0.0]
     carrier = segment.carrier_power
     if carrier > 0.0:
         # carrier structure below the grid scale is not resolved
         width = max(params.gamma_h_fwhm, 1e6)
-        psd = carrier / width
-        rate += params.pump_xsec * psd * _feature_shape(
-            nu, 0.0, width, params.gamma_h_fwhm, "tophat")
+        pits.append((0.0, width, "tophat", carrier / width))
+    nu_min, bin_width, n = grid.nu_min, grid.bin_width, grid.n_bins
+    # the bin each centre falls in, and the group of its width, shape and
+    # place inside that bin
+    bins = [math.floor((c - nu_min) / bin_width) for c, *_ in pits]
+    groups = {}
+    for p, ((c, width, shape, _), k) in enumerate(zip(pits, bins)):
+        groups.setdefault((width, shape, c - (nu_min + k * bin_width)), []).append(p)
+    views = [None] * len(pits)
+    for members in groups.values():
+        members.sort(key=bins.__getitem__)
+        # pits more than a grid apart share no sample: each run of closer pits
+        # gets its own extended grid, never longer than their grids together
+        cuts = [i for i in range(1, len(members)) if bins[members[i]] - bins[members[i - 1]] > n]
+        for run in (members[i:j] for i, j in zip([0] + cuts, cuts + [len(members)])):
+            k_lo, k_hi = bins[run[0]], bins[run[-1]]
+            c, width, shape, _ = pits[run[0]]
+            ext = nu_min + (np.arange(k_lo - k_hi, n) + 0.5) * bin_width
+            profile = _feature_shape(ext, c, width, params.gamma_h_fwhm, shape)
+            for p in run:
+                views[p] = profile[k_hi - bins[p]:][:n]
+    rate = np.zeros(n)
+    for (*_, psd), view in zip(pits, views):
+        rate += params.pump_xsec * psd * view
     return rate
 
 

@@ -43,8 +43,8 @@ def make_row(kind, seed):
 
 # one row for each way a fit ends
 FIXED = {
-    "gtol": ("lor", 8), "xtol": ("lor", 2), "max_damping": ("lor", 6),
-    "lost_influence": ("lor", 60), "exact": ("lor", 0), "stall": ("lor", 5),
+    "gtol": ("lor", 8), "xtol": ("flat", 24), "max_damping": ("flat", 68),
+    "lost_influence": ("lor", 60), "exact": ("lor", 0), "stall": ("gauss", 0),
     "no_progress": ("flat", 2), "MaxIterations": ("lor", 10),
     "SingularJacobian": ("dead", 1),
 }

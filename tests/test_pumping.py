@@ -10,7 +10,7 @@ from scipy.linalg import expm
 
 import afcsim as a
 from afcsim.core import boltzmann_polarization
-from afcsim.pumping import _comb_segment, _contour_expmv, _rate_matrices
+from afcsim.pumping import _comb_segment, _contour_expmv, _feature_shape, _rate_matrices
 from afcsim.errors import (
     InvalidCombGeometry,
     InvalidGeometry,
@@ -270,6 +270,33 @@ class TestPumpRateProfile:
         i_0, i_100, i_250 = (int((nu - g.nu_min) / g.bin_width) for nu in (0.0, 100e6, 250e6))
         assert rate[i_0] > rate[i_100]
         assert rate[i_250] > 0
+
+    @pytest.mark.parametrize("combs, lo, hi, bin_width, shape", [
+        # pits whole bins apart, 0.2 of a bin off their bin centres, some of
+        # them beyond the grid
+        (((1.6e9, 0.15e6),), -700e6, 900e6, 0.5e6, "tophat"),
+        (((1.6e9, 0.15e6),), -700e6, 900e6, 0.5e6, "gaussian"),
+        # Table 1's comb pair, 1.4 GHz apart
+        (((200e6, 0.0), (200e6, -1.4e9)), -1.6e9, 250e6, 0.5e6, "tophat"),
+        # a spacing of 166.7 bins: the pits fall at three places in their bins
+        (((3.2e9, 0.0),), -1.75e9, 1.75e9, 0.3e6, "tophat"),
+        # pits spread over 16 times the grid
+        (((3.2e9, 0.0),), -100e6, 100e6, 0.5e6, "tophat"),
+    ])
+    def test_profile_equals_the_per_pit_sum(self, combs, lo, hi, bin_width, shape):
+        p = a.MaterialParams()
+        g = a.make_grid(lo, hi, bin_width)
+        seg = _comb_segment(combs, 50e6, 25e6, 0.3, 5e-4, shape)
+        nu = g.centers
+        want = np.zeros_like(nu)
+        for f in seg.features:
+            want += p.pump_xsec * f.power / f.width * _feature_shape(
+                nu, f.center, f.width, p.gamma_h_fwhm, shape)
+        width = max(p.gamma_h_fwhm, 1e6)
+        want += p.pump_xsec * seg.carrier_power / width * _feature_shape(
+            nu, 0.0, width, p.gamma_h_fwhm, "tophat")
+        rate = a.pump_rate_profile(seg, g, p)
+        assert np.abs(rate - want).max() <= 1e-15 * want.max()
 
 
 class TestEvolve:

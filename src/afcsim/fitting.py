@@ -1117,6 +1117,12 @@ def model_lorentzian_dip(baseline_terms: int = 1) -> ParametricModel:
         return curv
 
     def guess(nu, od):
+        # a steep slope puts the lowest sample at an edge, so the two-term
+        # dip is found on the curve less the line through its end samples
+        slope = 0.0
+        if n_base == 2:
+            slope = float((od[-1] - od[0]) / (nu[-1] - nu[0]))
+            od = od - slope * nu
         baseline = float(np.median(od))
         imin = int(np.argmin(od))
         depth = max(baseline - float(od[imin]), 1e-6)
@@ -1127,7 +1133,7 @@ def model_lorentzian_dip(baseline_terms: int = 1) -> ParametricModel:
                        float(nu[1] - nu[0]))
         else:
             fwhm = (nu[-1] - nu[0]) / 10.0
-        return np.array([baseline, 0.0][:n_base] + [depth, center, fwhm])
+        return np.array([baseline, slope][:n_base] + [depth, center, fwhm])
 
     return ParametricModel(
         param_names=("baseline", "slope")[:n_base] + ("depth", "center", "fwhm"),

@@ -31,11 +31,11 @@ banded, and ``exp(tau A) x`` comes from the type-(14, 14) Caratheodory-Fejer
 rational approximation of exp on (-inf, 0] (Trefethen, Weideman & Schmelzer,
 BIT 46, 2006), the approximation CRAM uses, one shifted solve per pole.  Each
 bin's total population only diffuses, so at each of the seven poles it comes
-from a tridiagonal solve, and the other three levels from a complex banded
-LAPACK solve, four of them with one step of iterative refinement: off from
-``expm_multiply`` by about 1e-13 in population.  The rule is held accurate
-where the spectrum of ``tau A`` lies within 22.8 degrees of the negative real
-axis or within 0.5 of 0.  A guard checks the spectra of the 4x4 blocks, one
+from a tridiagonal solve, and the other three levels from one complex banded
+LAPACK solve: off from ``expm_multiply`` by at most 4e-13 in population on
+the scenarios' holes and combs.  The rule is held accurate where the
+spectrum of ``tau A`` lies within 22.8 degrees of the negative real axis or
+within 0.5 of 0.  A guard checks the spectra of the 4x4 blocks, one
 per distinct pump rate, before the solves.  It needs no LAPACK: each block's
 eigenvalues other than 0 are the roots of a cubic whose coefficients are
 affine in the pump rate, found in closed form for all rates at once.
@@ -417,13 +417,6 @@ _W = np.array([
     91.28908768255246 - 93.86980911316265j,
     -204.3000126478722 + 55.75232454932658j,
 ])
-# sum |w / p| is 66, so a solve's rounding can grow 66-fold in the sum; at
-# the four poles with |w / p| > 1 the (z, h, e) solve gets one step of
-# iterative refinement.  The totals' solve needs none: it solves for their
-# deviation from their mean, which a physical state's totals (1 up to
-# rounding) leave at rounding level; the drift of a bin's total is 4.4e-16
-# on fig4's combs and 2.2e-15 on a 20-bin hole burned at up to 1e10 W
-_REFINED = np.abs(_W / _P) > 1.0
 # r is held accurate to 2e-11 within 22.8 degrees of the negative real axis
 # and within 0.5 of 0, so the block spectra of tau A must lie there
 _SECTOR_TAN = math.tan(math.radians(22.8))
@@ -524,30 +517,6 @@ def _check_sector(eigs: np.ndarray, tau: float) -> None:
             f"region where the rational rule for exp holds")
 
 
-def _shifted_residual(relax: np.ndarray, pump: np.ndarray, rate: np.ndarray,
-                      diff: float, tau: float, p: complex, x: np.ndarray,
-                      total: np.ndarray, y: np.ndarray, out: np.ndarray) -> None:
-    """``out`` is the residual of the (z, h, e) system that
-    :func:`_contour_expmv` solves at pole ``p``: the levels 1-3 of
-    ``x - (p - tau A) y``, with ``y``'s g level ``total - z - h - e``.  It is
-    formed level by level from the rows of ``relax`` and ``pump``, with no
-    matrix product.  The pump and diffusion terms are scaled after the
-    differences of the levels they act on are taken, so their rounding is of
-    the size of the term, not of ``tau A``."""
-    ys, res = y.reshape(-1, 3), out.reshape(-1, 3)
-    levels = (total - ys.sum(axis=1), ys[:, 0], ys[:, 1], ys[:, 2])
-    np.multiply(y, -p, out=out)
-    res += x
-    for row in range(1, 4):
-        relaxed = sum(relax[row, col] * levels[col] for col in range(4) if relax[row, col])
-        pumped = sum(pump[row, col] * levels[col] for col in range(4) if pump[row, col])
-        res[:, row - 1] += tau * (relaxed + rate * pumped)
-    # the reflective-boundary Laplacian over bins, on every level
-    flux = (tau * diff) * (ys[1:] - ys[:-1])
-    res[:-1] += flux
-    res[1:] -= flux
-
-
 def _contour_expmv(relax: np.ndarray, pump: np.ndarray, rate: np.ndarray,
                    diff: float, tau: float, x: np.ndarray) -> np.ndarray:
     """``exp(tau A) x`` on the bin-major state, for the generator
@@ -563,11 +532,11 @@ def _contour_expmv(relax: np.ndarray, pump: np.ndarray, rate: np.ndarray,
     ``t = c / p + (p - tau diff L)^-1 (s - c)``.  Putting ``g = t - z - h - e``
     into the other three rows leaves a banded system on (z, h, e), with 3
     sub- and 3 super-diagonals, the blocks of :func:`_reduced_blocks` and
-    ``tau m[:, g] t`` added to the right-hand side: one complex banded solve
-    per pole.  At the four poles with ``|w / p| > 1`` that solve gets one
-    step of iterative refinement: factor, solve, form the residual, solve
-    again.  The result's g is its totals, ``c + sum_j Im(w_j (t_j - c / p_j))``,
-    less its z, h and e.
+    ``tau m[:, g] t`` added to the right-hand side: one complex banded
+    factorisation and solve per pole.  The result's g is its totals,
+    ``c + sum_j Im(w_j (t_j - c / p_j))``, less its z, h and e.  A physical
+    state's totals are 1 up to rounding, so their deviation from ``c`` is of
+    rounding size, and so is the drift of each bin's total.
     """
     n = rate.size
     xs = x.reshape(n, 4)
@@ -594,10 +563,9 @@ def _contour_expmv(relax: np.ndarray, pump: np.ndarray, rate: np.ndarray,
     lead = tau * (relax[1:, 0] + np.outer(rate, pump[1:, 0]))
     y = np.empty(3 * n, dtype=complex)
     ys = y.reshape(n, 3)
-    correction = np.empty(3 * n, dtype=complex)
     acc = np.zeros(3 * n)
     acc_total = np.full(n, mean)
-    for p, w, refine in zip(_P, _W, _REFINED):
+    for p, w in zip(_P, _W):
         off = np.full(n - 1, -tau * diff, dtype=complex)
         *_, u, info = zgtsv(off, diag + p, off.copy(), deviation[:, None],
                             overwrite_dl=1, overwrite_d=1, overwrite_du=1)
@@ -613,10 +581,6 @@ def _contour_expmv(relax: np.ndarray, pump: np.ndarray, rate: np.ndarray,
         np.multiply(lead, t[:, None], out=ys)
         ys += xs[:, 1:]
         zgbtrs(lu, 3, 3, y, piv, overwrite_b=1)
-        if refine:
-            _shifted_residual(relax, pump, rate, diff, tau, p, xs[:, 1:], t, y, correction)
-            zgbtrs(lu, 3, 3, correction, piv, overwrite_b=1)
-            y += correction
         acc += w.real * y.imag + w.imag * y.real
         acc_total += w.real * u.imag + w.imag * u.real
     out = np.empty((n, 4))
@@ -657,25 +621,25 @@ def evolve(state: EnsembleState, seq: PumpSequence, params: MaterialParams,
     a scalar tridiagonal solve, with their mean, which diffusion keeps, taken
     out first.  With g written as the total less ``z + h + e``, the other
     levels come from a complex banded solve on (z, h, e), with 3 sub- and 3
-    super-diagonals in bin-major order.  The weights are up to 37 times their
-    pole, so at the four poles where ``|w / p| > 1`` that solve gets one step
-    of iterative refinement, with the residual formed level by level from the
-    pump, relaxation and diffusion terms.  Against ``expm_multiply`` that is
+    super-diagonals in bin-major order.  Against ``expm_multiply`` that is
     off by less than 1e-10 in population: on fig5's hole pair at 1e-4 W by
     1.0e-13 at 1 ms, inside the burn, at its end and after the wait; on the
-    0.2 and 3.2 GHz combs of fig4 by 1.6e-13 and 4.0e-13.  The per-bin mass
+    0.2 and 3.2 GHz combs of fig4 by 2.4e-13 and 4.0e-13.  The per-bin mass
     drifts by less than 1e-14: 5.6e-16 on fig5's pair, 4.4e-16 on the 0.2,
-    3.2 and 6.4 GHz combs, and 2.2e-15 on a 20-bin hole burned for 50 ms at
+    3.2 and 6.4 GHz combs, and 4.1e-15 on a 20-bin hole burned for 50 ms at
     any power up to 1e10 W.  At high pump rates the error goes into how each
-    bin's total is shared among its levels: on that hole, against a dense
-    ``scipy.linalg.expm`` of its 80x80 generator, the populations are off by
-    1.5e-10, 2.4e-10 and 1.0e-8 at 1, 10 and 100 W (peak pump rates 1e8 to
-    1e10 s^-1), which the tests hold to 4e-10, 7e-10 and 3e-8, and by
-    2.5e-7 at 1 kW.  A diffusive interval that moves a bin's total population
-    by more than ``CONSERVATION_ATOL`` raises :class:`MassDrift`.  Since the
-    totals no longer pass through the level solve, no generator of valid
-    parameters does so (none on that hole up to 1e10 W): the check guards
-    the rule itself.
+    bin's total is shared among its levels: the weights are up to 37 times
+    their pole, so the rounding of each level solve, of the size of
+    ``tau A``, grows in the sum.  Over the first 10 ms of that hole's burn,
+    against a 30-digit ``mpmath.expm`` of its 80x80 generator, the
+    populations are off by 6.8e-13, 1.6e-10 and 8.4e-7 at 1 W, 100 W and
+    100 kW (peak pump rates 1e8, 1e10 and 1e13 s^-1), where a dense
+    ``scipy.linalg.expm`` is off by 6.7e-12, 1.4e-9 and 1.4e-6; the tests
+    hold a 6-bin hole to such a reference at 1 W, 1 kW and 100 kW.  A
+    diffusive interval that moves a bin's total population by more than
+    ``CONSERVATION_ATOL`` raises :class:`MassDrift`.  Since the totals do
+    not pass through the level solve, no generator of valid parameters does
+    so (none on that hole up to 1e10 W): the check guards the rule itself.
     The rule is held accurate where ``tau`` times the generator's spectrum
     lies within 22.8 degrees of the negative real axis or within 0.5 of 0.
     Before the solves, the eigenvalues of the 4x4 block of every distinct

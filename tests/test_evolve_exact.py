@@ -6,7 +6,9 @@ interval is one sparse linear system ``x' = A x``.  The oracle here builds
 ``A`` term by term from the rate equations and applies ``exp(A t)`` with
 ``scipy.sparse.linalg.expm_multiply``: on a twenty-bin hole, at the
 scenarios' top operating points whose errors the ``evolve`` docstring states,
-and on random burns of up to 24 bins.
+and on random burns of up to 24 bins.  At pump rates far beyond the
+scenarios', a 30-digit ``mpmath.expm`` is the reference, since a dense
+``scipy.linalg.expm`` is there less accurate than ``evolve``.
 """
 
 from functools import lru_cache
@@ -271,7 +273,7 @@ def test_wide_comb_burn_in_pieces_matches_one_interval(bandwidth):
         assert np.max(np.abs(split - whole)) <= 1e-12
 
 
-# evolve measured 1.5e-10, 2.4e-10 and 1.0e-8 against the dense expm; each
+# evolve measured 1.5e-10, 3.1e-10 and 1.2e-8 against the dense expm; each
 # bound is under 3 times that
 @pytest.mark.parametrize("power, bound", [(1.0, 4e-10), (10.0, 7e-10), (100.0, 3e-8)])
 def test_populations_at_very_high_pump_rates(power, bound):
@@ -282,6 +284,34 @@ def test_populations_at_very_high_pump_rates(power, bound):
                                 width=5e6, dark_after=0.5)
     got = populations(a.evolve(st, seq, p, TlsParams(), rec))
     want = exact(st, seq, p, TlsParams(), rec, propagate=dense_expm)
+    assert np.max(np.abs(got - want)) <= bound
+
+
+@lru_cache(maxsize=None)
+def small_hole_case(power):
+    """Evolved and 30-digit ``mpmath.expm`` populations of a 6-bin hole
+    (24 unknowns) after its first 10 ms lit interval at ``power``."""
+    mpmath = pytest.importorskip("mpmath")
+    p = a.MaterialParams()
+    g = a.make_grid(247e6, 253e6, 1e6)
+    st = a.init_equilibrium_state(g, p)
+    seq = a.build_hole_sequence(detuning=250e6, burn_duration=0.01, power=power, width=5e6)
+    seg = seq.segments[0]
+    op = generator(a.pump_rate_profile(seg, g, p), seg.total_power, p, TlsParams(),
+                   g.bin_width).toarray() * seg.duration
+    x = np.stack([st.n_g, st.n_z, st.n_h, st.n_e], axis=1).ravel()
+    with mpmath.workdps(30):
+        want = mpmath.expm(mpmath.matrix(op.tolist())) * mpmath.matrix(x.tolist())
+    got = populations(a.evolve(st, seq, p, TlsParams(), [seg.duration]))
+    return got.ravel(), np.array([float(v) for v in want])
+
+
+# evolve measured 6.9e-12, 4.6e-9 and 6.1e-7 against the 30-digit reference,
+# where a dense scipy.linalg.expm is off by 1.6e-11, 7.0e-8 and 2.5e-6; each
+# bound is under 3 times evolve's error and under the dense expm's
+@pytest.mark.parametrize("power, bound", [(1.0, 1.5e-11), (1e3, 1.2e-8), (1e5, 1.5e-6)])
+def test_populations_against_extended_precision(power, bound):
+    got, want = small_hole_case(power)
     assert np.max(np.abs(got - want)) <= bound
 
 

@@ -43,8 +43,7 @@ def sloped_dip(rng):
     truth = [rng.uniform(0.6, 1.0), rng.uniform(-0.05, 0.05), rng.uniform(0.15, 0.5),
              rng.uniform(-0.5, 0.5), rng.uniform(0.8, 2.0)]
     # started as readout starts a hole fit: at the sampled minimum, off in
-    # depth and width; the model's own guess takes the lowest sample, which a
-    # steep slope can put at the window's edge
+    # depth and width
     truth = np.array(truth)
     start = truth * [1.0, 0.0, 0.8, 1.0, 1.3] + [0.02, 0.0, 0.0, 0.1, 0.0]
     return a.model_lorentzian_dip(2), NU, truth, None, start

@@ -205,6 +205,17 @@ class TestModels:
         assert res.converged
         assert np.allclose(res.params, truth, rtol=1e-9)
 
+    def test_sloped_dip_from_its_own_guess(self):
+        # the baseline rises by 0.36 across the window, more than the dip's
+        # 0.2 depth, so the lowest sample is at the window's edge; a guess
+        # taken there ends on a wrong minimum
+        model = a.model_lorentzian_dip(2)
+        truth = np.array([0.805, 0.045, 0.200, 0.449, 1.174])
+        x = np.linspace(-4.0, 4.0, 81)
+        res = a.fit_curve(model, x, model.evaluate(truth, x))
+        assert res.converged
+        assert np.allclose(res.params, truth, rtol=1e-6, atol=0.0)
+
     def test_flipflop_model_matches_lifetime(self):
         model = a.model_flipflop_field(alpha=1e9, g_factor=15.13, temperature=0.7)
         p = a.MaterialParams()

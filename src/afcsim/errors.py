@@ -102,5 +102,9 @@ class NoCombDetected(AfcSimError, RuntimeError):
     """Spectrum shows no periodic comb structure at the requested spacing."""
 
 
+class CalibrationFailed(AfcSimError, RuntimeError):
+    """The TLS couplings cannot be set to meet the pump-probe targets."""
+
+
 class UnsupportedFormat(AfcSimError, ValueError):
     """Unknown export format."""

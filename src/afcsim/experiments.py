@@ -9,10 +9,11 @@ config and the sha256 of every file.  :func:`run_all` and the CLI's
 ``reproduce`` read the same table.  Fixed config and seed give
 byte-identical data files.
 
-The TLS coefficients follow a codified calibration: ``kappa_fill`` is set
-by the threefold drop of the probe-hole depth at maximum pump power and
-``kappa_diff`` by the 5 MHz growth of the probe-hole width
-(:func:`calibrate_tls`); the comb backgrounds and the echo-efficiency
+The TLS coefficients follow a codified calibration: :func:`calibrate_tls`
+sets ``kappa_fill`` and ``kappa_diff`` together, by one Newton solve, so
+that fig5's probe hole is three times shallower and 5 MHz wider at maximum
+than at minimum pump power, and raises :class:`CalibrationFailed` when no
+couplings get there; the comb backgrounds and the echo-efficiency
 prediction then contain no further free parameters.
 """
 
@@ -38,7 +39,7 @@ from .core import (
     make_grid,
     zeeman_splitting,
 )
-from .errors import AfcSimError, NonPositiveInput, UnsupportedFormat
+from .errors import AfcSimError, CalibrationFailed, NonPositiveInput, UnsupportedFormat
 from .fitting import (
     fit_curve,
     model_double_exponential,
@@ -75,7 +76,9 @@ class Fig2Config:
     The branching fractions are configured here (not in the global material
     table) so that both decay components carry comparable weight in the
     measured area curves, as observed; the protocol does not constrain them
-    independently.
+    independently.  They apply to this scenario only: every other scenario,
+    and :func:`calibrate_tls`, uses ``MaterialParams``' branching
+    (``beta_zeeman``, ``beta_shf``) = (0.4, 0.1), not this (0.05, 0.8).
     """
 
     fields_gauss: tuple = (350.0, 600.0, 800.0)
@@ -738,56 +741,52 @@ def run_all(config: ExperimentConfig, write: bool = True) -> dict:
 def calibrate_tls(config: Optional[ExperimentConfig] = None) -> TlsParams:
     """Fix the TLS coefficients from the two pump-probe observables.
 
-    Alternates two one-dimensional solves with damping: ``kappa_fill`` on
-    the probe-depth ratio between minimum and maximum pump power (target 3),
-    then ``kappa_diff`` on the probe-width growth (target 5 MHz).  The two
-    couple (spectral diffusion also shallows the hole), so the alternation
-    is damped in log space, for at most five rounds, until both targets hold
-    to 5%.
+    Between fig5's lowest and highest pump power the probe hole's depth
+    falls threefold and its width grows by 5 MHz.  Both couplings move both
+    observables (spectral diffusion also shallows the hole), so they are
+    solved for together: damped Newton on ``(ln kappa_fill, ln kappa_diff)``
+    with the two relative misses as residuals and a forward-difference 2x2
+    Jacobian (Dennis & Schnabel, 1983, ch. 6).  Each step is capped at 3 in either logarithm and halved, up
+    to five times, until the residual norm falls; a trial point where fig5
+    raises an :class:`AfcSimError` counts as no fall.  The solve starts at
+    ``config.tls`` (a coupling of 0 at 1.5e4 or 4e18) and ends once both
+    misses are within 1e-4.  Raises :class:`CalibrationFailed` when it
+    cannot get there: no halving helps, ten steps do not suffice, or fig5
+    fails at the start or at a difference point.
     """
-    from scipy.optimize import brentq
-
     config = config or default_config()
+    powers = config.fig5.pump_powers
 
-    def targets(kf, kd):
-        probe_cfg = replace(config, tls=TlsParams(kappa_fill=kf, kappa_diff=kd))
-        powers = probe_cfg.fig5.pump_powers
-        try:
-            _, probe_lo = _fig5_point(probe_cfg, powers[0])
-            _, probe_hi = _fig5_point(probe_cfg, powers[-1])
-        except AfcSimError:
-            return np.inf, np.inf
-        return probe_lo.depth / probe_hi.depth, probe_hi.fwhm - probe_lo.fwhm
+    def misses(x):
+        probe_cfg = replace(config, tls=TlsParams(*np.exp(x).tolist()))
+        _, lo = _fig5_point(probe_cfg, powers[0])
+        _, hi = _fig5_point(probe_cfg, powers[-1])
+        return np.array([lo.depth / hi.depth / 3.0, (hi.fwhm - lo.fwhm) / 5e6]) - 1.0
 
-    def bracket_solve(fun, seed):
-        x_lo, x_hi = seed * 0.4, seed * 2.5
-        f_lo, f_hi = fun(np.log10(x_lo)), fun(np.log10(x_hi))
+    x = np.log([config.tls.kappa_fill or 1.5e4, config.tls.kappa_diff or 4e18])
+    try:
+        r = misses(x)
         for _ in range(10):
-            if np.isfinite(f_lo) and np.isfinite(f_hi) and f_lo * f_hi <= 0:
-                break
-            if not np.isfinite(f_hi) or abs(f_lo) < abs(f_hi):
-                if np.isfinite(f_lo) and f_lo > 0:
-                    x_lo /= 3.0
-                    f_lo = fun(np.log10(x_lo))
-                else:
-                    x_hi /= 1.5
-                    f_hi = fun(np.log10(x_hi))
+            if np.max(np.abs(r)) <= 1e-4:
+                return TlsParams(*np.exp(x).tolist())
+            jac = np.column_stack([misses(x + 1e-3 * e) - r for e in np.eye(2)]) / 1e-3
+            step = np.linalg.solve(jac, -r)
+            step *= min(1.0, 3.0 / np.max(np.abs(step)))
+            for _ in range(6):
+                try:
+                    trial = misses(x + step)
+                    if np.linalg.norm(trial) < np.linalg.norm(r):
+                        break
+                except AfcSimError:
+                    pass
+                step /= 2.0
             else:
-                x_hi *= 3.0
-                f_hi = fun(np.log10(x_hi))
-        return 10 ** brentq(fun, np.log10(x_lo), np.log10(x_hi), xtol=1e-3)
-
-    depth_ratio_target, width_growth_target, rounds = 3.0, 5e6, 5
-    kf, kd = config.tls.kappa_fill or 1.5e4, config.tls.kappa_diff or 4e18
-    for rnd in range(rounds):
-        kf_solved = bracket_solve(
-            lambda lk: targets(10 ** lk, kd)[0] - depth_ratio_target, kf)
-        kf = float(np.sqrt(kf * kf_solved)) if rnd < rounds - 1 else float(kf_solved)
-        kd_solved = bracket_solve(
-            lambda lk: targets(kf, 10 ** lk)[1] - width_growth_target, kd)
-        kd = float(np.sqrt(kd * kd_solved)) if rnd < rounds - 1 else float(kd_solved)
-        ratio, growth = targets(kf, kd)
-        if (abs(ratio - depth_ratio_target) < 0.05 * depth_ratio_target
-                and abs(growth - width_growth_target) < 0.05 * width_growth_target):
-            break
-    return TlsParams(kappa_fill=kf, kappa_diff=kd)
+                break
+            x, r = x + step, trial
+    except (AfcSimError, np.linalg.LinAlgError) as exc:
+        raise CalibrationFailed(
+            f"no Newton step from kappa_fill={np.exp(x[0]):.4g}, "
+            f"kappa_diff={np.exp(x[1]):.4g}: {exc}") from exc
+    raise CalibrationFailed(
+        f"stopped at kappa_fill={np.exp(x[0]):.4g}, kappa_diff={np.exp(x[1]):.4g}, "
+        f"with the probe depth ratio off by {r[0]:+.2%} and its width growth by {r[1]:+.2%}")

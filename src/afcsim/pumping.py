@@ -637,16 +637,19 @@ def evolve(state: EnsembleState, seq: PumpSequence, params: MaterialParams,
     ``scipy.linalg.expm`` is off by 6.7e-12, 1.4e-9 and 1.4e-6; the tests
     hold a 6-bin hole to such a reference at 1 W, 1 kW and 100 kW.  A
     diffusive interval that moves a bin's total population by more than
-    ``CONSERVATION_ATOL`` raises :class:`MassDrift`.  Since the totals do
-    not pass through the level solve, no generator of valid parameters does
-    so (none on that hole up to 1e10 W): the check guards the rule itself.
+    ``CONSERVATION_ATOL``, read after the clip to [0, 1], raises
+    :class:`MassDrift`.  The totals do not pass through the level solve, so
+    this happens only where the rule sends levels out of [0, 1]: none on
+    that hole up to 1e10 W, but on fig5's pair at ``kappa_diff = 1e40``,
+    where clipping loses 0.147 of a bin.
     The rule is held accurate where ``tau`` times the generator's spectrum
     lies within 22.8 degrees of the negative real axis or within 0.5 of 0.
     Before the solves, the eigenvalues of the 4x4 block of every distinct
     pump rate are checked, and :class:`SpectrumOutsideContour` is raised when
-    one is outside.  They are the roots of each block's characteristic cubic,
-    in closed form: one from Cardano's or Viete's formula polished by Newton,
-    the other two from the deflated quadratic.  Away from merging roots they
+    one is outside, or is not finite because the block overflows its cubic.
+    They are the roots of each block's characteristic cubic, in closed form:
+    one from Cardano's or Viete's formula polished by Newton, the other two
+    from the deflated quadratic.  Away from merging roots they
     agree with ``np.linalg.eigvals`` to about 1e-13 of the spectral radius.
     Blocks of valid material parameters stay within about 20.7 degrees of
     the negative real axis (the widest found by a parameter search).
@@ -713,7 +716,13 @@ def _evolve_records(state: EnsembleState, seq: PumpSequence, params: MaterialPar
         diff = tls.kappa_diff * power / (2.0 * dnu * dnu)
         relax, pump = _rate_matrices(params, spin_rate, frac_upper)
         if diff > 0:
-            eigs = _block_spectrum(relax, pump, np.unique(rate))
+            # a block too stiff for double precision overflows its cubic
+            with np.errstate(over="ignore", invalid="ignore"):
+                eigs = _block_spectrum(relax, pump, np.unique(rate))
+            if not np.isfinite(eigs).all():
+                raise SpectrumOutsideContour(
+                    f"the eigenvalues of a block overflow (spin rate {spin_rate:.4g} s^-1, "
+                    f"pump rates up to {rate.max():.4g} s^-1)")
         else:
             rates, which = np.unique(rate, return_inverse=True)
             blocks = relax + rates[:, None, None] * pump
@@ -727,6 +736,8 @@ def _evolve_records(state: EnsembleState, seq: PumpSequence, params: MaterialPar
             if diff > 0:
                 _check_sector(eigs, tau)
                 pops = _contour_expmv(relax, pump, rate, diff, tau, pops.ravel()).reshape(n, 4)
+                # after the clip, so that levels the rule sent negative count
+                np.clip(pops, 0.0, 1.0, out=pops)
                 drift = np.max(np.abs(pops.sum(axis=1) - 1.0))
                 if drift > CONSERVATION_ATOL:
                     raise MassDrift(
@@ -735,7 +746,7 @@ def _evolve_records(state: EnsembleState, seq: PumpSequence, params: MaterialPar
                         f"diffusion {diff:.4g} s^-1): too stiff for double precision")
             else:
                 pops = np.einsum("nij,nj->ni", expm(blocks * tau)[which], pops)
-            np.clip(pops, 0.0, 1.0, out=pops)
+                np.clip(pops, 0.0, 1.0, out=pops)
 
             now = stop
             if not np.isfinite(pops).all():

@@ -11,6 +11,7 @@ scenarios', a 30-digit ``mpmath.expm`` is the reference, since a dense
 ``scipy.linalg.expm`` is there less accurate than ``evolve``.
 """
 
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -326,6 +327,24 @@ def test_mass_drift_is_named(monkeypatch):
     monkeypatch.setattr(pumping, "_contour_expmv", lossy)
     with pytest.raises(MassDrift):
         a.evolve(st, seq, p, TlsParams(), rec)
+
+
+def test_mass_drift_is_read_after_the_clip():
+    # at this coupling the rule keeps each bin's total but sends levels
+    # negative; clipping them loses 0.147 of a bin's population
+    config = replace(ex.default_config(), tls=TlsParams(kappa_diff=1e40))
+    with pytest.raises(MassDrift):
+        ex._fig5_point(config, 1e-4)
+
+
+@pytest.mark.parametrize("kappa_fill", [1e60, 1e200])
+def test_overflowing_blocks_are_named(kappa_fill):
+    # the blocks' characteristic cubic overflows, which must raise no
+    # RuntimeWarning; at 1e200 every eigenvalue is NaN, which no sector
+    # comparison would catch
+    st, seq, p, rec = hole_setup()
+    with pytest.raises(SpectrumOutsideContour):
+        a.evolve(st, seq, p, TlsParams(kappa_fill=kappa_fill), rec)
 
 
 @pytest.mark.parametrize("b_field, beta_zeeman, beta_shf",

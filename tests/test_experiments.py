@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 import afcsim as a
 import afcsim.experiments as ex
 from afcsim.cli import build_parser, main as cli_main
-from afcsim.errors import NonPositiveInput, UnsupportedFormat
+from afcsim.errors import CalibrationFailed, NoHoleFound, NonPositiveInput, UnsupportedFormat
 from afcsim.readout import CombMetrics, DecayCurve, HoleMetrics
 from afcsim.units import parse_quantity
 
@@ -352,6 +352,62 @@ class TestCalibrateTls:
 
     def test_default_tls_meets_the_targets(self):
         self.assert_on_targets(a.TlsParams())
+
+    @staticmethod
+    def count_points(monkeypatch):
+        """Record the pump power of every fig5 point simulated from now on."""
+        powers = []
+        point = ex._fig5_point
+
+        def counted(config, pump_power):
+            powers.append(pump_power)
+            return point(config, pump_power)
+
+        monkeypatch.setattr(ex, "_fig5_point", counted)
+        return powers
+
+    @staticmethod
+    def assert_within(tls, config, rel):
+        summary = ex.run_fig5(replace(config, tls=tls), write=False)
+        assert abs(summary["probe_depth_ratio_min_over_max"] / 3.0 - 1.0) <= rel
+        assert abs(summary["probe_width_growth_hz"] / 5e6 - 1.0) <= rel
+
+    # measured: 7 fig5 pairs from the defaults and 17 from the cold start
+    @pytest.mark.parametrize("tls, pairs", [(a.TlsParams(), 10), (a.TlsParams.disabled(), 20)],
+                             ids=["default", "cold"])
+    def test_newton_meets_the_targets_in_few_pairs(self, monkeypatch, tls, pairs):
+        config = replace(ex.default_config(), tls=tls)
+        powers = self.count_points(monkeypatch)
+        calibrated = ex.calibrate_tls(config)
+        assert len(powers) <= 2 * pairs
+        self.assert_within(calibrated, config, 1e-3)
+
+    def test_unreachable_targets_are_named(self):
+        # the probe depth barely moves between 0.1 and 0.105 mW, whatever
+        # the couplings, so its ratio cannot reach 3
+        config = ex.default_config()
+        config = replace(config, fig5=replace(config.fig5, pump_powers=(1e-4, 1.05e-4)))
+        with pytest.raises(CalibrationFailed, match="depth ratio off by"):
+            ex.calibrate_tls(config)
+
+    def test_fig2_branching_meets_the_targets_or_says_not(self):
+        config = ex.default_config()
+        config = replace(config, material=config.material.with_(
+            beta_zeeman=config.fig2.beta_zeeman, beta_shf=config.fig2.beta_shf))
+        try:
+            calibrated = ex.calibrate_tls(config)
+        except CalibrationFailed:
+            return
+        self.assert_within(calibrated, config, 1e-3)
+
+    def test_a_start_fig5_cannot_measure_is_named(self, monkeypatch):
+        def no_hole(config, pump_power):
+            raise NoHoleFound("no hole")
+
+        monkeypatch.setattr(ex, "_fig5_point", no_hole)
+        with pytest.raises(CalibrationFailed) as info:
+            ex.calibrate_tls()
+        assert isinstance(info.value.__cause__, NoHoleFound)
 
 
 class TestCli:

@@ -122,8 +122,7 @@ def test_every_error_is_raised_in_the_package():
     assert unraised_errors((package / "errors.py").read_text(), sources) == []
 
 
-# each would add to every process's start-up time and memory; the one use of
-# scipy.optimize (brentq in experiments.calibrate_tls) imports it locally
+# each would add to every process's start-up time and memory
 HEAVY = ("scipy.signal", "scipy.stats", "scipy.optimize", "scipy.interpolate",
          "scipy.integrate", "scipy.sparse", "scipy.ndimage", "scipy.spatial")
 

@@ -33,6 +33,8 @@ import numpy as np
 
 from .core import (
     AbsorptionSpectrum,
+    EnsembleState,
+    FrequencyGrid,
     MaterialParams,
     absorption_spectrum,
     init_equilibrium_state,
@@ -48,6 +50,7 @@ from .fitting import (
 from .pumping import (
     PumpSequence,
     _comb_segment,
+    _evolve_records,
     build_two_hole_sequence,
     evolve,
 )
@@ -427,38 +430,74 @@ def _write_scenario(config: ExperimentConfig, name: str, summary: dict,
 # Shared scenario pieces
 # ---------------------------------------------------------------------------
 
-def _comb_background(bandwidth: float, params: MaterialParams, tls: TlsParams,
-                     comb, bin_width: float, others: tuple = (),
-                     grid_lo: Optional[float] = None) -> tuple:
-    """Burn a comb at zero detuning, and any ``others`` beside it, and
-    analyse the first.
+def _burn_combs(bandwidth: float, params: MaterialParams, tls: TlsParams,
+                comb, bin_width: float, others: tuple = (),
+                grid_lo: Optional[float] = None) -> tuple:
+    """Burn a comb at zero detuning, and any ``others`` beside it, from
+    thermal equilibrium through the comb protocol's wait.
 
     ``comb`` is the scenario's comb-protocol section (fig4, table1 or
     efficiency), read for spacing, pit width, duration, wait and power.
     ``others`` holds a ``(bandwidth, centre)`` pair per further comb; the
-    grid reaches 100 MHz below each of them, and its top edge is set by the
-    first comb alone.  All combs are burned in one segment that shares the
-    total power equally between them, so the deposited pump energy matches
-    the single-comb case.  Returns ``(CombMetrics,
-    AbsorptionSpectrum section)`` for the comb at zero detuning, assessed
-    over the central +-150 MHz (bounded by the comb extent).
+    grid reaches 100 MHz below each of them (or down to ``grid_lo``), and
+    150 MHz above the first comb.  All combs are burned in one segment that
+    shares the total power equally between them, so the deposited pump
+    energy matches the single-comb case.  Returns ``(equilibrium state,
+    records)``: the state before the burn, and the ``(1, n_bins, 4)``
+    populations at the end of the wait, both on the full grid.
+
+    A lone comb (no ``others``, no ``grid_lo``) on a grid mirror-symmetric
+    about 0, with an even bin count and ``nu_min + nu_max`` zero to 1e-9 of
+    a bin, is burned on the grid's lower half and mirrored onto the upper.
+    Its pits and carrier leak lie symmetrically about 0, the initial state
+    is flat, and the diffusion Laplacian treats both directions alike, so
+    the generator commutes with the mirror and the state stays symmetric.
+    The two bins beside 0 then hold equal populations and no population
+    diffuses between them, which is what the half grid's reflective edge at
+    0 imposes: the edge is exact.  The half grid's pump rates are the full
+    grid's first half bit for bit.
     """
-    spacing = comb.spacing
     half = bandwidth / 2.0
     lo = min([-half - 150e6 if grid_lo is None else grid_lo]
              + [center - width / 2 - 100e6 for width, center in others])
     grid = make_grid(lo, half + 150e6, bin_width)
-    state = init_equilibrium_state(grid, params)
-    seg = _comb_segment(((bandwidth, 0.0), *others), spacing, comb.pit_width,
+    seg = _comb_segment(((bandwidth, 0.0), *others), comb.spacing, comb.pit_width,
                         comb.duration, comb.total_power, "tophat")
     seq = PumpSequence(segments=(seg,), dark_after=comb.wait)
 
-    final = evolve(state, seq, params, tls, [seq.total_duration])[0]
+    mirror = (not others and grid_lo is None and grid.n_bins % 2 == 0
+              and abs(grid.nu_min + grid.nu_max) <= 1e-9 * bin_width)
+    burn = FrequencyGrid(grid.nu_min, bin_width, grid.n_bins // 2) if mirror else grid
+    records = _evolve_records(init_equilibrium_state(burn, params), seq, params, tls,
+                              [seq.total_duration])
+    if mirror:
+        records = np.concatenate([records, records[:, ::-1]], axis=1)
+    return init_equilibrium_state(grid, params), records
+
+
+def _comb_background(bandwidth: float, params: MaterialParams, tls: TlsParams,
+                     comb, bin_width: float, others: tuple = (),
+                     grid_lo: Optional[float] = None) -> tuple:
+    """Burn the combs by :func:`_burn_combs` and analyse the one at zero
+    detuning.
+
+    Returns ``(CombMetrics, AbsorptionSpectrum section)``, assessed over the
+    central +-150 MHz (bounded by the comb extent).  A lone comb on a grid
+    mirror-symmetric about 0 is burned on the grid's lower half and
+    mirrored: its populations stay symmetric, so no population crosses 0
+    and a reflective edge there is exact (see :func:`_burn_combs`).  The
+    spectrum is still taken on the full grid, because the Zeeman anti-hole
+    kernel displaces each pit's absorption to one side: the optical depth is
+    not mirror-symmetric though the populations are.
+    """
+    state, records = _burn_combs(bandwidth, params, tls, comb, bin_width,
+                                 others, grid_lo)
+    final = EnsembleState(state.grid, state.weight, *records[-1].T)
     spec = absorption_spectrum(final, params)
-    margin = min(half, 150e6)
+    margin = min(bandwidth / 2.0, 150e6)
     sub, sl = spec.grid.subgrid(-margin, margin)
     section = AbsorptionSpectrum(grid=sub, od=spec.od[sl].copy())
-    return analyze_comb(section, spacing), section
+    return analyze_comb(section, comb.spacing), section
 
 
 def _fit_or_reason(model, x, y, sigma=None) -> tuple:

@@ -337,6 +337,100 @@ class TestScenarioPlumbing:
         assert len(summary["probe_depth"]) == 2
 
 
+# (scenario section, comb bandwidth) of the mirror-symmetric combs with the
+# most and the fewest bins: fig4's narrowest and widest benchmark combs and
+# the efficiency comb
+SYMMETRIC_COMBS = [("fig4", 0.2e9), ("fig4", 3.2e9), ("efficiency", 6.4e9)]
+
+
+class TestHalfGridBurn:
+    """A lone comb on a grid mirror-symmetric about 0 is burned on the
+    grid's lower half and mirrored; every other comb burn runs on the full
+    grid."""
+
+    @staticmethod
+    def comb_inputs(section, bandwidth):
+        cfg = ex.default_config()
+        comb = getattr(cfg, section)
+        params = cfg.material.with_(peak_od=comb.peak_od)
+        seg = a.pumping._comb_segment(((bandwidth, 0.0),), comb.spacing, comb.pit_width,
+                                      comb.duration, comb.total_power, "tophat")
+        return cfg, comb, params, seg
+
+    @staticmethod
+    def spy_grids(monkeypatch):
+        """The grid of every ``_evolve_records`` call the burn makes."""
+        grids = []
+
+        def spy(state, *args):
+            grids.append(state.grid)
+            return a.pumping._evolve_records(state, *args)
+
+        monkeypatch.setattr(ex, "_evolve_records", spy)
+        return grids
+
+    @pytest.mark.parametrize("section,bandwidth", SYMMETRIC_COMBS)
+    def test_mirrored_burn_equals_the_full_grid_burn(self, monkeypatch, section, bandwidth):
+        cfg, comb, params, seg = self.comb_inputs(section, bandwidth)
+        grids = self.spy_grids(monkeypatch)
+        state, records = ex._burn_combs(bandwidth, params, cfg.tls, comb, cfg.bin_width)
+        n = state.grid.n_bins
+        assert [g.n_bins for g in grids] == [n // 2]
+        assert grids[0].nu_min == state.grid.nu_min
+        seq = a.PumpSequence(segments=(seg,), dark_after=comb.wait)
+        full = a.pumping._evolve_records(state, seq, params, cfg.tls, [seq.total_duration])
+        assert records.shape == full.shape == (1, n, 4)
+        assert np.max(np.abs(records - full)) <= 1e-13
+        a.core.check_populations(state.weight, np.moveaxis(records, 2, 0))
+
+    @pytest.mark.parametrize("section,bandwidth", SYMMETRIC_COMBS)
+    def test_half_grid_pump_rates_are_the_full_grids(self, section, bandwidth):
+        cfg, comb, params, seg = self.comb_inputs(section, bandwidth)
+        half = bandwidth / 2.0 + 150e6
+        grid = a.make_grid(-half, half, cfg.bin_width)
+        lower = a.FrequencyGrid(grid.nu_min, grid.bin_width, grid.n_bins // 2)
+        full = a.pumping.pump_rate_profile(seg, grid, params)
+        assert np.array_equal(a.pumping.pump_rate_profile(seg, lower, params),
+                              full[:lower.n_bins])
+
+    def test_the_scenario_combs_burn_on_half_grids(self, monkeypatch):
+        cfg = ex.default_config()
+        grids = self.spy_grids(monkeypatch)
+        ex.run_fig4(cfg, write=False)
+        widths = [2 * g.n_bins * g.bin_width for g in grids]
+        assert widths == pytest.approx([bw * 1e9 + 300e6 for bw in cfg.fig4.bandwidths_ghz])
+        assert all(g.nu_min + g.span == pytest.approx(0.0, abs=1e-3) for g in grids)
+
+    @pytest.mark.parametrize("case", ["pair leg", "positive control", "even, off-centre",
+                                      "odd bin count"])
+    def test_other_burns_use_every_bin(self, monkeypatch, case):
+        cfg = ex.default_config()
+        comb = cfg.table1
+        params = cfg.material.with_(peak_od=comb.peak_od)
+        bandwidth, others, grid_lo, tls = comb.bandwidth, (), None, cfg.tls
+        if case == "pair leg":
+            others = ((comb.bandwidth, -0.6e9),)
+        elif case == "positive control":
+            det = comb.control_zeeman_ghz * 1e9
+            grid_lo = -det - comb.control_bandwidth2 / 2.0 - 100e6
+            tls = a.TlsParams.disabled()
+        elif case == "even, off-centre":
+            # an even 1,000 bins from -250.05 to +249.95 MHz
+            bandwidth = 0.2001e9
+        else:
+            bandwidth = 0.1003e9
+        grids = self.spy_grids(monkeypatch)
+        state, records = ex._burn_combs(bandwidth, params, tls, comb, cfg.bin_width,
+                                        others, grid_lo)
+        assert grids == [state.grid]
+        assert records.shape == (1, state.grid.n_bins, 4)
+        if case == "even, off-centre":
+            assert state.grid.n_bins == 1000
+            assert state.grid.nu_min + state.grid.nu_max == pytest.approx(-0.1e6)
+        if case == "odd bin count":
+            assert state.grid.n_bins == 801
+
+
 class TestCalibrateTls:
     """The TLS calibration meets its own stop rule on the fig5 pump-probe
     pair, and the default TlsParams meet the same targets."""

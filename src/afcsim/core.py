@@ -347,21 +347,30 @@ class AbsorptionSpectrum:
 
 
 def _convolve_padded(values: np.ndarray, kernel: np.ndarray, pad_mode: str) -> np.ndarray:
-    """Convolve every row of ``values`` (along its last axis) with an
-    odd-length centred kernel, padding each row so every output bin sees full
-    kernel support.
+    """Convolve every row of ``values`` (along its last axis, ``n`` bins)
+    with a centred kernel of ``2n - 1`` taps, one per grid offset, as if each
+    row were padded by ``n - 1`` bins on both sides with ``np.pad(...,
+    pad_mode)``, so that every output bin sees full kernel support.
 
-    The FFT length, transforms and crop are the ones
-    ``scipy.signal.fftconvolve(padded, kernel, mode="same")`` uses for real
-    1-D input, so each row equals it bit for bit: pocketfft's batched
-    transforms give the same bits per row as its 1-D ones.
+    The unpadded rows are convolved at a real FFT length of at least
+    ``2n - 1``, which no wrap-around reaches for the ``n`` outputs kept.  An
+    ``"edge"`` pad repeats a row's end values, and its contribution is added
+    in closed form: output ``i`` gets the first value times the kernel's
+    taps above ``n - 1 + i`` and the last value times its first ``i`` taps.
+    A ``"constant"`` pad is zero and adds nothing.  A stack and each of its
+    rows alone use the same length, and pocketfft's batched transforms give
+    the same bits per row as its 1-D ones, so every row equals its
+    single-row call bit for bit.
     """
-    half = kernel.size // 2
     n = values.shape[-1]
-    padded = np.pad(values, [(0, 0)] * (values.ndim - 1) + [(half, half)], mode=pad_mode)
-    size = next_fast_len(padded.shape[-1] + kernel.size - 1, True)
-    full = irfft(rfft(padded, size) * rfft(kernel, size), size)
-    return full[..., 2 * half:2 * half + n]
+    if kernel.size != 2 * n - 1:
+        raise InvalidRange(f"kernel must have {2 * n - 1} taps for {n} bins, got {kernel.size}")
+    size = next_fast_len(2 * n - 1, True)
+    out = irfft(rfft(values, size) * rfft(kernel, size), size)[..., n - 1:2 * n - 1]
+    if pad_mode == "edge":
+        out[..., :-1] += values[..., :1] * np.cumsum(kernel[:n - 1:-1])[::-1]
+        out[..., 1:] += values[..., -1:] * np.cumsum(kernel[:n - 1])
+    return out
 
 
 def _lorentzian_kernel(n: int, bin_width: float, fwhm: float) -> np.ndarray:

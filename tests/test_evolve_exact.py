@@ -414,3 +414,122 @@ def test_random_burns_exact(burn):
     assert np.max(np.abs(got - exact(state, seq, params, tls, record_times))) <= EXACT_BOUND
     assert np.max(np.abs(got.sum(axis=-1) - 1.0)) <= MASS_BOUND
     assert np.min(got) >= 0.0
+
+
+@lru_cache(maxsize=None)
+def table1_case():
+    """Every block ``pumping._expm_blocks`` exponentiates in a default
+    Table 1 run, as one stack, and the largest per-bin mass drift of the
+    records ``pumping._exact_records`` returns, before the clip."""
+    blocks, drifts = [], []
+    expm_blocks, exact_records = pumping._expm_blocks, pumping._exact_records
+
+    def capture_blocks(stack):
+        blocks.append(stack.reshape(-1, 4, 4).copy())
+        return expm_blocks(stack)
+
+    def capture_drift(relax, pump, rate, taus, x):
+        out = exact_records(relax, pump, rate, taus, x)
+        drifts.append(np.max(np.abs(out.sum(axis=-1) - x.sum(axis=-1))))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pumping, "_expm_blocks", capture_blocks)
+        mp.setattr(pumping, "_exact_records", capture_drift)
+        ex.run_table1(ex.default_config(), write=False)
+    return np.concatenate(blocks), max(drifts)
+
+
+@lru_cache(maxsize=None)
+def stiffest_table1_blocks():
+    """Table 1's 40 blocks of largest 1-norm and their 40-digit ``mpmath.expm``."""
+    mpmath = pytest.importorskip("mpmath")
+    blocks, _ = table1_case()
+    stiff = blocks[np.argsort(np.abs(blocks).sum(axis=-2).max(axis=-1))[-40:]]
+    with mpmath.workdps(40):
+        want = [mpmath.expm(mpmath.matrix(b.tolist())).tolist() for b in stiff]
+    return stiff, np.array(want, dtype=float)
+
+
+# measured 1.1e-13, with 1-norms up to 4.6e4; scipy.linalg.expm is off by 2.8e-14
+def test_stiffest_table1_blocks_against_extended_precision():
+    stiff, want = stiffest_table1_blocks()
+    assert np.abs(stiff).sum(axis=-2).max() > 4e4
+    assert np.max(np.abs(pumping._expm_blocks(stiff) - want)) <= 1e-12
+
+
+def test_table1_mass_kept_without_diffusion():
+    _, drift = table1_case()
+    assert drift <= 1e-12
+
+
+@st.composite
+def block_stacks(draw):
+    """A stack of generator-like 4x4 blocks (columns summing to at most 0)
+    whose 1-norms span eight decades, so their scalings differ, and the
+    index of one of them."""
+    n = draw(st.integers(1, 12))
+    entries = draw(st.lists(st.floats(0.0, 1.0), min_size=20 * n, max_size=20 * n))
+    scales = draw(st.lists(st.integers(-3, 5), min_size=n, max_size=n))
+    raw = np.array(entries).reshape(n, 5, 4)
+    blocks = raw[:, :4] * (1.0 - np.eye(4))
+    blocks -= np.eye(4) * (blocks.sum(axis=1) + raw[:, 4])[:, None, :]
+    blocks *= 10.0 ** np.array(scales, dtype=float)[:, None, None]
+    return blocks, draw(st.integers(0, n - 1))
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(block_stacks())
+def test_block_exponential_alone_equals_in_stack(case):
+    blocks, i = case
+    alone = pumping._expm_blocks(blocks[i:i + 1])[0]
+    assert pumping._expm_blocks(blocks)[i].tobytes() == alone.tobytes()
+    # a (records x rates) stack, as the no-diffusion records use
+    pair = pumping._expm_blocks(np.stack([blocks, blocks[::-1]]))
+    assert pair[0, i].tobytes() == alone.tobytes()
+    assert pair[1, blocks.shape[0] - 1 - i].tobytes() == alone.tobytes()
+
+
+@pytest.mark.parametrize("field_g", ex.Fig2Config.fields_gauss)
+def test_fig2_dark_records_match_chained_expm(field_g):
+    # each dark record now comes from the end of the burn in one step; the
+    # reference chains one scipy.linalg.expm per record interval, clipping
+    # after each, on the full 4x4 dark block
+    config = ex.default_config()
+    cfg = config.fig2
+    p = config.material.with_(beta_zeeman=cfg.beta_zeeman, beta_shf=cfg.beta_shf,
+                              b_field=field_g * 1e-4)
+    delays = np.geomspace(cfg.delay_min, cfg.delay_max, cfg.n_delays)
+    g = a.make_grid(cfg.detuning - cfg.span, cfg.detuning + cfg.span, config.bin_width)
+    seq = a.build_hole_sequence(detuning=cfg.detuning, burn_duration=cfg.burn_duration,
+                                power=cfg.burn_power, width=cfg.hole_width,
+                                dark_after=float(delays[-1]) * 1.0001 + 1e-6)
+    rec = [cfg.burn_duration + d for d in delays]
+    got = pumping._evolve_records(a.init_equilibrium_state(g, p), seq, p, config.tls,
+                                  [cfg.burn_duration, *rec])
+    f = (1.0 - boltzmann_polarization(p.b_field, p.temperature, p.g_factor)) / 2.0
+    relax, _ = pumping._rate_matrices(
+        p, 1.0 / flipflop_lifetime(p.b_field, p.temperature, p), f)
+    x, now = got[0], cfg.burn_duration
+    for t, record in zip(rec, got[1:]):
+        x = np.clip(x @ expm(relax * (t - now)).T, 0.0, 1.0)
+        now = t
+        assert np.max(np.abs(record - x)) <= 1e-13
+
+
+def test_records_split_over_calls_are_unchanged(monkeypatch):
+    # a stack that would pass _STACK_BLOCKS goes through _expm_blocks a few
+    # records at a time; each block's exponential, and so each record, is the
+    # same as from one call
+    st, seq, p, rec = hole_setup()
+    rec = [0.002, 0.004, 0.01, 0.03, 0.05, 0.06, 0.2, 0.55]
+    whole = populations(a.evolve(st, seq, p, TlsParams.disabled(), rec))
+    calls = []
+    expm_blocks = pumping._expm_blocks
+    monkeypatch.setattr(pumping, "_STACK_BLOCKS", 1)
+    monkeypatch.setattr(pumping, "_expm_blocks", lambda b: calls.append(b.shape) or expm_blocks(b))
+    split = populations(a.evolve(st, seq, p, TlsParams.disabled(), rec))
+    # one call per stop: the records, of which 0.05 and 0.55 end the burn
+    # and the wait
+    assert max(shape[0] for shape in calls) == 1 and len(calls) == len(rec)
+    assert split.tobytes() == whole.tobytes()

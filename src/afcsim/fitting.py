@@ -150,23 +150,11 @@ class LogTransform(ParamTransform):
         return out
 
     def hess_external(self, weights, internal):
-        n = self.log_mask.size
-        out = np.zeros(np.shape(weights) + (n,))
-        self._add_hess(out, weights, self.to_external(internal))
-        return out
-
-    def _add_hess(self, out, weights, external):
-        """Add ``hess_external(weights)`` to the matrices ``out`` in place:
-        ``weights * external`` on the logged diagonal entries."""
+        # weights * external on the logged diagonal entries, 0 elsewhere
+        external = self.to_external(internal)
+        out = np.zeros(np.shape(weights) + (self.log_mask.size,))
         for k in self._log:
-            out[..., k, k] += weights[..., k] * external[..., k]
-
-    def curvature_internal(self, curv, grad, internal, external):
-        # the base class's chain rule, with the diagonal Hessian of the
-        # logged parameters added in place, from the external point in hand
-        half = self.jac_internal(curv, internal, external)
-        out = self.jac_internal(half.swapaxes(-1, -2), internal, external)
-        self._add_hess(out, grad, external)
+            out[..., k, k] = weights[..., k] * external[..., k]
         return out
 
 
@@ -330,14 +318,6 @@ def _gram(jac):
     return a_mat, np.sqrt(sq_norms), np.maximum(sq_norms, 1e-300)
 
 
-def _grad_cosine(grad, col_norms, cost):
-    """Largest cosine between a Jacobian column and the residual (zero at an
-    exact least-squares minimum)."""
-    if cost <= 0:
-        return 0.0
-    return float((np.abs(grad) / (np.maximum(col_norms, 1e-300) * math.sqrt(cost))).max())
-
-
 def _damped_step(a_mat, scale, lam, grad):
     """Solve ``(a_mat + lam diag(scale)) delta = -grad`` with LAPACK gesv."""
     damped = np.array(a_mat, order="F")
@@ -416,8 +396,9 @@ def _curvature(model, s):
 
 
 def _cosines(grad, col_norms, root):
-    """:func:`_grad_cosine` of every row, from the residual norms ``root``
-    (all > 0) shaped against ``grad``."""
+    """Largest cosine between a Jacobian column and the residual, of every
+    row, from the residual norms ``root`` (all > 0) shaped against ``grad``
+    (zero at an exact least-squares minimum)."""
     return (np.abs(grad) / (np.maximum(col_norms, 1e-300) * root)).max(-1)
 
 
@@ -570,7 +551,7 @@ def _fit_result(model, theta, ext, jac, cost, grad, col_norms, lost, stop_reason
     elif lost.any():
         converged = False
     else:
-        converged = _grad_cosine(grad, col_norms, cost) <= _GTOL_LOOSE
+        converged = bool(cost <= 0 or _cosines(grad, col_norms, math.sqrt(cost)) <= _GTOL_LOOSE)
 
     # local quadratic uncertainties in external coordinates (no chi^2 rescale:
     # estimates are invariant under uniform sigma rescaling, errors scale with

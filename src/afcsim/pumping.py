@@ -23,12 +23,14 @@ proportional to the deposited pump energy: every level diffuses over the
 grid with the reflective-boundary Laplacian.
 
 While the pump is constant all of this is one linear system with a fixed
-generator, and :func:`evolve` applies its exponential directly.  Without
-diffusion the generator is a 4x4 block per bin, and every record of an
-interval comes from the interval's start: the blocks of the distinct pump
-rates, times each record's time from that start, are exponentiated in one
-batched degree-13 Pade scaling-and-squaring pass in numpy (Higham, SIAM J.
-Matrix Anal. Appl. 26, 1179, 2005).  With diffusion it is banded, and
+generator, and :func:`evolve` applies its exponential directly: every
+record of an interval, and its end, comes from the interval's start in one
+step, with or without diffusion (a record at 0 is the input state, and one
+past the end the end state).  Without diffusion the generator is a 4x4
+block per bin: the blocks of the distinct pump rates, times each record's
+time from that start, are exponentiated in one batched degree-13 Pade
+scaling-and-squaring pass in numpy (Higham, SIAM J. Matrix Anal. Appl. 26,
+1179, 2005).  With diffusion it is banded, and
 ``exp(tau A) x`` comes from the type-(14, 14) Caratheodory-Fejer rational
 approximation of exp on (-inf, 0] (Trefethen, Weideman & Schmelzer,
 BIT 46, 2006), the approximation CRAM uses, one shifted solve per pole.  Each
@@ -714,10 +716,12 @@ def evolve(state: EnsembleState, seq: PumpSequence, params: MaterialParams,
     checked once, as :meth:`EnsembleState.validate` checks a state; each
     returned :class:`EnsembleState` wraps one record of it.
     :func:`readout.hole_decay_experiment` takes that array directly.
+    Every record of an interval, and its end, comes from the interval's
+    start ``t0`` in one step, ``exp((t - t0) A)``, with or without diffusion.
+    A record on an interval boundary is the end of the first, one at 0 the
+    input state, and one past the end (by the accepted rounding) the end state.
 
-    Without spectral diffusion (the dark, or TLS off) ``A`` is block
-    diagonal, and every record inside such an interval, and its end, comes
-    from the interval's start in one step, ``x(t) = exp((t - t0) A) x(t0)``.
+    Without spectral diffusion (the dark, or TLS off) ``A`` is block diagonal.
     Each bin's total is constant there, so the 4x4 blocks act on (z, h, e)
     and the total, and g is the total less the others: the per-bin mass is
     kept to rounding (2e-16 on Table 1).  The blocks of the distinct pump
@@ -728,8 +732,8 @@ def evolve(state: EnsembleState, seq: PumpSequence, params: MaterialParams,
     40-digit ``mpmath.expm`` by 1.1e-13, where ``scipy.linalg.expm`` is off
     by 2.8e-14; on fig2's dark waits the records are within 2e-14 of
     chaining one ``scipy.linalg.expm`` per record interval.  With diffusion
-    ``A`` is banded, each record interval is advanced in turn,
-    and ``exp(tau A) x`` is the type-(14, 14) Caratheodory-Fejer rational
+    ``A`` is banded, since diffusion couples neighbouring bins, and
+    ``exp(tau A) x`` is the type-(14, 14) Caratheodory-Fejer rational
     approximation of exp: one shifted solve per pole in the upper half-plane,
     using conjugate symmetry.  On (-inf, 0] it is off from exp by at most
     3.5e-14, on the 20.7- and 22.8-degree rays by 8.6e-12 and 1.8e-11, and
@@ -787,7 +791,7 @@ def _evolve_records(state: EnsembleState, seq: PumpSequence, params: MaterialPar
     ``(n_records, n_bins, 4)`` array of the levels (g, z, h, e), checked by
     :func:`core.check_populations`."""
     record_times = list(record_times)
-    if any(t < 0 for t in record_times) or record_times != sorted(record_times):
+    if not all(t >= 0 for t in record_times) or record_times != sorted(record_times):
         raise InvalidRange("record_times must be sorted and non-negative")
     total = seq.total_duration
     # record times up to this count as the sequence end; all are recorded
@@ -812,32 +816,18 @@ def _evolve_records(state: EnsembleState, seq: PumpSequence, params: MaterialPar
     if seq.dark_after > 0:
         intervals.append((seq.dark_after, np.zeros(n), 0.0))
 
-    records = np.empty((len(record_times), n, 4))
-    taken = 0
-    now = 0.0
-    eps = 1e-12
+    # the interval each record ends in: -1 at t = 0; past the end, the last
+    edges = np.cumsum([0.0] + [duration for duration, _, _ in intervals])
+    times = np.minimum(record_times, edges[-1])
+    owner = np.searchsorted(edges, times) - 1
+    records = np.empty((times.size, n, 4))
+    records[owner == -1] = pops
 
-    def take_snapshots_at(t, pops):
-        nonlocal taken
-        while taken < len(record_times) and record_times[taken] <= t + eps:
-            records[taken] = pops
-            taken += 1
-
-    take_snapshots_at(0.0, pops)
-
-    for duration, rate, power in intervals:
-        seg_end = now + duration
-        # the interval stops at each record time inside it, except one within
-        # eps of the last stop, which takes that stop's state, and at its end
-        stops, last = [], now
-        for t in record_times[taken:]:
-            if t >= seg_end - eps:
-                break
-            if t > last + eps:
-                stops.append(t)
-                last = t
-        if now < seg_end - eps:
-            stops.append(seg_end)
+    for k, (_, rate, power) in enumerate(intervals):
+        mine = owner == k
+        # the end's tau is the edge difference, so a record there is the end
+        taus, back = np.unique(np.append(times[mine] - edges[k], edges[k + 1] - edges[k]),
+                               return_inverse=True)
         spin_rate = spin_dark + tls_fill_rate(power, tls)
         diff = tls.kappa_diff * power / (2.0 * dnu * dnu)
         relax, pump = _rate_matrices(params, spin_rate, frac_upper)
@@ -849,33 +839,27 @@ def _evolve_records(state: EnsembleState, seq: PumpSequence, params: MaterialPar
                 raise SpectrumOutsideContour(
                     f"the eigenvalues of a block overflow (spin rate {spin_rate:.4g} s^-1, "
                     f"pump rates up to {rate.max():.4g} s^-1)")
-            for stop in stops:
-                tau = stop - now
-                _check_sector(eigs, tau)
-                pops = _contour_expmv(relax, pump, rate, diff, tau, pops.ravel()).reshape(n, 4)
-                # after the clip, so that levels the rule sent negative count
-                np.clip(pops, 0.0, 1.0, out=pops)
-                drift = np.max(np.abs(pops.sum(axis=1) - 1.0))
-                if drift > CONSERVATION_ATOL:
-                    raise MassDrift(
-                        f"the {tau:.4g} s interval ending at t={stop:.6g} moved a bin's total "
-                        f"population by {drift:.3g} (pump rates up to {rate.max():.4g} s^-1, "
-                        f"diffusion {diff:.4g} s^-1): too stiff for double precision")
-                now = stop
-                if not np.isfinite(pops).all():
-                    raise NonFiniteState(f"state diverged at t={now}")
-                take_snapshots_at(now, pops)
-        elif stops:
-            # every stop from the interval's start, in one pass
-            states = _exact_records(relax, pump, rate, np.array(stops) - now, pops)
-            np.clip(states, 0.0, 1.0, out=states)
-            finite = np.isfinite(states).all(axis=(1, 2))
-            if not finite.all():
-                raise NonFiniteState(f"state diverged at t={stops[np.argmin(finite)]}")
-            for stop, pops in zip(stops, states):
-                take_snapshots_at(stop, pops)
-        now = seg_end
+            # of the accepted cone and disc, only the disc shrinks as tau grows
+            _check_sector(eigs, taus[-1])
+            states = np.stack([_contour_expmv(relax, pump, rate, diff, tau, pops.ravel())
+                               .reshape(n, 4) for tau in taus])
+        else:
+            states = _exact_records(relax, pump, rate, taus, pops)
+        np.clip(states, 0.0, 1.0, out=states)
+        finite = np.isfinite(states).all(axis=(1, 2))
+        if not finite.all():
+            raise NonFiniteState(f"state diverged at t={edges[k] + taus[np.argmin(finite)]}")
+        if diff > 0:
+            # after the clip, so that levels the rule sent negative count; the
+            # no-diffusion blocks keep each bin's total by construction
+            drift = np.max(np.abs(states.sum(axis=2) - 1.0))
+            if drift > CONSERVATION_ATOL:
+                raise MassDrift(
+                    f"the {taus[-1]:.4g} s interval ending at t={edges[k + 1]:.6g} moved a bin's "
+                    f"total population by {drift:.3g} (pump rates up to {rate.max():.4g} s^-1, "
+                    f"diffusion {diff:.4g} s^-1): too stiff for double precision")
+        records[mine] = states[back[:-1]]
+        pops = states[back[-1]]
 
-    take_snapshots_at(end, pops)
     check_populations(state.weight, np.moveaxis(records, 2, 0))
     return records

@@ -593,7 +593,7 @@ def hole_decay_experiment(b_field: float, delays: Sequence[float],
     state0 = init_equilibrium_state(grid, p)
     seq = build_hole_sequence(detuning=detuning, burn_duration=burn_duration,
                               power=burn_power, width=hole_width,
-                              dark_after=float(delays[-1]) * 1.0001 + 1e-6)
+                              dark_after=float(delays[-1]))
     record = [burn_duration + d for d in delays]
     records = _evolve_records(state0, seq, p, tls, record)
     subgrid, sl = grid.subgrid(detuning - span / 2.0, detuning + span / 2.0)

@@ -416,6 +416,18 @@ def test_random_burns_exact(burn):
     assert np.min(got) >= 0.0
 
 
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(random_burns())
+def test_each_record_is_the_record_taken_alone(burn):
+    # every record comes from the start of its interval, so it is the same,
+    # bit for bit, whatever else is recorded
+    state, seq, params, tls, record_times = burn
+    together = pumping._evolve_records(state, seq, params, tls, record_times)
+    for t, record in zip(record_times, together):
+        alone = pumping._evolve_records(state, seq, params, tls, [t])
+        assert alone[0].tobytes() == record.tobytes()
+
+
 @lru_cache(maxsize=None)
 def table1_case():
     """Every block ``pumping._expm_blocks`` exponentiates in a default

@@ -520,6 +520,8 @@ class TestEvolve:
             a.evolve(st, seq, p, TlsParams.disabled(), [0.5])
         with pytest.raises(InvalidRange):
             a.evolve(st, seq, p, TlsParams.disabled(), [0.01, 0.005])
+        with pytest.raises(InvalidRange):
+            a.evolve(st, seq, p, TlsParams.disabled(), [float("nan")])
 
     def test_step_underflow(self):
         p = a.MaterialParams()
@@ -600,9 +602,21 @@ class TestEvolveSnapshots:
         seq = a.build_hole_sequence(detuning=250e6, burn_duration=0.01, power=2e-5,
                                     width=5e6, dark_after=1e4)
         total = seq.total_duration
-        out = a.evolve(a.init_equilibrium_state(g, p), seq, p, TlsParams(),
-                       [1.0, total * (1 + 5e-13)])
+        st = a.init_equilibrium_state(g, p)
+        out = a.evolve(st, seq, p, TlsParams(), [1.0, total * (1 + 5e-13)])
         assert len(out) == 2
+        # the past-end record is the end state, bit for bit
+        end = a.evolve(st, seq, p, TlsParams(), [total])[0]
+        for name in ("n_g", "n_z", "n_h", "n_e"):
+            assert getattr(out[1], name).tobytes() == getattr(end, name).tobytes()
+        # a record on the boundary of the burn and the dark is the burn's end,
+        # and the dark runs on from it unchanged
+        burn = a.build_hole_sequence(detuning=250e6, burn_duration=0.01, power=2e-5,
+                                     width=5e6, dark_after=0.0)
+        burn_end = a.evolve(st, burn, p, TlsParams(), [0.01])[0]
+        at_edge, last = a.evolve(st, seq, p, TlsParams(), [0.01, total])
+        for name in ("n_g", "n_z", "n_h", "n_e"):
+            assert getattr(at_edge, name).tobytes() == getattr(burn_end, name).tobytes()
+            assert getattr(last, name).tobytes() == getattr(end, name).tobytes()
         with pytest.raises(InvalidRange):
-            a.evolve(a.init_equilibrium_state(g, p), seq, p, TlsParams(),
-                     [1.0, total * (1 + 2e-12)])
+            a.evolve(st, seq, p, TlsParams(), [1.0, total * (1 + 2e-12)])

@@ -450,9 +450,9 @@ def absorption_spectrum(state: EnsembleState, params: MaterialParams) -> Absorpt
     the simulated window contributes, so absorption displaced beyond the
     window simply leaves it.  Excited population does not absorb.
 
-    This is the one-state case of the stacked optical depth that
-    :func:`readout.hole_decay_experiment` takes over all its delays at once;
-    each of its rows equals this spectrum of that row's state bit for bit.
+    This is the one-state case of the stacked optical depth that the hole
+    decays of :mod:`readout` take over all of a field's delays at once; each
+    of its rows equals this spectrum of that row's state bit for bit.
     """
     pops = np.stack((state.n_g, state.n_z, state.n_h, state.n_e), axis=-1)
     od = _optical_depth(state.grid, state.weight, pops[None], params)

@@ -59,8 +59,8 @@ from .readout import (
     DecayCurve,
     HoleMetrics,
     afc_efficiency,
+    _hole_decays,
     analyze_comb,
-    hole_decay_experiment,
     measure_hole,
     storage_time,
 )
@@ -523,6 +523,12 @@ def run_fig2(config: ExperimentConfig, write: bool = True) -> dict:
     """Hole decays at each field, double-exponential fits, and the
     field-dependence fit of the long-decay rate.
 
+    Each field is burned, relaxed and read out alone, with its own seed
+    spawned from ``config.seed``; then the holes of every field and delay
+    are measured as one stack, with one set-up and one batch of fits.  Each
+    curve is bit-identical to :func:`readout.hole_decay_experiment` at that
+    field with that seed.
+
     Each field's fit record in ``double_exp_fits`` carries its ``converged``
     flag and ``stop_reason``; ``dropped_delays`` lists the delays whose hole
     sank below the noise floor.  Only converged fields enter the flip-flop
@@ -537,17 +543,15 @@ def run_fig2(config: ExperimentConfig, write: bool = True) -> dict:
 
     dexp = model_double_exponential()
 
-    curves, fits, records = {}, {}, {}
-    for field_g, seed in zip(cfg.fields_gauss, seeds):
-        b = field_g * 1e-4
-        curve = hole_decay_experiment(
-            b, delays, params, config.tls, seed=seed,
-            burn_power=cfg.burn_power, detuning=cfg.detuning,
-            hole_width=cfg.hole_width, burn_duration=cfg.burn_duration,
-            span=cfg.span, noise_rel=cfg.noise_rel, repeats=cfg.repeats,
-            bin_width=config.bin_width)
+    # every field's holes are measured as one stack
+    curves = dict(zip(cfg.fields_gauss, _hole_decays(
+        [f * 1e-4 for f in cfg.fields_gauss], delays, params, config.tls, seeds,
+        burn_power=cfg.burn_power, detuning=cfg.detuning, hole_width=cfg.hole_width,
+        burn_duration=cfg.burn_duration, span=cfg.span, noise_rel=cfg.noise_rel,
+        repeats=cfg.repeats, bin_width=config.bin_width)))
+    fits, records = {}, {}
+    for field_g, curve in curves.items():
         sigma = curve.sigmas if cfg.noise_rel > 0 else None
-        curves[field_g] = curve
         fits[field_g], records[field_g] = _fit_or_reason(
             dexp, curve.delays, curve.areas, sigma=sigma)
 

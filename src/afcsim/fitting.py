@@ -35,14 +35,17 @@ loop with no batch axis.  Each row keeps its own damping, curvature switch,
 stop rule and covariance, so a row's result is exactly the one
 :func:`fit_curve` gives on that row alone, bit for bit; a row that ends in
 :class:`MaxIterations` or :class:`SingularJacobian` holds that error and the
-others go on.  Rows leave the batch only when they finish.  A batched model
-and transform take parameters of shape ``(n_curves, n_params)`` and abscissae
-of shape ``(n_curves, n_points)`` and must compute each row exactly as the
-one-curve call on it: elementwise arithmetic per row, sums along the last
-axis with the same reduction as one curve (``np.vecdot``), and no scalar
-``pow`` where the batch squares an array (``x * x``, not ``x ** 2``).  The
-Lorentzian dip and :class:`LogTransform` follow that rule; the other models
-and transforms, and models without analytic derivatives, serve single curves.
+others go on.  Rows leave the batch only when they finish.  The rows that
+stop together, by one rule and with the same lost columns, get their
+covariances from one stacked calculation; a single curve is its one-row case.
+A batched model and transform take parameters of shape ``(n_curves,
+n_params)`` and abscissae of shape ``(n_curves, n_points)`` and must compute
+each row exactly as the one-curve call on it: elementwise arithmetic per row,
+sums along the last axis with the same reduction as one curve
+(``np.vecdot``), and no scalar ``pow`` where the batch squares an array
+(``x * x``, not ``x ** 2``).  The Lorentzian dip and :class:`LogTransform`
+follow that rule; the other models and transforms, and models without
+analytic derivatives, serve single curves.
 """
 
 from __future__ import annotations
@@ -81,8 +84,9 @@ class ParamTransform:
         return np.asarray(internal, dtype=float).copy()
 
     def jac_external(self, internal: np.ndarray) -> np.ndarray:
-        """Matrix d(external_j)/d(internal_i), shape (n_ext, n_int)."""
-        return np.eye(len(internal))
+        """Matrix d(external_j)/d(internal_i), shape (n_ext, n_int); a batched
+        transform's is one such matrix per row (see the module docstring)."""
+        return np.eye(np.shape(internal)[-1])
 
     def jac_internal(self, jac, internal, external):
         """Chain rule for the model Jacobian; ``external = to_external(internal)``."""
@@ -115,7 +119,7 @@ class ParamTransform:
 
 class LogTransform(ParamTransform):
     """Fit selected strictly-positive parameters in log space.  Every method
-    but ``jac_external`` broadcasts over leading (batch) axes."""
+    broadcasts over leading (batch) axes."""
 
     def __init__(self, log_mask: Sequence[bool]):
         self.log_mask = np.asarray(log_mask, dtype=bool)
@@ -142,7 +146,11 @@ class LogTransform(ParamTransform):
         return out
 
     def jac_external(self, internal):
-        return np.diag(np.where(self.log_mask, self.to_external(internal), 1.0))
+        scale = np.where(self.log_mask, self.to_external(internal), 1.0)
+        out = np.zeros(scale.shape + (self.log_mask.size,))
+        diag = np.arange(self.log_mask.size)
+        out[..., diag, diag] = scale
+        return out
 
     def jac_internal(self, jac, internal, external):
         out = np.array(jac, dtype=float)
@@ -542,53 +550,72 @@ def _try_steps(model, s, h_mat, ops):
     return np.where(outcome < 0, 1, outcome)
 
 
-def _fit_result(model, theta, ext, jac, cost, grad, col_norms, lost, stop_reason,
-                iterations, trace):
-    """One fit's :class:`FitResult` from the point where it stopped."""
+def _fit_results(model, theta, ext, jac, cost, grad, col_norms, lost, stop_reason,
+                 iterations, traces):
+    """The :class:`FitResult` of every fit of a stack that stopped together
+    by ``stop_reason`` with the lost-column mask ``lost``, from one stacked
+    calculation.  Everything per fit carries the stack's leading axis, or
+    none for a single curve, which gets a list of one; ``traces`` holds each
+    fit's residual norms."""
     n_par = model.n_params
+    cost = np.asarray(cost)
     if stop_reason in ("exact", "gtol"):
-        converged = True
+        converged = np.ones(cost.shape, dtype=bool)
     elif lost.any():
-        converged = False
+        converged = np.zeros(cost.shape, dtype=bool)
     else:
-        converged = bool(cost <= 0 or _cosines(grad, col_norms, math.sqrt(cost)) <= _GTOL_LOOSE)
+        # an exact fit (cost 0) has no residual to take a cosine against
+        exact = cost <= 0
+        root = np.sqrt(np.where(exact, 1.0, cost))
+        converged = exact | (_cosines(grad, col_norms, root[..., None]) <= _GTOL_LOOSE)
 
     # local quadratic uncertainties in external coordinates (no chi^2 rescale:
     # estimates are invariant under uniform sigma rescaling, errors scale with
-    # it), from the columns that still influence the model
+    # it), from the columns that still influence the model.  The Gram matrix
+    # is taken from two copies of the live columns: J^T J on one buffer takes
+    # another BLAS route, which rounds differently
     live = ~lost
-    a_live = jac[:, live].T @ jac[:, live]
+    a_live = jac[..., live].swapaxes(-1, -2) @ jac[..., live]
     try:
         inv_live = np.linalg.inv(a_live)
     except np.linalg.LinAlgError:
-        inv_live = np.linalg.pinv(a_live)
+        inv_live = np.empty_like(a_live)
+        for i in np.ndindex(a_live.shape[:-2]):
+            try:
+                inv_live[i] = np.linalg.inv(a_live[i])
+            except np.linalg.LinAlgError:
+                inv_live[i] = np.linalg.pinv(a_live[i])
     if lost.any():
-        cov_int = np.zeros((n_par, n_par))
-        cov_int[np.ix_(live, live)] = inv_live
+        cov_int = np.zeros(theta.shape + (n_par,))
+        idx = np.flatnonzero(live)
+        cov_int[..., idx[:, None], idx] = inv_live
     else:
         cov_int = inv_live
     tr = model.transform
     j_tr = tr.jac_external(theta)
-    cov_ext = j_tr @ cov_int @ j_tr.T
+    cov_ext = j_tr @ cov_int @ j_tr.swapaxes(-1, -2)
     if lost.any():
         # external parameters that depend on a lost coordinate are undetermined
-        undetermined = np.flatnonzero((j_tr[:, lost] != 0.0).any(axis=1))
-        cov_ext[undetermined, :] = np.nan
-        cov_ext[:, undetermined] = np.nan
-        cov_ext[undetermined, undetermined] = np.inf
-    std = np.sqrt(np.maximum(cov_ext.diagonal(), 0.0))
+        undetermined = np.broadcast_to((j_tr[..., lost] != 0.0).any(-1), theta.shape)
+        cov_ext[undetermined[..., :, None] | undetermined[..., None, :]] = np.nan
+        diag = np.arange(n_par)
+        cov_ext[..., diag, diag] = np.where(undetermined, np.inf, cov_ext[..., diag, diag])
+    std = np.sqrt(np.maximum(cov_ext.diagonal(0, -2, -1), 0.0))
 
-    return FitResult(
+    ext, std = ext.reshape(-1, n_par), std.reshape(-1, n_par)
+    cov_ext = cov_ext.reshape(-1, n_par, n_par)
+    norms = np.sqrt(cost).reshape(-1).tolist()
+    return [FitResult(
         param_names=model.param_names,
-        params=ext,
-        std_errors=std,
-        covariance=cov_ext,
-        residual_norm=float(np.sqrt(cost)),
+        params=ext[i],
+        std_errors=std[i],
+        covariance=cov_ext[i],
+        residual_norm=norms[i],
         iterations=iterations,
-        converged=bool(converged),
+        converged=ok,
         residual_trace=tuple(trace),
         stop_reason=stop_reason,
-    )
+    ) for i, (ok, trace) in enumerate(zip(converged.reshape(-1).tolist(), traces))]
 
 
 def _levenberg_marquardt(model, x, y, sigma, p_ext, lo, hi):
@@ -624,14 +651,16 @@ def _levenberg_marquardt(model, x, y, sigma, p_ext, lo, hi):
     s.j_ext, s.jac = _jacobians(model, s.theta, s.ext, x, sigma)
 
     def settle(mask, outcome):
-        """Record ``outcome(j, k)`` for every row ``j`` (fit ``k``) where
-        ``mask`` holds and drop those rows; True once no row is left."""
+        """Record ``outcome(js, ks)``, the outcomes of the rows ``js`` (fits
+        ``ks``) where ``mask`` holds, and drop those rows; True once no row is
+        left.  A single curve's ``js`` is None."""
         if not batched:
-            out[0] = outcome(None, 0)
+            out[0], = outcome(None, [0])
             return True
-        for j in np.flatnonzero(mask):
-            k = int(s.ids[j])
-            out[k] = outcome(j, k)
+        js = np.flatnonzero(mask)
+        ks = s.ids[js].tolist()
+        for k, res in zip(ks, outcome(js, ks)):
+            out[k] = res
         if mask.all():
             return True
         s.keep(~mask)
@@ -641,10 +670,35 @@ def _levenberg_marquardt(model, x, y, sigma, p_ext, lo, hi):
         """Row ``j`` of ``value``; a single curve's (``j`` None) is itself."""
         return value if j is None else value[j]
 
-    def result(reason, iterations, lost=None):
-        return lambda j, k: _fit_result(
-            model, *(row(v, j) for v in (s.theta, s.ext, s.jac, s.cost, s.grad, s.col_norms)),
-            no_loss if lost is None else row(lost, j), reason, iterations, traces[k])
+    def each(error):
+        """The outcome that ends every settled row ``j`` in ``error(j)``."""
+        return lambda js, ks: [error(j) for j in ([None] if js is None else js)]
+
+    def result(reason, iterations, lost=no_loss):
+        """The outcome of rows that stop by ``reason`` after ``iterations``
+        accepted steps with the lost-column mask ``lost``: one
+        :class:`FitResult` per row, from one stacked :func:`_fit_results`."""
+        return lambda js, ks: _fit_results(
+            model, *(row(v, js) for v in (s.theta, s.ext, s.jac, s.cost, s.grad, s.col_norms)),
+            lost, reason, iterations, [traces[k] for k in ks])
+
+    def influence_lost(iterations, lost):
+        """The outcome of rows whose Jacobian columns ``lost`` (one mask per
+        row) lost their influence: one :func:`result` per distinct mask."""
+        def outcome(js, ks):
+            masks, group = np.unique(row(lost, js).reshape(len(ks), n_par), axis=0,
+                                     return_inverse=True)
+            res = [None] * len(ks)
+            for g, mask in enumerate(masks):
+                sel = np.flatnonzero(group.reshape(-1) == g)
+                reason = "lost_influence:" + ",".join(model.param_names[i]
+                                                      for i in np.flatnonzero(mask))
+                fits = result(reason, iterations, mask)(
+                    None if js is None else js[sel], [ks[i] for i in sel])
+                for i, fit in zip(sel.tolist(), fits):
+                    res[i] = fit
+            return res
+        return outcome
 
     def record():
         """Note each row's residual norm ``s.root`` in its trace."""
@@ -685,16 +739,16 @@ def _levenberg_marquardt(model, x, y, sigma, p_ext, lo, hi):
 
     record()
     stop = nonfinite()
-    if any_(stop) and settle(stop, lambda j, k: SingularJacobian(
-            "non-finite Jacobian at the starting point")):
+    if any_(stop) and settle(stop, each(lambda j: SingularJacobian(
+            "non-finite Jacobian at the starting point"))):
         return out
     s.a_mat, s.col_norms, s.scale = _gram(s.jac)
     s.grad = np.vecmat(s.r, s.jac)
     dead = s.col_norms == 0.0
     stop = dead.any(-1)
-    if any_(stop) and settle(stop, lambda j, k: SingularJacobian(
+    if any_(stop) and settle(stop, each(lambda j: SingularJacobian(
             "parameters with no model influence: "
-            f"{[model.param_names[i] for i in np.flatnonzero(row(dead, j))]}")):
+            f"{[model.param_names[i] for i in np.flatnonzero(row(dead, j))]}"))):
         return out
 
     def per_row(value):
@@ -726,7 +780,7 @@ def _levenberg_marquardt(model, x, y, sigma, p_ext, lo, hi):
         outcome = _try_steps(model, s, h_mat, ops)
         if outcome is not None:
             stop = outcome == 2
-            if any_(stop) and settle(stop, lambda j, k: SingularJacobian("Singular matrix")):
+            if any_(stop) and settle(stop, each(lambda j: SingularJacobian("Singular matrix"))):
                 break
             # damping exhausted: no downhill step exists at this precision
             stop = outcome[~stop] == 1 if batched else outcome == 1
@@ -742,8 +796,7 @@ def _levenberg_marquardt(model, x, y, sigma, p_ext, lo, hi):
         # from a non-finite Jacobian can be trusted: end here, as the next
         # iteration's damping would, with every parameter undetermined
         stop = nonfinite()
-        if any_(stop) and settle(stop, result("max_damping", it + 1,
-                                              np.ones(np.shape(stop) + (n_par,), dtype=bool))):
+        if any_(stop) and settle(stop, result("max_damping", it + 1, ~no_loss)):
             break
         s.a_mat, s.col_norms, s.scale = _gram(s.jac)
         s.grad = np.vecmat(s.r, s.jac)
@@ -754,10 +807,7 @@ def _levenberg_marquardt(model, x, y, sigma, p_ext, lo, hi):
         s.col_peak = np.maximum(s.col_peak, s.col_norms)
         lost = s.col_norms < _LOST_INFLUENCE * s.col_peak
         stop = lost.any(-1)
-        if any_(stop) and settle(stop, lambda j, k: result(
-                "lost_influence:" + ",".join(model.param_names[i]
-                                             for i in np.flatnonzero(row(lost, j))),
-                it, lost)(j, k)):
+        if any_(stop) and settle(stop, influence_lost(it, lost)):
             break
         if at_optimum(it):
             break
@@ -770,9 +820,9 @@ def _levenberg_marquardt(model, x, y, sigma, p_ext, lo, hi):
         if any_(stop) and settle(stop, result("stall", it)):
             break
     else:
-        settle(np.ones(np.shape(s.cost), dtype=bool), lambda j, k: MaxIterations(
+        settle(np.ones(np.shape(s.cost), dtype=bool), each(lambda j: MaxIterations(
             f"no convergence after {_MAX_ITER} iterations "
-            f"(residual norm {np.sqrt(row(s.cost, j)):.3e})"))
+            f"(residual norm {np.sqrt(row(s.cost, j)):.3e})")))
     return out
 
 

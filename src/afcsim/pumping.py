@@ -715,7 +715,8 @@ def evolve(state: EnsembleState, seq: PumpSequence, params: MaterialParams,
     copied into one ``(n_records, n_bins, 4)`` array, whose populations are
     checked once, as :meth:`EnsembleState.validate` checks a state; each
     returned :class:`EnsembleState` wraps one record of it.
-    :func:`readout.hole_decay_experiment` takes that array directly.
+    The hole decays of :mod:`readout` (:func:`readout.hole_decay_experiment`,
+    and Fig. 2's decays at every field) take that array directly.
     Every record of an interval, and its end, comes from the interval's
     start ``t0`` in one step, ``exp((t - t0) A)``, with or without diffusion.
     A record on an interval boundary is the end of the first, one at 0 the

@@ -6,17 +6,20 @@ repeat-averaged detection noise.  Hole metrology fits the Lorentzian of
 (``baseline_terms=2``); it runs on a stack of spectra on one grid, with the
 set-up taken over the whole stack and the fits of equally long windows in one
 :func:`fitting.fit_curves` batch, and :func:`measure_hole` is its
-one-spectrum case.  Comb metrology fits nothing: it locates the periodic
-teeth, takes each tooth's height from its sampled top and its width as the
-interpolated half-contrast width between that top and the local trough, and
-quantifies the residual background absorption ``d0`` in the troughs.  The
-forward-recall echo efficiency combines the square-tooth effective depth
-``(d_peak - d0) / F`` with the Gaussian-tooth dephasing factor
-``exp(-7/F^2)`` and the background factor ``exp(-d0)``.
+one-spectrum case.  A hole decay stacks the spectra of all its delays, and
+Fig. 2 those of every field and delay (:func:`_hole_decays`), so one set-up
+and one batch of fits serve the whole figure.  Comb metrology fits nothing:
+it locates the periodic teeth, takes each tooth's height from its sampled top
+and its width as the interpolated half-contrast width between that top and
+the local trough, and quantifies the residual background absorption ``d0`` in
+the troughs.  The forward-recall echo efficiency combines the square-tooth
+effective depth ``(d_peak - d0) / F`` with the Gaussian-tooth dephasing
+factor ``exp(-7/F^2)`` and the background factor ``exp(-d0)``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -205,6 +208,22 @@ def _median(values: np.ndarray):
     return (part[..., k - 1] + part[..., k]) / 2.0
 
 
+def _percentile(values: np.ndarray, q: float):
+    """``np.percentile`` along the last axis of finite values, bit for bit:
+    its default linear rule between the order statistics around ``(n - 1) *
+    q / 100``, with numpy's interpolation from the nearer of the two, from
+    one partition and without ``np.percentile``'s overhead."""
+    n = values.shape[-1]
+    at = (n - 1) * (q / 100)
+    lo = math.floor(at)
+    hi = min(lo + 1, n - 1)
+    gamma = at - lo
+    part = np.partition(values, (lo, hi), axis=-1)
+    below, above = part[..., lo], part[..., hi]
+    step = above - below
+    return above - step * (1.0 - gamma) if gamma >= 0.5 else below + step * gamma
+
+
 def _noise_mad(values: np.ndarray):
     """Robust noise estimate from first differences, one per row of a stack
     (along the last axis)."""
@@ -235,6 +254,27 @@ def _half_level_width(nu, od, i_min, level) -> float:
     return max(float(x_right - x_left), dnu)
 
 
+def _half_level_widths(nu, od, i_min, level) -> np.ndarray:
+    """:func:`_half_level_width` of every row of the stack ``od``, with the
+    lowest point ``i_min`` and the level ``level`` of each row."""
+    at = np.arange(nu.size)
+    above = od >= level[:, None]
+    # the last sample at the level on the left of the lowest point and the
+    # first on its right, or the grid's ends where the dip runs off the grid
+    left = np.where(above & (at <= i_min[:, None]), at, 0).max(axis=1)
+    right = np.where(above & (at >= i_min[:, None]), at, nu.size - 1).min(axis=1)
+    # a crossing between a side and its inner neighbour is interpolated; a
+    # side that is the lowest point, or a grid end below the level, stays
+    side = np.stack((left, right))
+    inner = np.stack((np.minimum(left + 1, nu.size - 1), np.maximum(right - 1, 0)))
+    rows = np.arange(len(od))
+    od_side = od[rows, side]
+    rise = np.where(above[rows, side] & (side != i_min), od_side - level, 0.0)
+    dnu = float(nu[1] - nu[0])
+    shift = rise / np.maximum(od_side - od[rows, inner], 1e-300) * dnu
+    return np.maximum((nu[right] - shift[1]) - (nu[left] + shift[0]), dnu)
+
+
 # the Lorentzian dip on a line that every hole fit uses; it holds no state
 _HOLE_DIP = model_lorentzian_dip(2)
 
@@ -256,22 +296,24 @@ def _hole_fits(nu: np.ndarray, od: np.ndarray, center_guess: float,
     """The hole-fit set-up of every row of the stack ``od`` of spectra on the
     grid ``nu``: a :class:`_HoleFit`, or the :class:`NoHoleFound` of a row
     without a dip above its noise floor.  The search window, the 85% baseline
-    percentile, the noise estimate and the thresholds are taken over the
-    whole stack at once."""
+    percentile, the noise estimate, the thresholds, the half-level width and
+    the fit window are taken over the whole stack at once; each row's value
+    is what it gets alone."""
     if nu.size < 8:
-        return [NoHoleFound("spectrum too short for hole metrology")] * len(od)
+        return [NoHoleFound("spectrum too short for hole metrology") for _ in od]
     span = nu[-1] - nu[0]
     radius = search_radius if search_radius is not None else span / 8.0
     window = np.abs(nu - center_guess) <= radius
     if not window.any():
-        return [NoHoleFound(f"no samples within {radius:.3g} Hz of guess")] * len(od)
+        return [NoHoleFound(f"no samples within {radius:.3g} Hz of guess") for _ in od]
 
     idx = np.flatnonzero(window)
+    rows = np.arange(len(od))
     i_min = idx[np.argmin(od[:, idx], axis=1)]
     # baseline from the upper od quantile of the whole window so that wide
     # (power-broadened) holes do not drag the estimate down
-    baseline_est = np.percentile(od, 85.0, axis=1)
-    depth_est = baseline_est - od[np.arange(len(od)), i_min]
+    baseline_est = _percentile(od, 85.0)
+    depth_est = baseline_est - od[rows, i_min]
     noise = _noise_mad(od)
     threshold = np.full(len(od), min_depth) if min_depth is not None \
         else np.maximum(0.01, 5.0 * noise)
@@ -279,27 +321,35 @@ def _hole_fits(nu: np.ndarray, od: np.ndarray, center_guess: float,
     # a uniform sigma, only the reported errors scale with it
     sigma = np.maximum(noise, 1e-12 * od.max(axis=1))
     dnu = nu[1] - nu[0]
+    fwhm_est = np.minimum(_half_level_widths(nu, od, i_min, baseline_est - depth_est / 2.0),
+                          span / 2.0)
+    # the fit window: the samples within the fit radius of the lowest point,
+    # one run of the grid, from start to stop
+    fit_radius = np.maximum(4.0 * fwhm_est, 12.0 * dnu)
+    inside = np.abs(nu - nu[i_min][:, None]) <= fit_radius[:, None]
+    start = inside.argmax(axis=1)
+    stop = nu.size - inside[:, ::-1].argmax(axis=1)
+    # fit in units of the estimated width so the normal equations stay
+    # well conditioned regardless of the absolute frequency scale
+    scale = np.maximum(fwhm_est, 4.0 * dnu)
+    ref = nu[i_min]
+    x = (nu - ref[:, None]) / scale[:, None]
+    x_lo, x_hi = x[rows, start], x[rows, stop - 1]
+    # each row's start and bounds, as (init, lo, hi)
+    setup = np.empty((len(od), 3, 5))
+    setup[:] = [[0.0, 0.0, 0.0, 0.0, 0.0], [-np.inf, -np.inf, -np.inf, 0.0, 1e-2],
+                [np.inf, np.inf, np.inf, 0.0, 0.0]]
+    setup[:, 0, 0], setup[:, 0, 2], setup[:, 0, 4] = baseline_est, depth_est, fwhm_est / scale
+    setup[:, 1, 3], setup[:, 2, 3], setup[:, 2, 4] = x_lo, x_hi, 4.0 * (x_hi - x_lo)
     fits = []
-    for row, i, base, depth, limit, sig in zip(od, i_min.tolist(), baseline_est.tolist(),
-                                                depth_est.tolist(), threshold.tolist(),
-                                                sigma.tolist()):
+    for k, (a, b, r, sc, depth, limit, sig) in enumerate(zip(
+            start.tolist(), stop.tolist(), ref.tolist(), scale.tolist(), depth_est.tolist(),
+            threshold.tolist(), sigma.tolist())):
         if depth < limit:
             fits.append(NoHoleFound(f"largest dip {depth:.4g} OD below threshold {limit:.4g}"))
             continue
-        fwhm_est = _half_level_width(nu, row, i, base - depth / 2.0)
-        fwhm_est = min(fwhm_est, span / 2.0)
-        fit_radius = max(4.0 * fwhm_est, 12.0 * dnu)
-        sel = np.abs(nu - nu[i]) <= fit_radius
-        # fit in units of the estimated width so the normal equations stay
-        # well conditioned regardless of the absolute frequency scale
-        scale = max(fwhm_est, 4.0 * dnu)
-        ref = float(nu[i])
-        x = (nu[sel] - ref) / scale
-        x_lo, x_hi = float(x.min()), float(x.max())
-        fits.append(_HoleFit(row=(
-            x, row[sel], sig, np.array([base, 0.0, depth, 0.0, fwhm_est / scale]),
-            np.array([-np.inf, -np.inf, -np.inf, x_lo, 1e-2]),
-            np.array([np.inf, np.inf, np.inf, x_hi, 4.0 * (x_hi - x_lo)])), ref=ref, scale=scale))
+        fits.append(_HoleFit(row=(x[k, a:b], od[k, a:b], sig, *setup[k]),
+                             ref=r, scale=sc))
     return fits
 
 
@@ -578,8 +628,26 @@ def hole_decay_experiment(b_field: float, delays: Sequence[float],
     state.  A delay whose hole has sunk below the noise floor
     (:class:`NoHoleFound`) or whose hole fit does not converge
     (:class:`FitDiverged`) is left out of the curve and listed with the
-    reason in ``DecayCurve.dropped``.
+    reason in ``DecayCurve.dropped``.  This is the one-field case of the
+    hole stack that ``experiments.run_fig2`` measures across its fields.
     """
+    curve, = _hole_decays([b_field], delays, params, tls, [seed], burn_power=burn_power,
+                          detuning=detuning, hole_width=hole_width,
+                          burn_duration=burn_duration, span=span, noise_rel=noise_rel,
+                          repeats=repeats, bin_width=bin_width)
+    return curve
+
+
+def _hole_decays(b_fields: Sequence[float], delays: Sequence[float],
+                 params: MaterialParams, tls: TlsParams, seeds: Sequence,
+                 burn_power: float, detuning: float, hole_width: float,
+                 burn_duration: float, span: float, noise_rel: float, repeats: int,
+                 bin_width: float) -> list:
+    """:func:`hole_decay_experiment` at each field of ``b_fields``, with the
+    matching seed of ``seeds``: one :class:`DecayCurve` per field.  Each field
+    is evolved, read out and given its per-delay noise seeds as alone; then
+    the holes of every field and delay are measured as one stack, one set-up
+    and one batch of fits, which gives each row what it gets alone."""
     delays = np.asarray(sorted(delays), dtype=float)
     if delays.size == 0:
         raise InvalidRange("need at least one delay")
@@ -588,32 +656,36 @@ def hole_decay_experiment(b_field: float, delays: Sequence[float],
             f"delays must exceed 5 * t1_opt = {5 * params.t1_opt:.4g} s")
     if repeats < 1:
         raise NonPositiveInput(f"repeats must be >= 1, got {repeats}")
-    p = params.with_(b_field=b_field)
     grid = make_grid(detuning - span, detuning + span, bin_width)
-    state0 = init_equilibrium_state(grid, p)
+    subgrid, sl = grid.subgrid(detuning - span / 2.0, detuning + span / 2.0)
     seq = build_hole_sequence(detuning=detuning, burn_duration=burn_duration,
                               power=burn_power, width=hole_width,
                               dark_after=float(delays[-1]))
     record = [burn_duration + d for d in delays]
-    records = _evolve_records(state0, seq, p, tls, record)
-    subgrid, sl = grid.subgrid(detuning - span / 2.0, detuning + span / 2.0)
-    window = _optical_depth(grid, state0.weight, records, p)[:, sl]
+    swept = []
+    for b_field, seed in zip(b_fields, seeds):
+        p = params.with_(b_field=b_field)
+        state0 = init_equilibrium_state(grid, p)
+        records = _evolve_records(state0, seq, p, tls, record)
+        window = _optical_depth(grid, state0.weight, records, p)[:, sl]
+        root = seed if isinstance(seed, np.random.SeedSequence) \
+            else np.random.SeedSequence(seed)
+        swept.extend(_sweep_noise(od, noise_rel, repeats, child)
+                     for od, child in zip(window, root.spawn(len(records))))
 
-    root = seed if isinstance(seed, np.random.SeedSequence) \
-        else np.random.SeedSequence(seed)
-    child_seeds = root.spawn(len(records))
-    swept = np.stack([_sweep_noise(od, noise_rel, repeats, child)
-                      for od, child in zip(window, child_seeds)])
     # noiseless readouts can resolve arbitrarily faint holes
     floor = 1e-7 if noise_rel == 0 else None
-    kept, areas, sigmas, dropped = [], [], [], []
-    for delay, metrics in zip(delays, _measure_holes(subgrid.centers, swept, detuning,
-                                                     min_depth=floor)):
-        if isinstance(metrics, (NoHoleFound, FitDiverged)):
-            dropped.append((float(delay), str(metrics)))
-            continue
-        kept.append(delay)
-        areas.append(metrics.area)
-        sigmas.append(metrics.area_err)
-    return DecayCurve(delays=np.array(kept), areas=np.array(areas),
-                      sigmas=np.array(sigmas), dropped=tuple(dropped))
+    holes = _measure_holes(subgrid.centers, np.stack(swept), detuning, min_depth=floor)
+    curves = []
+    for first in range(0, len(holes), delays.size):
+        kept, areas, sigmas, dropped = [], [], [], []
+        for delay, metrics in zip(delays, holes[first:first + delays.size]):
+            if isinstance(metrics, (NoHoleFound, FitDiverged)):
+                dropped.append((float(delay), str(metrics)))
+                continue
+            kept.append(delay)
+            areas.append(metrics.area)
+            sigmas.append(metrics.area_err)
+        curves.append(DecayCurve(delays=np.array(kept), areas=np.array(areas),
+                                 sigmas=np.array(sigmas), dropped=tuple(dropped)))
+    return curves

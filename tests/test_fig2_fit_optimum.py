@@ -28,8 +28,8 @@ REFERENCE_FLIPFLOP = {"gamma_spin_static": 405752995.25785416,
 
 def run_recording_hole_fits(config):
     """``run_fig2`` without writing, plus every hole fit as (args, result).
-    The fits of a field run as one batch; each row is recorded as the single
-    fit it equals."""
+    The hole fits of every field run as one batch; each row is recorded as
+    the single fit it equals."""
     calls = []
 
     def recording(model, x, y, sigma=None, init=None, bounds=None):

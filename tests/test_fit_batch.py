@@ -3,14 +3,17 @@
 Row k of a batch must be exactly what fit_curve returns (or raises) on row k
 alone, whatever the other rows do and in whatever order they come: the
 fixed rows below end by every stop rule, raise MaxIterations, or have a dead
-column at the start."""
+column at the start.  Rows that stop together take their covariances from one
+stacked calculation, singular ones included, and must still equal their
+single fits."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 import afcsim as a
 from afcsim.errors import AfcSimError, MaxIterations, SingularJacobian
-from afcsim.fitting import fit_curves
+from afcsim import fitting
+from afcsim.fitting import ParametricModel, _columns, _split, fit_curves
 from test_fit_linear_algebra import assert_same_fit
 
 MODEL = a.model_lorentzian_dip(2)
@@ -138,3 +141,58 @@ def test_model_and_transform_rows_equal_single_calls():
         }
         for name, value in single.items():
             assert np.array_equal(batched[name][k], value), (name, k)
+
+
+# rows that stop together: two copies of each, so that each stop rule settles
+# several rows at once, and lost-influence rows that all stop at iteration 8
+# with three different lost columns (center and fwhm, center, fwhm)
+TOGETHER = [FIXED["gtol"], FIXED["exact"], FIXED["max_damping"], FIXED["lost_influence"],
+            ("flat", 328), ("flat", 355)]
+
+
+def test_rows_that_stop_together_equal_single_fits(monkeypatch):
+    rows = [make_row(*spec) for spec in TOGETHER * 2]
+    want = [single(*row) for row in rows]
+    lost = {res.stop_reason for res in want if res.stop_reason.startswith("lost_influence")}
+    assert len(lost) == 3 and {res.iterations for res in want if res.stop_reason in lost} == {8}
+
+    stacks = []
+    real = fitting._fit_results
+
+    def recording(model, theta, *args):
+        out = real(model, theta, *args)
+        stacks.append((out[0].stop_reason, out[0].iterations, len(out)))
+        return out
+
+    monkeypatch.setattr(fitting, "_fit_results", recording)
+    for got, expected in zip(batch(rows), want):
+        assert_same_fit(got, expected)
+    # one stacked calculation per rule and lost-column mask
+    assert sorted(reason for reason, _, _ in stacks) == \
+        sorted({res.stop_reason for res in want})
+    assert all(n == 2 for _, _, n in stacks)
+    assert {it for reason, it, _ in stacks if reason in lost} == {8}
+
+
+def test_singular_rows_in_a_stack_take_the_pseudo_inverse(monkeypatch):
+    """Where a row's J^T J is singular at its stop (equal columns x and x^2
+    on x in {0, 1}), its covariance is the pseudo-inverse, as for the single
+    fit; a regular row that stops with it in one stack keeps the inverse."""
+    model = ParametricModel(
+        param_names=("a", "b"),
+        evaluate=lambda p, x: _split(p)[0] * x + _split(p)[1] * (x * x),
+        jacobian=lambda p, x: _columns(x.shape, x, x * x))
+    x_equal = np.tile([0.0, 1.0], 10)
+    xs = np.stack([x_equal, x_equal, np.linspace(0.0, 2.0, 20)])
+    ys = 2.0 * xs + 0.5 * xs * xs + 1e-3 * np.random.default_rng(0).standard_normal(xs.shape)
+    init = np.array([1.0, 1.0])
+    pinvs = []
+    real = np.linalg.pinv
+    monkeypatch.setattr(np.linalg, "pinv", lambda m: pinvs.append(m) or real(m))
+    got = fit_curves(model, xs, ys, sigma=1e-3, init=init)
+    assert len(pinvs) == 2
+    want = [a.fit_curve(model, x, y, sigma=1e-3, init=init) for x, y in zip(xs, ys)]
+    assert [(res.stop_reason, res.iterations) for res in want] == \
+        [("gtol", 4), ("max_damping", 4), ("gtol", 4)]
+    for g, w in zip(got, want):
+        assert_same_fit(g, w)

@@ -1,12 +1,16 @@
 """Stacked hole metrology: the set-up that readout takes over a whole stack
 of spectra at once (search window, 85% baseline percentile, noise estimate,
 threshold, width estimate, fit window) and the batched fits must give each
-row exactly what one spectrum gets alone, errors included."""
+row exactly what one spectrum gets alone, errors included; and Fig. 2's
+stack across its fields must give each field the curve it gets alone."""
+
+from dataclasses import replace
 
 import numpy as np
+import pytest
 
 import afcsim as a
-from afcsim import readout
+from afcsim import experiments, readout
 from afcsim.core import AbsorptionSpectrum
 from afcsim.errors import FitDiverged, NoHoleFound
 
@@ -79,3 +83,60 @@ def test_stacked_holes_equal_one_spectrum_each():
             continue
         assert got == want
     assert kinds == {NoHoleFound, FitDiverged}
+
+
+def test_rows_without_a_hole_get_their_own_error():
+    # a grid too short for hole metrology, and a search window with no sample
+    for fits in (readout._hole_fits(NU[:7], STACK[:, :7], 250e6, None, None),
+                 readout._hole_fits(NU, STACK, 1e9, 1e6, None)):
+        assert all(isinstance(fit, NoHoleFound) for fit in fits)
+        assert len({id(fit) for fit in fits}) == len(fits) == len(STACK)
+
+
+def test_percentile_equals_numpy():
+    rng = np.random.default_rng(5)
+    for n in (2, 3, 8, 199, 200, 201):
+        values = rng.standard_normal((4, n)) * 10.0 ** rng.uniform(-6, 6, (4, 1))
+        values[0] = np.round(values[0], 1)   # ties
+        for q in (0.0, 12.5, 50.0, 85.0, 99.0, 100.0):
+            assert np.array_equal(readout._percentile(values, q),
+                                  np.percentile(values, q, axis=1)), (n, q)
+
+
+@pytest.mark.parametrize("noise_rel, seed", [(0.0, 12345), (0.02, 0), (0.02, 1), (0.02, 2)])
+def test_fig2_stack_across_fields_equals_one_field_each(noise_rel, seed, monkeypatch):
+    """``run_fig2`` measures the holes of all fields as one stack; each
+    field's curve must equal ``hole_decay_experiment`` at that field with the
+    seed spawned for it.  With noise, window lengths differ and delays drop."""
+    cfg = experiments.default_config()
+    cfg.seed = seed
+    cfg.fig2 = replace(cfg.fig2, noise_rel=noise_rel)
+    lengths = set()
+    real = readout._fit_rows
+
+    def recording(rows):
+        lengths.update(row[0].size for row in rows)
+        return real(rows)
+
+    monkeypatch.setattr(readout, "_fit_rows", recording)
+    curves = experiments.run_fig2(cfg, write=False)["curves"]
+    monkeypatch.undo()
+
+    fig2 = cfg.fig2
+    params = cfg.material.with_(beta_zeeman=fig2.beta_zeeman, beta_shf=fig2.beta_shf)
+    delays = np.geomspace(fig2.delay_min, fig2.delay_max, fig2.n_delays)
+    seeds = np.random.SeedSequence(cfg.seed).spawn(len(fig2.fields_gauss))
+    dropped = 0
+    for field_g, field_seed in zip(fig2.fields_gauss, seeds):
+        want = readout.hole_decay_experiment(
+            field_g * 1e-4, delays, params, cfg.tls, seed=field_seed,
+            burn_power=fig2.burn_power, detuning=fig2.detuning, hole_width=fig2.hole_width,
+            burn_duration=fig2.burn_duration, span=fig2.span, noise_rel=fig2.noise_rel,
+            repeats=fig2.repeats, bin_width=cfg.bin_width)
+        got = curves[field_g]
+        for name in ("delays", "areas", "sigmas"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), (field_g, name)
+        assert got.dropped == want.dropped
+        dropped += len(got.dropped)
+    if noise_rel > 0:
+        assert len(lengths) > 1 and dropped > 0

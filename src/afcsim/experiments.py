@@ -482,13 +482,11 @@ def _comb_background(bandwidth: float, params: MaterialParams, tls: TlsParams,
     detuning.
 
     Returns ``(CombMetrics, AbsorptionSpectrum section)``, assessed over the
-    central +-150 MHz (bounded by the comb extent).  A lone comb on a grid
-    mirror-symmetric about 0 is burned on the grid's lower half and
-    mirrored: its populations stay symmetric, so no population crosses 0
-    and a reflective edge there is exact (see :func:`_burn_combs`).  The
-    spectrum is still taken on the full grid, because the Zeeman anti-hole
-    kernel displaces each pit's absorption to one side: the optical depth is
-    not mirror-symmetric though the populations are.
+    central +-150 MHz (bounded by the comb extent).  :func:`_burn_combs`
+    may burn a lone comb on half its grid and mirror it; the spectrum is
+    still taken on the full grid, because the Zeeman anti-hole kernel
+    displaces each pit's absorption to one side: the optical depth is not
+    mirror-symmetric though the populations are.
     """
     state, records = _burn_combs(bandwidth, params, tls, comb, bin_width,
                                  others, grid_lo)

@@ -321,7 +321,7 @@ def _split(params):
 def _gram(jac):
     """``J^T J``, the column norms of ``J`` and the damping scale, all from
     the Gram matrix's diagonal."""
-    a_mat = (jac.T if jac.ndim == 2 else jac.swapaxes(-1, -2)) @ jac
+    a_mat = jac.swapaxes(-1, -2) @ jac
     sq_norms = a_mat.diagonal(0, -2, -1)
     return a_mat, np.sqrt(sq_norms), np.maximum(sq_norms, 1e-300)
 
@@ -711,7 +711,7 @@ def _levenberg_marquardt(model, x, y, sigma, p_ext, lo, hi):
 
     def nonfinite():
         """Whether each row's Jacobian holds a non-finite entry."""
-        return ~np.isfinite(s.jac).all((-2, -1)) if batched else not np.isfinite(s.jac).all()
+        return ~np.isfinite(s.jac).all((-2, -1))
 
     def newton_converged():
         """Whether each row's Gauss-Newton decrement ``g^T (J^T J)^-1 g``,
@@ -1125,8 +1125,8 @@ def model_lorentzian_dip(baseline_terms: int = 1) -> ParametricModel:
         depth, center, fwhm = params.T[n_base:]
         half = fwhm / 2.0
         h2 = half * half
-        # per-row factors, and columns against the samples for a batch
-        center_c, h2_c = (center, h2) if params.ndim == 1 else (center[:, None], h2[:, None])
+        # per-row factors as columns against the samples
+        center_c, h2_c = center[..., None], h2[..., None]
         dx = nu - center_c
         dx2 = dx * dx
         denom = dx2 + h2_c
@@ -1139,12 +1139,9 @@ def model_lorentzian_dip(baseline_terms: int = 1) -> ParametricModel:
         s_ff = -0.5 * depth * np.vecdot(q, dx2 * (dx2 - 3.0 * h2_c))
         curv = np.zeros(np.shape(depth) + (n_par, n_par))
         block = [[0.0, s_dc, s_df], [s_dc, s_cc, s_cf], [s_df, s_cf, s_ff]]
-        if params.ndim == 1:
-            curv[n_base:, n_base:] = block
-        else:
-            for i, row in enumerate(block):
-                for j, value in enumerate(row):
-                    curv[:, n_base + i, n_base + j] = value
+        for i, row in enumerate(block):
+            for j, value in enumerate(row):
+                curv[..., n_base + i, n_base + j] = value
         return curv
 
     def guess(nu, od):

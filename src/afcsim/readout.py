@@ -9,12 +9,13 @@ set-up taken over the whole stack and the fits of equally long windows in one
 one-spectrum case.  A hole decay stacks the spectra of all its delays, and
 Fig. 2 those of every field and delay (:func:`_hole_decays`), so one set-up
 and one batch of fits serve the whole figure.  Comb metrology fits nothing:
-it locates the periodic teeth, takes each tooth's height from its sampled top
-and its width as the interpolated half-contrast width between that top and
-the local trough, and quantifies the residual background absorption ``d0`` in
-the troughs.  The forward-recall echo efficiency combines the square-tooth
-effective depth ``(d_peak - d0) / F`` with the Gaussian-tooth dephasing
-factor ``exp(-7/F^2)`` and the background factor ``exp(-d0)``.
+it locates the periodic teeth, reads them as one stack with the hole
+set-up's half-level kernel (each tooth's height its sampled top, its width
+the interpolated half-contrast width between that top and the local trough),
+and quantifies the residual background absorption ``d0`` in the troughs.
+The forward-recall echo efficiency combines the square-tooth effective depth
+``(d_peak - d0) / F`` with the Gaussian-tooth dephasing factor
+``exp(-7/F^2)`` and the background factor ``exp(-d0)``.
 """
 
 from __future__ import annotations
@@ -92,7 +93,7 @@ class CombMetrics:
     bandwidth: float
 
     def __post_init__(self):
-        if self.spacing <= 0:
+        if not 0 < self.spacing < math.inf:
             raise NonPositiveSpacing(f"spacing={self.spacing}")
         if not (self.d_peak >= self.d0 >= 0):
             raise NonPositiveInput("comb metrics must satisfy d_peak >= d0 >= 0")
@@ -168,6 +169,8 @@ def simulate_readout(state: EnsembleState, params: MaterialParams, span: float,
     """
     if repeats < 1:
         raise NonPositiveInput(f"repeats must be >= 1, got {repeats}")
+    if not noise_rel >= 0:
+        raise NonPositiveInput(f"noise_rel must be >= 0, got {noise_rel}")
     lo, hi = center - span / 2.0, center + span / 2.0
     if not state.grid.contains(lo, hi):
         raise SpanOutOfGrid(
@@ -233,44 +236,26 @@ def _noise_mad(values: np.ndarray):
     return 1.4826 * _median(np.abs(diffs - _median(diffs)[..., None])) / np.sqrt(2.0)
 
 
-def _half_level_width(nu, od, i_min, level) -> float:
-    """Width of the dip at the given od level around index ``i_min``,
-    with linear interpolation at the two crossings."""
-    dnu = float(nu[1] - nu[0])
-    left = i_min
-    while left > 0 and od[left] < level:
-        left -= 1
-    right = i_min
-    while right < od.size - 1 and od[right] < level:
-        right += 1
-    x_left = nu[left]
-    if od[left] >= level and left < i_min:
-        frac = (od[left] - level) / max(od[left] - od[left + 1], 1e-300)
-        x_left = nu[left] + frac * dnu
-    x_right = nu[right]
-    if od[right] >= level and right > i_min:
-        frac = (od[right] - level) / max(od[right] - od[right - 1], 1e-300)
-        x_right = nu[right] - frac * dnu
-    return max(float(x_right - x_left), dnu)
-
-
-def _half_level_widths(nu, od, i_min, level) -> np.ndarray:
-    """:func:`_half_level_width` of every row of the stack ``od``, with the
-    lowest point ``i_min`` and the level ``level`` of each row."""
+def _half_level_widths(nu, od, i_min, level, lo=0, hi=None) -> np.ndarray:
+    """Width of the dip at ``level`` around the lowest point ``i_min`` of
+    each row of the stack ``od``, with linear interpolation at the two
+    crossings, within the row's window of samples ``[lo, hi)`` (by default
+    the whole row) and at least that window's first sample step."""
     at = np.arange(nu.size)
     above = od >= level[:, None]
     # the last sample at the level on the left of the lowest point and the
-    # first on its right, or the grid's ends where the dip runs off the grid
-    left = np.where(above & (at <= i_min[:, None]), at, 0).max(axis=1)
-    right = np.where(above & (at >= i_min[:, None]), at, nu.size - 1).min(axis=1)
+    # first on its right, or the window's ends where the dip runs off it
+    left = np.maximum(np.where(above & (at <= i_min[:, None]), at, 0).max(axis=1), lo)
+    right = np.minimum(np.where(above & (at >= i_min[:, None]), at, nu.size - 1).min(axis=1),
+                       nu.size - 1 if hi is None else hi - 1)
     # a crossing between a side and its inner neighbour is interpolated; a
-    # side that is the lowest point, or a grid end below the level, stays
+    # side that is the lowest point, or a window end below the level, stays
     side = np.stack((left, right))
     inner = np.stack((np.minimum(left + 1, nu.size - 1), np.maximum(right - 1, 0)))
     rows = np.arange(len(od))
     od_side = od[rows, side]
     rise = np.where(above[rows, side] & (side != i_min), od_side - level, 0.0)
-    dnu = float(nu[1] - nu[0])
+    dnu = nu[lo + 1] - nu[lo]
     shift = rise / np.maximum(od_side - od[rows, inner], 1e-300) * dnu
     return np.maximum((nu[right] - shift[1]) - (nu[left] + shift[0]), dnu)
 
@@ -475,27 +460,51 @@ def _folded_profile(nu, od, spacing):
     dev = sorted_od - np.repeat(np.add.reduceat(sorted_od, start) / n, n)
     multi = n > 1
     var = np.add.reduceat(dev * dev, start)[multi] / (n[multi] - 1)
-    sem = float(np.median(np.sqrt(var) / np.sqrt(n[multi]))) if multi.any() else 0.0
+    sem = float(_median(np.sqrt(var) / np.sqrt(n[multi]))) if multi.any() else 0.0
     return profile, sem, n_phase
+
+
+def _read_teeth(nu, od, teeth, spacing):
+    """The top, trough and half-contrast width of every tooth centred at
+    ``teeth``, read as one stack: each tooth a row over its window, the
+    samples within half a period of it, with its top within a quarter
+    period.  The width at half contrast, at most ``spacing``, is the fwhm of
+    a lone Lorentzian tooth and the duty width of a square one."""
+    offset = np.abs(nu - teeth[:, None])
+    window = offset <= spacing / 2.0
+    lo = window.argmax(axis=1)
+    hi = nu.size - window[:, ::-1].argmax(axis=1)
+    near_od = np.where(offset <= spacing / 4.0, od, -np.inf)
+    i_pk = near_od.argmax(axis=1)
+    tops = near_od[np.arange(teeth.size), i_pk]
+    if np.any(tops == -np.inf) or np.any(hi - lo < 2):
+        raise NoCombDetected(f"bins of {nu[1] - nu[0]:.3g} Hz too coarse for "
+                             f"teeth {spacing:.3g} Hz apart")
+    troughs = np.where(window, od, np.inf).min(axis=1)
+    widths = _half_level_widths(nu, np.broadcast_to(-od, window.shape), i_pk,
+                                -(troughs + (tops - troughs) / 2.0), lo, hi)
+    return tops, troughs, np.minimum(widths, spacing)
 
 
 def analyze_comb(spec: AbsorptionSpectrum, spacing: float) -> CombMetrics:
     """Extract comb metrics at the given tooth spacing.
 
-    Teeth are located by folding the spectrum modulo the spacing.  Each
-    tooth's height is its sampled top, and its width the interpolated
-    half-contrast width between that top and the local trough; no line shape
-    is fitted.  Medians across teeth give ``d_peak`` and ``tooth_fwhm``, and
-    trough regions around zero detuning are excluded so the carrier-leak hole
-    does not contaminate the background estimate.
+    Teeth are located by folding the spectrum modulo the spacing and read
+    as one stack (:func:`_read_teeth`): each tooth's height is its sampled
+    top, and its width the interpolated half-contrast width between that top
+    and the local trough, by the hole set-up's half-level kernel; no line
+    shape is fitted.  Medians across teeth give ``d_peak`` and
+    ``tooth_fwhm``, and trough regions around zero detuning are excluded so
+    the carrier-leak hole does not contaminate the background estimate.
 
     Raises
     ------
     NoCombDetected
         If the window holds fewer than three periods or shows no periodic
-        modulation above the noise.
+        modulation above the noise, or a tooth has no sample within a
+        quarter period or fewer than two within half a period.
     """
-    if spacing <= 0:
+    if not 0 < spacing < math.inf:
         raise NonPositiveSpacing(f"spacing={spacing}")
     nu = spec.grid.centers
     od = spec.od
@@ -527,26 +536,12 @@ def analyze_comb(spec: AbsorptionSpectrum, spacing: float) -> CombMetrics:
     if teeth.size < 2:
         raise NoCombDetected(f"only {teeth.size} usable teeth in window")
 
-    tops, widths = [], []
-    for tc in teeth:
-        sel = np.abs(nu - tc) <= spacing / 2.0
-        sub_nu, sub_od = nu[sel], od[sel]
-        near = np.abs(sub_nu - tc) <= spacing / 4.0
-        top = float(sub_od[near].max())
-        trough = float(sub_od.min())
-        tops.append(top)
-        if top - trough <= 0:
-            continue
-        # the width at half contrast is the fwhm of a lone Lorentzian tooth
-        # and the duty width of a square one
-        i_pk = int(np.argmax(np.where(near, sub_od, -np.inf)))
-        width = _half_level_width(sub_nu, -sub_od, i_pk, -(trough + (top - trough) / 2.0))
-        widths.append(min(width, spacing))
-
-    if not widths:
+    tops, troughs, widths = _read_teeth(nu, od, teeth, spacing)
+    widths = widths[tops - troughs > 0]
+    if not widths.size:
         raise NoCombDetected("no teeth with positive contrast")
-    d_peak = float(np.median(tops))
-    tooth_fwhm = float(np.median(widths))
+    d_peak = float(_median(tops))
+    tooth_fwhm = float(_median(widths))
 
     trough_means = []
     trough_centers = np.arange(first - spacing / 2.0, nu[-1] + spacing / 4.0, spacing)
@@ -560,7 +555,7 @@ def analyze_comb(spec: AbsorptionSpectrum, spacing: float) -> CombMetrics:
             trough_means.append(float(od[sel].mean()))
     if not trough_means:
         raise NoCombDetected("no usable trough regions")
-    d0 = float(np.median(trough_means))
+    d0 = float(_median(np.array(trough_means)))
     d0 = min(d0, d_peak)
 
     return CombMetrics(
@@ -579,7 +574,7 @@ def analyze_comb(spec: AbsorptionSpectrum, spacing: float) -> CombMetrics:
 
 def storage_time(spacing: float) -> float:
     """AFC recall delay 1/spacing in seconds."""
-    if spacing <= 0:
+    if not 0 < spacing < math.inf:
         raise NonPositiveSpacing(f"spacing={spacing}")
     return 1.0 / spacing
 
@@ -656,6 +651,8 @@ def _hole_decays(b_fields: Sequence[float], delays: Sequence[float],
             f"delays must exceed 5 * t1_opt = {5 * params.t1_opt:.4g} s")
     if repeats < 1:
         raise NonPositiveInput(f"repeats must be >= 1, got {repeats}")
+    if not noise_rel >= 0:
+        raise NonPositiveInput(f"noise_rel must be >= 0, got {noise_rel}")
     grid = make_grid(detuning - span, detuning + span, bin_width)
     subgrid, sl = grid.subgrid(detuning - span / 2.0, detuning + span / 2.0)
     seq = build_hole_sequence(detuning=detuning, burn_duration=burn_duration,

@@ -1,18 +1,21 @@
-"""Stacked hole metrology: the set-up that readout takes over a whole stack
-of spectra at once (search window, 85% baseline percentile, noise estimate,
-threshold, width estimate, fit window) and the batched fits must give each
-row exactly what one spectrum gets alone, errors included; and Fig. 2's
-stack across its fields must give each field the curve it gets alone."""
+"""Stacked hole and comb-tooth metrology: the set-up that readout takes over
+a whole stack of spectra at once (search window, 85% baseline percentile,
+noise estimate, threshold, width estimate, fit window) and the batched fits
+must give each row exactly what one spectrum gets alone, errors included;
+Fig. 2's stack across its fields must give each field the curve it gets
+alone; and a comb's teeth, read as one stack with the hole set-up's
+half-level kernel, must get exactly what each tooth gets alone."""
 
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import afcsim as a
 from afcsim import experiments, readout
 from afcsim.core import AbsorptionSpectrum
-from afcsim.errors import FitDiverged, NoHoleFound
+from afcsim.errors import FitDiverged, NoCombDetected, NoHoleFound
 
 GRID = a.make_grid(200e6, 300e6, 0.5e6)
 NU = GRID.centers
@@ -34,6 +37,28 @@ SEEDS = [0, 1, 2, 3, 4, 5, 136, 7, 8]
 STACK = np.stack([spectrum(s) for s in SEEDS])
 
 
+def half_level_width(nu, od, i_min, level):
+    """Reference: the width of the dip at the od ``level`` around index
+    ``i_min``, walked out sample by sample, with linear interpolation at the
+    two crossings."""
+    dnu = float(nu[1] - nu[0])
+    left = i_min
+    while left > 0 and od[left] < level:
+        left -= 1
+    right = i_min
+    while right < od.size - 1 and od[right] < level:
+        right += 1
+    x_left = nu[left]
+    if od[left] >= level and left < i_min:
+        frac = (od[left] - level) / max(od[left] - od[left + 1], 1e-300)
+        x_left = nu[left] + frac * dnu
+    x_right = nu[right]
+    if od[right] >= level and right > i_min:
+        frac = (od[right] - level) / max(od[right] - od[right - 1], 1e-300)
+        x_right = nu[right] - frac * dnu
+    return max(float(x_right - x_left), dnu)
+
+
 def per_spectrum_setup(od, guess=250e6):
     """The set-up of one spectrum with the 1-D calls of a one-spectrum
     readout: baseline, noise, threshold, lowest sample, width estimate."""
@@ -44,7 +69,7 @@ def per_spectrum_setup(od, guess=250e6):
     diffs = np.diff(od)
     noise = 1.4826 * float(np.median(np.abs(diffs - np.median(diffs)))) / np.sqrt(2.0)
     depth = baseline - float(od[i_min])
-    fwhm = min(readout._half_level_width(NU, od, i_min, baseline - depth / 2.0),
+    fwhm = min(half_level_width(NU, od, i_min, baseline - depth / 2.0),
                (NU[-1] - NU[0]) / 2.0)
     return i_min, baseline, noise, max(0.01, 5.0 * noise), depth, fwhm
 
@@ -140,3 +165,59 @@ def test_fig2_stack_across_fields_equals_one_field_each(noise_rel, seed, monkeyp
         dropped += len(got.dropped)
     if noise_rel > 0:
         assert len(lengths) > 1 and dropped > 0
+
+
+def per_tooth(nu, od, teeth, spacing):
+    """Reference: each tooth alone, cut out of the spectrum: its top within a
+    quarter period, its trough within half a period and its half-contrast
+    width, as ``(tops, troughs, widths)``; None if a tooth's quarter period
+    holds no sample or its half period fewer than two."""
+    tops, troughs, widths = [], [], []
+    for tc in teeth:
+        sel = np.abs(nu - tc) <= spacing / 2.0
+        sub_nu, sub_od = nu[sel], od[sel]
+        near = np.abs(sub_nu - tc) <= spacing / 4.0
+        if not near.any() or sub_nu.size < 2:
+            return None
+        top = float(sub_od[near].max())
+        trough = float(sub_od.min())
+        i_pk = int(np.argmax(np.where(near, sub_od, -np.inf)))
+        width = half_level_width(sub_nu, -sub_od, i_pk, -(trough + (top - trough) / 2.0))
+        tops.append(top)
+        troughs.append(trough)
+        widths.append(min(width, spacing))
+    return tops, troughs, widths
+
+
+@st.composite
+def tooth_grids(draw):
+    """A noisy comb of Lorentzian teeth on a grid whose bin width mostly does
+    not divide the spacing, so that the teeth's windows differ in length,
+    and teeth spread over the grid at a random phase."""
+    spacing = draw(st.floats(20e6, 80e6))
+    bin_width = draw(st.floats(0.2e6, 25e6))
+    start = draw(st.floats(-4.0, -2.0)) * spacing
+    grid = a.make_grid(start, start + draw(st.floats(3.0, 8.0)) * spacing, bin_width)
+    nu = grid.centers
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    half = draw(st.floats(0.05, 0.45)) * spacing
+    phase = draw(st.floats(0.0, 1.0)) * spacing
+    dx = (nu - phase + spacing / 2.0) % spacing - spacing / 2.0
+    od = 0.2 + 0.6 * half ** 2 / (dx ** 2 + half ** 2)
+    od = np.maximum(od + draw(st.floats(0.0, 0.1)) * rng.standard_normal(nu.size), 0.0)
+    teeth = np.arange(nu[0] + phase % spacing, nu[-1] - spacing / 4.0, spacing)
+    return nu, od, teeth[teeth >= nu[0] + spacing / 4.0], spacing
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(tooth_grids())
+def test_stacked_teeth_equal_each_tooth_alone(case):
+    nu, od, teeth, spacing = case
+    want = per_tooth(nu, od, teeth, spacing)
+    if want is None:
+        with pytest.raises(NoCombDetected):
+            readout._read_teeth(nu, od, teeth, spacing)
+        return
+    for got, expected in zip(readout._read_teeth(nu, od, teeth, spacing), want):
+        assert np.array_equal(got, expected)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from afcsim.errors import (
     InvalidRange,
     NoCombDetected,
     NoHoleFound,
+    NonPositiveInput,
     NonPositiveSpacing,
     SpanOutOfGrid,
 )
@@ -38,11 +41,11 @@ def square_comb(d_peak=2.0, d0=0.0, spacing=50e6, duty=0.5, span=1e9,
 
 
 def lorentzian_comb(fwhm, spacing=50e6, floor=0.2, peak=0.7, span=300e6,
-                    bin_width=0.5e6):
+                    bin_width=0.5e6, shift=0.0):
     """Noiseless comb of Lorentzian teeth on every multiple of ``spacing``,
     scaled to run from ``floor`` in the troughs to ``peak`` on the teeth, and
     the closed-form width of its teeth at half contrast."""
-    g = a.make_grid(-span / 2, span / 2, bin_width)
+    g = a.make_grid(-span / 2 + shift, span / 2 + shift, bin_width)
     half = fwhm / 2.0
     u = 2.0 * np.pi * half / spacing
     amp = np.pi * half / spacing * np.sinh(u)
@@ -88,6 +91,11 @@ class TestSimulateReadout:
         s2 = a.simulate_readout(self.state, self.p, span=100e6,
                                 noise_rel=0.05, seed=42)
         assert np.array_equal(s1.od, s2.od)
+
+    @pytest.mark.parametrize("noise_rel", [-0.02, np.nan])
+    def test_negative_noise_refused(self, noise_rel):
+        with pytest.raises(NonPositiveInput):
+            a.simulate_readout(self.state, self.p, span=100e6, noise_rel=noise_rel)
 
     def test_span_out_of_grid(self):
         with pytest.raises(SpanOutOfGrid):
@@ -218,6 +226,27 @@ class TestAnalyzeComb:
         with pytest.raises(NonPositiveSpacing):
             a.analyze_comb(spec, 0.0)
 
+    @pytest.mark.parametrize("spacing", [np.nan, np.inf])
+    def test_nonfinite_spacing(self, spacing):
+        with pytest.raises(NonPositiveSpacing):
+            a.analyze_comb(square_comb(), spacing)
+        with pytest.raises(NonPositiveSpacing):
+            CombMetrics(d_peak=1.0, d0=0.1, spacing=spacing, tooth_fwhm=10e6,
+                        finesse=5.0, bandwidth=300e6)
+
+    def test_coarse_grids_end_in_metrics_or_no_comb(self):
+        # bins of 10-60 MHz at a 50 MHz spacing, at three grid phases: a
+        # tooth's quarter period may hold no sample and its half period one
+        outcomes = set()
+        for bin_width in np.arange(10, 61) * 1e6:
+            for phase in (0.0, 1 / 3, 2 / 3):
+                spec, _ = lorentzian_comb(12e6, bin_width=bin_width, shift=phase * bin_width)
+                try:
+                    outcomes.add(type(a.analyze_comb(spec, 50e6)))
+                except NoCombDetected as exc:
+                    outcomes.add(str(exc).split()[0])
+        assert {CombMetrics, "bins"} <= outcomes
+
 
 def folded_profile_loop(nu, od, spacing):
     """Oracle: the per-bucket loop, one np.median and one std per bucket."""
@@ -278,6 +307,11 @@ class TestStorageTime:
     def test_nonpositive(self):
         with pytest.raises(NonPositiveSpacing):
             a.storage_time(0.0)
+
+    @pytest.mark.parametrize("spacing", [np.nan, np.inf])
+    def test_nonfinite(self, spacing):
+        with pytest.raises(NonPositiveSpacing):
+            a.storage_time(spacing)
 
 
 class TestAfcEfficiency:
@@ -386,6 +420,16 @@ class TestHoleDecayExperiment:
             a.hole_decay_experiment(0.035, np.geomspace(0.02, 2.0, 8), p, a.TlsParams(),
                                     seed=5, burn_power=2e-6)
             assert len(calls) == per_spectrum
+
+    def test_rejects_negative_noise(self):
+        # run_fig2 reaches it from a config, which takes any finite noise_rel
+        with pytest.raises(NonPositiveInput):
+            a.hole_decay_experiment(0.035, [0.05], a.MaterialParams(), TlsParams(),
+                                    noise_rel=-0.02)
+        cfg = experiments.default_config()
+        cfg.fig2 = replace(cfg.fig2, noise_rel=-0.02)
+        with pytest.raises(NonPositiveInput):
+            experiments.run_fig2(cfg, write=False)
 
     def test_rejects_short_delays(self):
         p = a.MaterialParams()

@@ -18,7 +18,6 @@ Exits non-zero on any precondition or fit failure.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -114,6 +113,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_json(doc) -> None:
+    """Print a summary as the package writes every JSON text."""
+    sys.stdout.write(experiments.json_text(doc, sort_keys=False))
+
+
 def _cmd_simulate(args) -> int:
     config = _load_config(args)
     if args.scenario == "hole-decay":
@@ -125,9 +129,8 @@ def _cmd_simulate(args) -> int:
             fig2 = replace(fig2, detuning=parse_quantity(args.detuning, "frequency"))
         config.fig2 = fig2
         summary = experiments.run_fig2(config)
-        print(json.dumps({k: summary[k] for k in
-                          ("fields_gauss", "t_long_fitted_s", "t_short_fitted_s")},
-                         indent=2))
+        _print_json({k: summary[k] for k in
+                     ("fields_gauss", "t_long_fitted_s", "t_short_fitted_s")})
     elif args.scenario == "afc":
         eff = config.efficiency
         eff = replace(eff, bandwidth=parse_quantity(args.bandwidth, "frequency"),
@@ -141,14 +144,13 @@ def _cmd_simulate(args) -> int:
             from .relaxation import TlsParams
             config.tls = TlsParams.disabled()
         summary = experiments.run_efficiency(config)
-        print(json.dumps(summary["comb"] | {
-            "efficiency_percent": summary["efficiency_percent"]}, indent=2))
+        _print_json(summary["comb"] | {"efficiency_percent": summary["efficiency_percent"]})
     elif args.scenario == "backfill":
         det = parse_quantity(args.detuning, "frequency")
         config.table1 = replace(config.table1, detunings_ghz=(det / 1e9,),
                                 run_control=False)
         summary = experiments.run_table1(config)
-        print(json.dumps(summary, indent=2))
+        _print_json(summary)
     elif args.scenario == "pump-probe":
         fig5 = replace(config.fig5,
                        pump_powers=(parse_quantity(args.pump_power, "power"),))
@@ -156,9 +158,9 @@ def _cmd_simulate(args) -> int:
             fig5 = replace(fig5, probe_power=parse_quantity(args.probe_power, "power"))
         config.fig5 = fig5
         summary = experiments.run_fig5(config)
-        print(json.dumps({k: summary[k] for k in
-                          ("pump_powers_w", "pump_depth", "pump_fwhm_hz",
-                           "probe_depth", "probe_fwhm_hz")}, indent=2))
+        _print_json({k: summary[k] for k in
+                     ("pump_powers_w", "pump_depth", "pump_fwhm_hz",
+                      "probe_depth", "probe_fwhm_hz")})
     return 0
 
 
@@ -173,7 +175,7 @@ def _cmd_fit(args) -> int:
     else:
         model = model_lorentzian_dip()
     result = fit_curve(model, np.asarray(x), np.asarray(y), sigma=sigma)
-    report = json.dumps(result.as_dict(), indent=2) + "\n"
+    report = experiments.json_text(result.as_dict(), sort_keys=False)
     if args.out:
         Path(args.out).write_text(report)
     else:
@@ -194,9 +196,9 @@ def main(argv=None) -> int:
         if args.command == "report":
             config = _load_config(args)
             summary = experiments.run_efficiency(config)
-            print(json.dumps(summary["comb"] | {
+            _print_json(summary["comb"] | {
                 "efficiency_percent": summary["efficiency_percent"],
-                "storage_time_s": summary["storage_time_s"]}, indent=2))
+                "storage_time_s": summary["storage_time_s"]})
             return 0
         if args.command == "reproduce":
             config = _load_config(args)

@@ -345,8 +345,28 @@ def load_config(source) -> ExperimentConfig:
 # Artifact text, export and the scenario writer
 # ---------------------------------------------------------------------------
 
-def _json_text(doc) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+def _finite_or_null(value):
+    """``value`` with every non-finite float in it replaced by ``None``."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite_or_null(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(item) for item in value]
+    return value
+
+
+def json_text(doc, sort_keys: bool = True) -> str:
+    """``doc`` as JSON text indented by two, ending in a newline.  Every
+    JSON file and report the package writes goes through here.  A
+    non-finite float (an infinite error bar, say) is written as ``null``:
+    JSON has no NaN or Infinity, and strict parsers reject those tokens."""
+    try:
+        text = json.dumps(doc, indent=2, sort_keys=sort_keys, allow_nan=False)
+    except ValueError:
+        text = json.dumps(_finite_or_null(doc), indent=2, sort_keys=sort_keys,
+                          allow_nan=False)
+    return text + "\n"
 
 
 def _table_csv(header: str, rows) -> str:
@@ -368,12 +388,12 @@ def _render(artifact, fmt: str) -> str:
         raise UnsupportedFormat(f"no CSV form for {type(artifact).__name__}")
     if fmt == "json":
         if hasattr(artifact, "as_dict"):
-            return _json_text(artifact.as_dict())
+            return json_text(artifact.as_dict())
         if isinstance(artifact, AbsorptionSpectrum):
-            return _json_text({"detuning_hz": artifact.grid.centers.tolist(),
-                               "od": artifact.od.tolist()})
+            return json_text({"detuning_hz": artifact.grid.centers.tolist(),
+                              "od": artifact.od.tolist()})
         if isinstance(artifact, dict):
-            return _json_text(artifact)
+            return json_text(artifact)
         raise UnsupportedFormat(f"no JSON form for {type(artifact).__name__}")
     if fmt == "svg":
         if isinstance(artifact, AbsorptionSpectrum):
@@ -410,7 +430,7 @@ def _write_scenario(config: ExperimentConfig, name: str, summary: dict,
     from . import __version__
     outdir = config.resolve_outdir()
     outdir.mkdir(parents=True, exist_ok=True)
-    files = {**files, f"{name}_report.json": _json_text(summary)}
+    files = {**files, f"{name}_report.json": json_text(summary)}
     outputs = []
     for file_name, text in sorted(files.items()):
         data = text.encode()
@@ -423,7 +443,7 @@ def _write_scenario(config: ExperimentConfig, name: str, summary: dict,
         "scenarios": {name: summary},
         "outputs": outputs,
     }
-    (outdir / f"{name}_manifest.json").write_text(_json_text(manifest))
+    (outdir / f"{name}_manifest.json").write_text(json_text(manifest))
 
 
 # ---------------------------------------------------------------------------

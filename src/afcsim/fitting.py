@@ -46,6 +46,20 @@ sums along the last axis with the same reduction as one curve
 (``x * x``, not ``x ** 2``).  The Lorentzian dip and :class:`LogTransform`
 follow that rule; the other models and transforms, and models without
 analytic derivatives, serve single curves.
+
+A Jacobian has the shape ``(..., n_points, n_params)`` and is laid out as
+contiguous parameter rows: it is a view of an ``(n_params, ..., n_points)``
+array, which the shipped models fill one parameter at a time.  A batch's
+rows of one parameter thus form one contiguous block, so each operation of
+a model on them runs over one array.  The engine reads the Jacobian through
+the ``(..., n_points, n_params)`` view.  It writes the residual's Jacobian
+into parameter rows of its own, reused at every accepted point.  Its
+products (``J^T J``, ``J^T r``) then run along contiguous rows.  The layout
+sets how BLAS rounds ``J^T J`` (rows contiguous along the points round one
+way, columns another), so a transform's chain rule hands back rows
+contiguous along the points: the generic matrix product of
+:meth:`ParamTransform.jac_internal` as well as :class:`LogTransform`'s
+scaling in place.
 """
 
 from __future__ import annotations
@@ -89,10 +103,21 @@ class ParamTransform:
         return np.eye(np.shape(internal)[-1])
 
     def jac_internal(self, jac, internal, external):
-        """Chain rule for the model Jacobian; ``external = to_external(internal)``."""
+        """Chain rule for the model Jacobian ``jac`` (shape ``(..., n_points,
+        n_ext)``); ``external = to_external(internal)``.  Never writes into
+        ``jac``: the identity returns it, any other transform a new array
+        whose parameter rows are contiguous along the points (see the
+        module docstring)."""
         if type(self) is ParamTransform:
             return jac
-        return jac @ self.jac_external(internal)
+        return (self.jac_external(internal).swapaxes(-1, -2)
+                @ jac.swapaxes(-1, -2)).swapaxes(-1, -2)
+
+    def _jac_internal_in_place(self, jac, internal, external):
+        """:meth:`jac_internal` of ``jac``, an array that the caller gives
+        up.  A transform that can write the chain rule into it does so and
+        returns it; the others return a new array."""
+        return self.jac_internal(jac, internal, external)
 
     def hess_external(self, weights, internal):
         """``sum_k weights_k Hess(external_k)`` over the internal parameters,
@@ -153,9 +178,11 @@ class LogTransform(ParamTransform):
         return out
 
     def jac_internal(self, jac, internal, external):
-        out = np.array(jac, dtype=float)
-        out[..., self._cols] *= external[..., None, self._cols]
-        return out
+        return self._jac_internal_in_place(np.array(jac, dtype=float), internal, external)
+
+    def _jac_internal_in_place(self, jac, internal, external):
+        jac[..., self._cols] *= external[..., None, self._cols]
+        return jac
 
     def hess_external(self, weights, internal):
         # weights * external on the logged diagonal entries, 0 elsewhere
@@ -174,19 +201,22 @@ class OrderedLifetimesTransform(ParamTransform):
     removing the label-switching degeneracy of a two-exponential model.
     """
 
+    # parameters are unpacked as Python floats, whose comparisons are cheap;
+    # np.exp and np.log take them as they take numpy scalars
+
     def to_internal(self, external):
-        a_s, t_s, a_l, t_l = np.asarray(external, dtype=float)
+        a_s, t_s, a_l, t_l = np.asarray(external, dtype=float).tolist()
         if t_s <= 0 or t_l <= t_s:
             raise InvalidBounds("lifetimes must satisfy 0 < t_short < t_long")
         return np.array([a_s, np.log(t_s), a_l, np.log(t_l - t_s)])
 
     def to_external(self, internal):
-        a_s, u, a_l, w = np.asarray(internal, dtype=float)
+        a_s, u, a_l, w = np.asarray(internal, dtype=float).tolist()
         t_s = np.exp(min(max(u, -300.0), 300.0))
         return np.array([a_s, t_s, a_l, t_s + np.exp(min(max(w, -300.0), 300.0))])
 
     def jac_external(self, internal):
-        _, u, _, w = np.asarray(internal, dtype=float)
+        _, u, _, w = np.asarray(internal, dtype=float).tolist()
         t_s = np.exp(min(max(u, -300.0), 300.0))
         jac = np.zeros((4, 4))
         jac[0, 0] = 1.0
@@ -198,7 +228,7 @@ class OrderedLifetimesTransform(ParamTransform):
 
     def hess_external(self, weights, internal):
         # t_short = e^u and t_long = e^u + e^w
-        _, u, _, w = np.asarray(internal, dtype=float)
+        _, u, _, w = np.asarray(internal, dtype=float).tolist()
         hess = np.zeros((4, 4))
         hess[1, 1] = np.exp(min(max(u, -300.0), 300.0)) * (weights[1] + weights[3])
         hess[3, 3] = np.exp(min(max(w, -300.0), 300.0)) * weights[3]
@@ -213,8 +243,10 @@ class OrderedLifetimesTransform(ParamTransform):
 class ParametricModel:
     """A parametric curve y(params, x) with optional analytic derivatives.
 
-    ``jacobian(params, x)`` returns the matrix of partial derivatives with
-    shape ``(len(x), n_params)`` in the external parameters.
+    ``jacobian(params, x)`` returns a new array of the partial derivatives
+    in the external parameters, shape ``(..., n_points, n_params)`` (``x``'s
+    shape plus the parameter axis), best as the view of contiguous parameter
+    rows that :func:`_columns` builds (see the module docstring).
     ``curvature(params, x, w)`` returns ``sum_i w_i Hess(y_i)``, the
     ``(n_params, n_params)`` second derivatives of the curve weighted by
     ``w`` (``fit_curve`` passes ``w = r / sigma``), also in the external
@@ -281,33 +313,57 @@ class FitResult:
 # Engine
 # ---------------------------------------------------------------------------
 
-def _numeric_jacobian(fun, params, x, rel_step=1e-6, floor=1e-8):
-    """Central differences of the vector ``fun(params, x)``, one column per
-    parameter, with steps ``rel_step * max(|params_i|, floor)``."""
+def _numeric_jacobian(fun, params, x, floor, rel_step=1e-6):
+    """Central differences of the vector ``fun(params, x)``, one parameter
+    row each (see :func:`_param_rows`), with steps ``rel_step *
+    max(|params_i|, floor_i)``.  The fit passes each parameter's size at its
+    start (at least 1e-8) as ``floor``: a parameter that ends near zero (a
+    line's centre, say) keeps a step on the scale it started at, where one
+    relative to its own size would leave differences of rounding."""
     p = np.asarray(params, dtype=float)
-    cols = []
+    rows = _param_rows(np.shape(x), p.size)
     for i in range(p.size):
-        h = rel_step * max(abs(p[i]), floor)
+        h = rel_step * max(abs(p[i]), floor[i])
         up, dn = p.copy(), p.copy()
         up[i] += h
         dn[i] -= h
-        cols.append((fun(up, x) - fun(dn, x)) / (2.0 * h))
-    return np.stack(cols, axis=1)
+        rows[i] = (fun(up, x) - fun(dn, x)) / (2.0 * h)
+    return _jacobian_view(rows)
 
 
-def _filled(value, shape):
-    """A new float array of ``shape`` holding ``value`` broadcast to it."""
+def _filled(value, shape, error, message):
+    """A new float array of ``shape`` holding ``value`` broadcast to it;
+    ``error(message)`` if ``value`` does not broadcast to ``shape``."""
     out = np.empty(shape)
-    out[...] = value
+    try:
+        out[...] = value
+    except ValueError:
+        raise error(message) from None
     return out
+
+
+def _param_rows(shape, n_params):
+    """An empty Jacobian against samples of ``shape`` as ``n_params``
+    contiguous parameter rows: the ``(n_params,) + shape`` array that a
+    model fills one parameter at a time (``rows[i]``) and returns through
+    :func:`_jacobian_view`.  For a batch, parameter ``i``'s rows of every
+    curve form the one contiguous block ``rows[i]``."""
+    return np.empty((n_params,) + shape)
+
+
+def _jacobian_view(rows):
+    """The ``(..., n_points, n_params)`` Jacobian view of the parameter rows
+    ``rows`` (see :func:`_param_rows`)."""
+    return rows.transpose(tuple(range(1, rows.ndim)) + (0,))
 
 
 def _columns(shape, *cols):
-    """The ``shape + (len(cols),)`` array of these columns, filled in place."""
-    out = np.empty(shape + (len(cols),))
-    for i, col in enumerate(cols):
-        out[..., i] = col
-    return out
+    """The ``shape + (len(cols),)`` Jacobian of these columns, each written
+    into its own parameter row (see :func:`_param_rows`)."""
+    rows = _param_rows(shape, len(cols))
+    for row, col in zip(rows, cols):
+        row[...] = col
+    return _jacobian_view(rows)
 
 
 def _split(params):
@@ -320,7 +376,9 @@ def _split(params):
 
 def _gram(jac):
     """``J^T J``, the column norms of ``J`` and the damping scale, all from
-    the Gram matrix's diagonal."""
+    the Gram matrix's diagonal.  The product of one buffer with itself goes
+    to BLAS syrk, one matrix at a time, so a row of a batch gets the sums of
+    a single curve."""
     a_mat = jac.swapaxes(-1, -2) @ jac
     sq_norms = a_mat.diagonal(0, -2, -1)
     return a_mat, np.sqrt(sq_norms), np.maximum(sq_norms, 1e-300)
@@ -360,27 +418,33 @@ def _damped_rows(a_mat, scale, lam, grad):
 
 def _residual(model, theta, x, y, sigma):
     ext = model.transform.to_external(theta)
-    return (model.evaluate(ext, x) - y) / sigma, ext
+    r = np.subtract(model.evaluate(ext, x), y)
+    r /= sigma
+    return r, ext
 
 
-def _jacobians(model, theta, ext, x, sigma):
-    """The model's Jacobian over the external parameters, and the residual's
-    over the internal ones."""
+def _jacobians(model, s, theta, ext, rows):
+    """The model's Jacobian over the external parameters at ``ext``, and the
+    residual's over the internal ones at ``theta``, for the rows of ``s``.
+    The second is written into ``rows``, parameter rows of the batch's
+    shape (see :func:`_param_rows`): the first divided by sigma, then taken
+    into the internal parameters in place."""
     if model.jacobian is not None:
-        j_ext = np.asarray(model.jacobian(ext, x), dtype=float)
+        j_ext = np.asarray(model.jacobian(ext, s.x), dtype=float)
     else:
-        j_ext = _numeric_jacobian(model.evaluate, ext, x)
-    return j_ext, model.transform.jac_internal(j_ext, theta, ext) / sigma[..., None]
+        j_ext = _numeric_jacobian(model.evaluate, ext, s.x, s.h_floor)
+    jac = np.divide(j_ext, s.sigma[..., None], out=_jacobian_view(rows))
+    return j_ext, model.transform._jac_internal_in_place(jac, theta, ext)
 
 
 def _curvature(model, s):
     """The residual curvature ``sum_i r_i Hess(r_i)`` over the internal
-    parameters, at the current point of every row of ``s``."""
+    parameters, at the current point of every row of ``s``; a model's
+    ``curvature`` takes the weights ``s.w = r / sigma`` and the gradient
+    ``s.g_ext = J_ext^T w`` that the loop keeps from that point."""
     if model.curvature is not None:
-        w = s.r / s.sigma
         return model.transform.curvature_internal(
-            np.asarray(model.curvature(s.ext, s.x, w), dtype=float),
-            np.vecmat(w, s.j_ext), s.theta, s.ext)
+            np.asarray(model.curvature(s.ext, s.x, s.w), dtype=float), s.g_ext, s.theta, s.ext)
     # a single curve's model without curvature: differences of J^T r at
     # fixed r, as for a model without a Jacobian.  Each step is 1e-4 of the
     # parameter's scale: its size, or the move that shifts the curve by the
@@ -395,8 +459,11 @@ def _curvature(model, s):
             t[i] += step
             e = model.transform.to_external(t)
             inside = bool(((e >= s.lo) & (e <= s.hi)).all())
-            ends.append((_jacobians(model, t, e, s.x, s.sigma)[1].T @ s.r, step) if inside
-                        else (s.grad, 0.0))
+            if inside:
+                jac = _jacobians(model, s, t, e, _param_rows(s.x.shape, t.size))[1]
+                ends.append((jac.T @ s.r, step))
+            else:
+                ends.append((s.grad, 0.0))
         (g_up, s_up), (g_dn, s_dn) = ends
         cols.append((g_up - g_dn) / (s_up - s_dn))
     curv = np.stack(cols, axis=1)
@@ -550,13 +617,13 @@ def _try_steps(model, s, h_mat, ops):
     return np.where(outcome < 0, 1, outcome)
 
 
-def _fit_results(model, theta, ext, jac, cost, grad, col_norms, lost, stop_reason,
+def _fit_results(model, theta, ext, a_mat, cost, grad, col_norms, lost, stop_reason,
                  iterations, traces):
     """The :class:`FitResult` of every fit of a stack that stopped together
     by ``stop_reason`` with the lost-column mask ``lost``, from one stacked
-    calculation.  Everything per fit carries the stack's leading axis, or
-    none for a single curve, which gets a list of one; ``traces`` holds each
-    fit's residual norms."""
+    calculation from each fit's Gram matrix ``a_mat``.  Everything per fit
+    carries the stack's leading axis, or none for a single curve, which gets
+    a list of one; ``traces`` holds each fit's residual norms."""
     n_par = model.n_params
     cost = np.asarray(cost)
     if stop_reason in ("exact", "gtol"):
@@ -571,11 +638,9 @@ def _fit_results(model, theta, ext, jac, cost, grad, col_norms, lost, stop_reaso
 
     # local quadratic uncertainties in external coordinates (no chi^2 rescale:
     # estimates are invariant under uniform sigma rescaling, errors scale with
-    # it), from the columns that still influence the model.  The Gram matrix
-    # is taken from two copies of the live columns: J^T J on one buffer takes
-    # another BLAS route, which rounds differently
-    live = ~lost
-    a_live = jac[..., live].swapaxes(-1, -2) @ jac[..., live]
+    # it), from the Gram matrix of the columns that still influence the model
+    live = np.flatnonzero(~lost)
+    a_live = a_mat[..., live[:, None], live] if lost.any() else a_mat
     try:
         inv_live = np.linalg.inv(a_live)
     except np.linalg.LinAlgError:
@@ -587,8 +652,7 @@ def _fit_results(model, theta, ext, jac, cost, grad, col_norms, lost, stop_reaso
                 inv_live[i] = np.linalg.pinv(a_live[i])
     if lost.any():
         cov_int = np.zeros(theta.shape + (n_par,))
-        idx = np.flatnonzero(live)
-        cov_int[..., idx[:, None], idx] = inv_live
+        cov_int[..., live[:, None], live] = inv_live
     else:
         cov_int = inv_live
     tr = model.transform
@@ -602,20 +666,19 @@ def _fit_results(model, theta, ext, jac, cost, grad, col_norms, lost, stop_reaso
         cov_ext[..., diag, diag] = np.where(undetermined, np.inf, cov_ext[..., diag, diag])
     std = np.sqrt(np.maximum(cov_ext.diagonal(0, -2, -1), 0.0))
 
-    ext, std = ext.reshape(-1, n_par), std.reshape(-1, n_par)
-    cov_ext = cov_ext.reshape(-1, n_par, n_par)
-    norms = np.sqrt(cost).reshape(-1).tolist()
+    fits = zip(ext.reshape(-1, n_par), std.reshape(-1, n_par), cov_ext.reshape(-1, n_par, n_par),
+               np.sqrt(cost).reshape(-1).tolist(), converged.reshape(-1).tolist(), traces)
     return [FitResult(
         param_names=model.param_names,
-        params=ext[i],
-        std_errors=std[i],
-        covariance=cov_ext[i],
-        residual_norm=norms[i],
+        params=params,
+        std_errors=errors,
+        covariance=cov,
+        residual_norm=norm,
         iterations=iterations,
         converged=ok,
         residual_trace=tuple(trace),
         stop_reason=stop_reason,
-    ) for i, (ok, trace) in enumerate(zip(converged.reshape(-1).tolist(), traces))]
+    ) for params, errors, cov, norm, ok, trace in fits]
 
 
 def _levenberg_marquardt(model, x, y, sigma, p_ext, lo, hi):
@@ -646,9 +709,16 @@ def _levenberg_marquardt(model, x, y, sigma, p_ext, lo, hi):
     s.r, s.ext = _residual(model, s.theta, x, y, sigma)
     s.cost = scalar(np.vecdot(s.r, s.r))
     # absolute floor below which the fit counts as an exact interpolation
-    floor = 4e-12 * maximum(1.0, np.abs(y / sigma).max(-1))
+    scaled = y / sigma
+    floor = 4e-12 * maximum(1.0, np.abs(scaled, out=scaled).max(-1))
     s.floor = y.shape[-1] * (floor * floor)
-    s.j_ext, s.jac = _jacobians(model, s.theta, s.ext, x, sigma)
+    if model.jacobian is None:
+        s.h_floor = np.maximum(np.abs(p_ext), 1e-8)
+    # the weighted Jacobian of every accepted point is written here, the
+    # rows still running first: fresh memory at each point costs more than
+    # the arithmetic
+    work = _param_rows(y.shape, n_par)
+    jac = _jacobians(model, s, s.theta, s.ext, work)[1]
 
     def settle(mask, outcome):
         """Record ``outcome(js, ks)``, the outcomes of the rows ``js`` (fits
@@ -679,7 +749,7 @@ def _levenberg_marquardt(model, x, y, sigma, p_ext, lo, hi):
         accepted steps with the lost-column mask ``lost``: one
         :class:`FitResult` per row, from one stacked :func:`_fit_results`."""
         return lambda js, ks: _fit_results(
-            model, *(row(v, js) for v in (s.theta, s.ext, s.jac, s.cost, s.grad, s.col_norms)),
+            model, *(row(v, js) for v in (s.theta, s.ext, s.a_mat, s.cost, s.grad, s.col_norms)),
             lost, reason, iterations, [traces[k] for k in ks])
 
     def influence_lost(iterations, lost):
@@ -709,9 +779,9 @@ def _levenberg_marquardt(model, x, y, sigma, p_ext, lo, hi):
         else:
             traces[0].append(s.root)
 
-    def nonfinite():
-        """Whether each row's Jacobian holds a non-finite entry."""
-        return ~np.isfinite(s.jac).all((-2, -1))
+    def nonfinite(jac):
+        """Whether each row's Jacobian ``jac`` holds a non-finite entry."""
+        return ~np.isfinite(jac).all((-2, -1))
 
     def newton_converged():
         """Whether each row's Gauss-Newton decrement ``g^T (J^T J)^-1 g``,
@@ -738,12 +808,14 @@ def _levenberg_marquardt(model, x, y, sigma, p_ext, lo, hi):
         return any_(stop) and settle(stop, result("gtol", iterations))
 
     record()
-    stop = nonfinite()
-    if any_(stop) and settle(stop, each(lambda j: SingularJacobian(
-            "non-finite Jacobian at the starting point"))):
-        return out
-    s.a_mat, s.col_norms, s.scale = _gram(s.jac)
-    s.grad = np.vecmat(s.r, s.jac)
+    stop = nonfinite(jac)
+    if any_(stop):
+        if settle(stop, each(lambda j: SingularJacobian(
+                "non-finite Jacobian at the starting point"))):
+            return out
+        jac = jac[~stop]
+    s.a_mat, s.col_norms, s.scale = _gram(jac)
+    s.grad = np.vecmat(s.r, jac)
     dead = s.col_norms == 0.0
     stop = dead.any(-1)
     if any_(stop) and settle(stop, each(lambda j: SingularJacobian(
@@ -790,20 +862,30 @@ def _levenberg_marquardt(model, x, y, sigma, p_ext, lo, hi):
         s.step = sqrt(np.vecdot(s.step_vec, s.step_vec))
         s.improvement = s.cost - s.cost_c
         s.theta, s.r, s.cost, s.ext = s.theta_c, s.r_c, s.cost_c, s.ext_c
+        # the trial point is now the current one: no row copies it again
+        del s.theta_c, s.r_c, s.cost_c, s.ext_c, s.step_vec
         record()
-        s.j_ext, s.jac = _jacobians(model, s.theta, s.ext, s.x, s.sigma)
+        j_ext, jac = _jacobians(model, s, s.theta, s.ext,
+                                work[:, :len(s.cost)] if batched else work)
         # checked before any product: inf * 0 in J^T J would warn.  No step
         # from a non-finite Jacobian can be trusted: end here, as the next
         # iteration's damping would, with every parameter undetermined
-        stop = nonfinite()
-        if any_(stop) and settle(stop, result("max_damping", it + 1, ~no_loss)):
-            break
-        s.a_mat, s.col_norms, s.scale = _gram(s.jac)
-        s.grad = np.vecmat(s.r, s.jac)
+        stop = nonfinite(jac)
+        if any_(stop):
+            if settle(stop, result("max_damping", it + 1, ~no_loss)):
+                break
+            j_ext, jac = j_ext[~stop], jac[~stop]
+        s.a_mat, s.col_norms, s.scale = _gram(jac)
+        s.grad = np.vecmat(s.r, jac)
         if it >= 3:
             # past the first steps' nonlinearity, a misprediction by over a
             # quarter means the residual curvature that J^T J leaves out matters
             s.curved = s.curved | (abs(s.rho - 1.0) > 0.25)
+        if model.curvature is not None and any_(s.curved):
+            # what the next step's residual curvature needs of this point:
+            # the weights w = r / sigma and the model's gradient J_ext^T w
+            s.w = s.r / s.sigma
+            s.g_ext = np.vecmat(s.w, j_ext)
         s.col_peak = np.maximum(s.col_peak, s.col_norms)
         lost = s.col_norms < _LOST_INFLUENCE * s.col_peak
         stop = lost.any(-1)
@@ -828,8 +910,14 @@ def _levenberg_marquardt(model, x, y, sigma, p_ext, lo, hi):
 
 def _checked(model, x, y, sigma, init, bounds):
     """The sigmas, starting points and bounds of the fits of ``y``'s rows
-    (of ``y`` for a single curve), filled to their full shapes and checked."""
-    sigma = np.ones_like(y) if sigma is None else _filled(sigma, y.shape)
+    (of ``y`` for a single curve), checked.  Starting points and bounds are
+    filled to one set of parameters per fit, sigma to one entry per fit
+    (shape ``rows + (1,)``) unless it varies along the points."""
+    rows = y.shape[:-1]
+    sigma = np.asarray(1.0 if sigma is None else sigma, dtype=float)
+    per_point = sigma.shape[-1:] not in ((), (1,))
+    sigma = _filled(sigma, rows + (y.shape[-1] if per_point else 1,), NonPositiveInput,
+                    "sigma must broadcast to the shape of y")
     for name, arr in (("x", x), ("y", y), ("sigma", sigma)):
         if not np.isfinite(arr).all():
             raise NonPositiveInput(f"{name} must be finite")
@@ -841,7 +929,6 @@ def _checked(model, x, y, sigma, init, bounds):
         raise NonPositiveInput(
             f"need at least {n_par} points for {n_par} parameters, got {y.shape[-1]}")
 
-    rows = y.shape[:-1]
     if init is None:
         if model.guess is None:
             init = np.ones(n_par)
@@ -852,14 +939,15 @@ def _checked(model, x, y, sigma, init, bounds):
     p_ext = np.asarray(init, dtype=float)
     if p_ext.shape[-1:] != (n_par,) or p_ext.shape[:-1] not in ((), rows):
         raise InvalidBounds(f"init must have {n_par} entries")
-    p_ext = _filled(p_ext, rows + (n_par,))
+    p_ext = _filled(p_ext, rows + (n_par,), InvalidBounds, f"init must have {n_par} entries")
     if not np.isfinite(p_ext).all():
         raise InvalidBounds("init must be finite")
 
     if bounds is None:
         bounds = model.bounds
     lo, hi = (-np.inf, np.inf) if bounds is None else bounds
-    lo, hi = _filled(lo, rows + (n_par,)), _filled(hi, rows + (n_par,))
+    lo, hi = (_filled(bound, rows + (n_par,), InvalidBounds,
+                      "bounds must broadcast to one entry per parameter") for bound in (lo, hi))
     if not (lo < hi).all():
         raise InvalidBounds("bounds must not be NaN, and each lower bound must be "
                             "below its upper bound")
@@ -928,11 +1016,12 @@ def fit_curve(model: ParametricModel, x, y, sigma=None, init=None, bounds=None) 
         If 200 steps are accepted without any stop rule firing; a rule that
         fires on the last step still returns a result.
     InvalidBounds
-        If the start is not finite, a bound is NaN, or the bounds are
+        If the start is not finite, a bound is NaN, the start or a bound
+        does not broadcast to one entry per parameter, or the bounds are
         inconsistent or exclude the start.
     NonPositiveInput
-        If ``x``, ``y`` or ``sigma`` holds a non-finite value, or a sigma is
-        not positive.
+        If ``x``, ``y`` or ``sigma`` holds a non-finite value, a sigma is
+        not positive, or ``sigma`` does not broadcast to the shape of ``y``.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -959,13 +1048,15 @@ def fit_curves(model: ParametricModel, x, y, sigma=None, init=None, bounds=None)
     :class:`SingularJacobian` or :class:`MaxIterations` it would raise.  Such a
     row does not stop the others.  Inputs that :func:`fit_curve` rejects
     before iterating (:class:`NonPositiveInput`, :class:`InvalidBounds`) are
-    raised for the whole batch.
+    raised for the whole batch, as is a ``y`` with no rows
+    (:class:`NonPositiveInput`).
     """
     y = np.asarray(y, dtype=float)
-    if y.ndim != 2:
-        raise NonPositiveInput("y must be a 2-D array of curves")
+    if y.ndim != 2 or not len(y):
+        raise NonPositiveInput("y must be a 2-D array of at least one curve")
     try:
-        x = _filled(x, y.shape)
+        # a view: the fit never writes into x
+        x = np.broadcast_to(np.asarray(x, dtype=float), y.shape)
     except ValueError:
         raise NonPositiveInput("x must broadcast to the shape of y") from None
     sigma, p_ext, lo, hi = _checked(model, x, y, sigma, init, bounds)
@@ -1102,21 +1193,42 @@ def model_lorentzian_dip(baseline_terms: int = 1) -> ParametricModel:
         # half * half, not half ** 2: a scalar's pow may round differently
         # from an array's square, and a batch row must match a single curve
         h2 = half * half
-        dip = -depth * h2 / ((nu - center) ** 2 + h2)
+        # -depth h2 / ((nu - center)^2 + h2), built in one buffer
+        dip = nu - center
+        dip *= dip
+        dip += h2
+        np.divide(-depth * h2, dip, out=dip)
         if n_base == 1:
-            return terms[0] + dip
-        return terms[0] + terms[1] * nu + dip
+            dip += terms[0]
+            return dip
+        out = terms[1] * nu
+        out += terms[0]
+        out += dip
+        return out
 
     def jacobian(params, nu):
         depth, center, fwhm = _split(params)[n_base:]
         half = fwhm / 2.0
-        dx = nu - center
         h2 = half * half
-        denom = dx ** 2 + h2
-        lshape = h2 / denom
-        return _columns(dx.shape, *(1.0, nu)[:n_base], -lshape,
-                        -depth * lshape * 2.0 * dx / denom,
-                        -depth * half * dx ** 2 / denom ** 2)
+        dx = nu - center
+        # each parameter's row written in place: the baseline's, then
+        # -L = -h2 / denom, -depth L 2 dx / denom and -depth half dx^2 / denom^2,
+        # with denom = dx^2 + h2
+        rows = _param_rows(dx.shape, n_par)
+        rows[0] = 1.0
+        if n_base == 2:
+            rows[1] = nu
+        d_depth, d_center, d_fwhm = rows[n_base:]
+        np.multiply(dx, dx, out=d_fwhm)
+        denom = d_fwhm + h2
+        np.divide(-h2, denom, out=d_depth)
+        # (2 depth) L is 2 (depth L) exactly: doubling does not round
+        np.multiply(2.0 * depth, d_depth, out=d_center)
+        d_center *= dx
+        d_center /= denom
+        d_fwhm *= -depth * half
+        d_fwhm /= np.multiply(denom, denom, out=dx)
+        return _jacobian_view(rows)
 
     def curvature(params, nu, w):
         # second derivatives of -depth L, L = h^2 / D, h = fwhm / 2,
@@ -1130,13 +1242,23 @@ def model_lorentzian_dip(baseline_terms: int = 1) -> ParametricModel:
         dx = nu - center_c
         dx2 = dx * dx
         denom = dx2 + h2_c
-        q = w / denom ** 3
-        qd = q * denom
+        # denom^3 by products, which cost a third of an array pow
+        q = denom * denom
+        q *= denom
+        np.divide(w, q, out=q)
+        qd = np.multiply(q, denom, out=denom)
         s_dc = -2.0 * h2 * np.vecdot(qd, dx)
         s_df = -half * np.vecdot(qd, dx2)
-        s_cc = -2.0 * depth * h2 * np.vecdot(q, 3.0 * dx2 - h2_c)
-        s_cf = -2.0 * depth * half * np.vecdot(q, dx * (dx2 - h2_c))
-        s_ff = -0.5 * depth * np.vecdot(q, dx2 * (dx2 - 3.0 * h2_c))
+        # the three other weights in turn in one buffer
+        tmp = 3.0 * dx2
+        tmp -= h2_c
+        s_cc = -2.0 * depth * h2 * np.vecdot(q, tmp)
+        np.subtract(dx2, h2_c, out=tmp)
+        tmp *= dx
+        s_cf = -2.0 * depth * half * np.vecdot(q, tmp)
+        np.subtract(dx2, 3.0 * h2_c, out=tmp)
+        tmp *= dx2
+        s_ff = -0.5 * depth * np.vecdot(q, tmp)
         curv = np.zeros(np.shape(depth) + (n_par, n_par))
         block = [[0.0, s_dc, s_df], [s_dc, s_cc, s_cf], [s_df, s_cf, s_ff]]
         for i, row in enumerate(block):

@@ -386,7 +386,7 @@ def _fit_rows(rows) -> list:
             except (MaxIterations, SingularJacobian) as exc:
                 results[ks[0]] = exc
             continue
-        x, y, sigma, init, lo, hi = (np.stack(col) for col in zip(*(rows[k] for k in ks)))
+        x, y, sigma, init, lo, hi = (np.array(col) for col in zip(*(rows[k] for k in ks)))
         for k, res in zip(ks, fit_curves(_HOLE_DIP, x, y, sigma=sigma[:, None], init=init,
                                           bounds=(lo, hi))):
             results[k] = res

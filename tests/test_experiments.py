@@ -171,6 +171,13 @@ class TestUnits:
             parse_quantity(text)
 
 
+def strict_json(text):
+    """``json.loads`` that refuses the NaN and Infinity tokens, which are not JSON."""
+    def refuse(token):
+        raise ValueError(f"non-JSON token {token}")
+    return json.loads(text, parse_constant=refuse)
+
+
 class TestExport:
     def setup_method(self):
         g = a.make_grid(-10e6, 10e6, 1e6)
@@ -198,6 +205,13 @@ class TestExport:
         path = ex.export(self.comb, "json", tmp_path / "comb.json")
         doc = json.loads(path.read_text())
         assert doc["d_peak"] == 2.0
+
+    def test_non_finite_floats_are_written_as_null(self, tmp_path):
+        doc = {"inf": math.inf, "nested": [1.5, -math.inf, {"nan": math.nan}]}
+        assert strict_json(ex.json_text(doc)) == {"inf": None,
+                                                  "nested": [1.5, None, {"nan": None}]}
+        path = ex.export(doc, "json", tmp_path / "doc.json")
+        assert strict_json(path.read_text())["inf"] is None
 
     def test_svg_format(self, tmp_path):
         path = ex.export(self.spec, "svg", tmp_path / "spec.svg")
@@ -267,6 +281,19 @@ class TestScenarioPlumbing:
         for entry in man_a["outputs"]:
             digest = hashlib.sha256((out_a / entry["path"]).read_bytes()).hexdigest()
             assert digest == entry["sha256"]
+
+    def test_fig2_report_is_strict_json_with_an_infinite_error(self, tmp_path):
+        # at this seed the flip-flop fit loses gamma_spin_slope, whose error
+        # is infinite: the report and the manifest hold it as null
+        cfg = ex.default_config()
+        cfg.outdir, cfg.seed = str(tmp_path), 15
+        cfg.fig2 = replace(cfg.fig2, noise_rel=0.02)
+        summary = ex.run_fig2(cfg)
+        assert math.isinf(summary["flipflop_fit"]["std_errors"]["gamma_spin_slope"])
+        report = strict_json((tmp_path / "fig2_report.json").read_text())
+        assert report["flipflop_fit"]["std_errors"]["gamma_spin_slope"] is None
+        manifest = strict_json((tmp_path / "fig2_manifest.json").read_text())
+        assert manifest["scenarios"]["fig2"] == report
 
     def test_fig2_seed_changes_outputs(self, tmp_path):
         cfg_a = tiny_config(tmp_path / "a")
@@ -521,6 +548,16 @@ class TestCli:
         assert cli_main(["fit", "double-exp", str(path)]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["params"]["t_long"] == pytest.approx(1.0, rel=1e-3)
+
+    def test_fit_report_writes_an_infinite_error_as_null(self, tmp_path, capsys):
+        # a constant offset under one decay: t_long runs off to infinity
+        t = np.geomspace(0.011, 5.0, 36)
+        path = tmp_path / "decay.csv"
+        path.write_text("\n".join(f"{ti},{yi}" for ti, yi in zip(t, np.exp(-t / 0.06) + 0.5)))
+        assert cli_main(["fit", "double-exp", str(path)]) == 1
+        doc = strict_json(capsys.readouterr().out)
+        assert doc["stop_reason"].startswith("lost_influence")
+        assert doc["std_errors"]["t_long"] is None
 
     def test_fit_flipflop(self, tmp_path, capsys):
         path = tmp_path / "rates.csv"

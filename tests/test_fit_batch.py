@@ -7,7 +7,11 @@ column at the start.  Rows that stop together take their covariances from one
 stacked calculation, singular ones included, and must still equal their
 single fits."""
 
+import dataclasses
+import warnings
+
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import afcsim as a
@@ -46,7 +50,7 @@ def make_row(kind, seed):
 
 # one row for each way a fit ends
 FIXED = {
-    "gtol": ("lor", 8), "xtol": ("flat", 24), "max_damping": ("flat", 68),
+    "gtol": ("lor", 8), "xtol": ("flat", 76), "max_damping": ("flat", 68),
     "lost_influence": ("lor", 60), "exact": ("lor", 0), "stall": ("gauss", 0),
     "no_progress": ("flat", 2), "MaxIterations": ("lor", 10),
     "SingularJacobian": ("dead", 1),
@@ -196,3 +200,40 @@ def test_singular_rows_in_a_stack_take_the_pseudo_inverse(monkeypatch):
         [("gtol", 4), ("max_damping", 4), ("gtol", 4)]
     for g, w in zip(got, want):
         assert_same_fit(g, w)
+
+
+def spoiled_model(bad, x0):
+    """MODEL whose Jacobian entry (point 3, slope) turns to ``bad`` on the
+    curves whose abscissae start at ``x0``, at every call after the first
+    (the start): from the first accepted point on."""
+    calls = []
+
+    def jacobian(params, x):
+        jac = MODEL.jacobian(params, x)
+        if calls:
+            jac[x[..., 0] == x0, 3, 1] = bad
+        calls.append(None)
+        return jac
+
+    return dataclasses.replace(MODEL, jacobian=jacobian)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_row_whose_jacobian_turns_non_finite_ends_as_alone(bad):
+    # the stall row, on abscissae moved by 1e-9 to mark it, next to clean rows
+    names = ["gtol", "exact", "lost_influence", "stall"]
+    rows = [make_row(*FIXED[name]) for name in names]
+    x_spoiled = X + 1e-9
+    xs = np.stack([X] * len(names) + [x_spoiled])
+    ys, inits, sigmas = (np.stack(col) for col in zip(*rows, rows[-1]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        alone = a.fit_curve(spoiled_model(bad, x_spoiled[0]), x_spoiled, ys[-1],
+                            sigma=sigmas[-1], init=inits[-1], bounds=(LO, HI))
+        got = fit_curves(spoiled_model(bad, x_spoiled[0]), xs, ys, sigma=sigmas[:, None],
+                         init=inits, bounds=(LO, HI))
+    assert alone.stop_reason == "max_damping" and alone.iterations == 2
+    assert np.all(np.isinf(alone.std_errors))
+    assert_same_fit(got[-1], alone)
+    for name, res in zip(names, got):
+        assert_same_fit(res, SINGLES[name])

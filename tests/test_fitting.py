@@ -75,6 +75,12 @@ class TestEngine:
             a.fit_curve(model, x, y, init=np.array([2.0, 1.0, 0.0, 0.3]),
                         bounds=(np.array([0, 0, 0, 1.0]),
                                 np.array([np.inf] * 4)))
+        # bounds of the wrong length (they escaped as numpy's broadcast error)
+        short = (np.zeros(3), np.full(3, np.inf))
+        with pytest.raises(InvalidBounds, match="bounds"):
+            a.fit_curve(model, x, y, bounds=short)
+        with pytest.raises(InvalidBounds, match="bounds"):
+            a.fit_curves(model, np.stack([x, x]), np.stack([y, y]), bounds=short)
 
     def test_singular_jacobian_dead_parameter(self):
         dead = ParametricModel(
@@ -91,6 +97,17 @@ class TestEngine:
         y = model.evaluate(np.array([2.0, 1.0, 0.0, 0.3]), x)
         with pytest.raises(NonPositiveInput):
             a.fit_curve(model, x, y, sigma=np.zeros_like(y))
+        # a sigma that does not broadcast to y (it escaped as numpy's error)
+        with pytest.raises(NonPositiveInput, match="sigma"):
+            a.fit_curve(model, x, y, sigma=np.ones(5))
+        with pytest.raises(NonPositiveInput, match="sigma"):
+            a.fit_curves(model, np.stack([x, x]), np.stack([y, y]), sigma=np.ones((3, 1)))
+
+    def test_empty_batch(self):
+        # it escaped as np.stack's "need at least one array to stack"
+        model = a.model_lorentzian_dip()
+        with pytest.raises(NonPositiveInput, match="at least one curve"):
+            a.fit_curves(model, np.linspace(-1, 1, 20), np.empty((0, 20)))
 
     @pytest.mark.parametrize("name", ["x", "y", "sigma"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

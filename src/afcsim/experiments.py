@@ -361,12 +361,8 @@ def json_text(doc, sort_keys: bool = True) -> str:
     JSON file and report the package writes goes through here.  A
     non-finite float (an infinite error bar, say) is written as ``null``:
     JSON has no NaN or Infinity, and strict parsers reject those tokens."""
-    try:
-        text = json.dumps(doc, indent=2, sort_keys=sort_keys, allow_nan=False)
-    except ValueError:
-        text = json.dumps(_finite_or_null(doc), indent=2, sort_keys=sort_keys,
-                          allow_nan=False)
-    return text + "\n"
+    return json.dumps(_finite_or_null(doc), indent=2, sort_keys=sort_keys,
+                      allow_nan=False) + "\n"
 
 
 def _table_csv(header: str, rows) -> str:

@@ -201,22 +201,19 @@ class OrderedLifetimesTransform(ParamTransform):
     removing the label-switching degeneracy of a two-exponential model.
     """
 
-    # parameters are unpacked as Python floats, whose comparisons are cheap;
-    # np.exp and np.log take them as they take numpy scalars
-
     def to_internal(self, external):
-        a_s, t_s, a_l, t_l = np.asarray(external, dtype=float).tolist()
+        a_s, t_s, a_l, t_l = np.asarray(external, dtype=float)
         if t_s <= 0 or t_l <= t_s:
             raise InvalidBounds("lifetimes must satisfy 0 < t_short < t_long")
         return np.array([a_s, np.log(t_s), a_l, np.log(t_l - t_s)])
 
     def to_external(self, internal):
-        a_s, u, a_l, w = np.asarray(internal, dtype=float).tolist()
+        a_s, u, a_l, w = np.asarray(internal, dtype=float)
         t_s = np.exp(min(max(u, -300.0), 300.0))
         return np.array([a_s, t_s, a_l, t_s + np.exp(min(max(w, -300.0), 300.0))])
 
     def jac_external(self, internal):
-        _, u, _, w = np.asarray(internal, dtype=float).tolist()
+        _, u, _, w = np.asarray(internal, dtype=float)
         t_s = np.exp(min(max(u, -300.0), 300.0))
         jac = np.zeros((4, 4))
         jac[0, 0] = 1.0
@@ -228,7 +225,7 @@ class OrderedLifetimesTransform(ParamTransform):
 
     def hess_external(self, weights, internal):
         # t_short = e^u and t_long = e^u + e^w
-        _, u, _, w = np.asarray(internal, dtype=float).tolist()
+        _, u, _, w = np.asarray(internal, dtype=float)
         hess = np.zeros((4, 4))
         hess[1, 1] = np.exp(min(max(u, -300.0), 300.0)) * (weights[1] + weights[3])
         hess[3, 3] = np.exp(min(max(w, -300.0), 300.0)) * weights[3]
@@ -364,6 +361,14 @@ def _columns(shape, *cols):
     for row, col in zip(rows, cols):
         row[...] = col
     return _jacobian_view(rows)
+
+
+def _drop_rows(jac, keep):
+    """The rows ``keep`` of a batch's Jacobian ``jac`` as parameter rows of
+    their own (see :func:`_param_rows`).  An index copy of the
+    ``(..., n_points, n_params)`` view would take whatever layout numpy
+    picks, and the layout sets how ``J^T J`` rounds."""
+    return _jacobian_view(np.ascontiguousarray(np.moveaxis(jac, -1, 0)[:, keep]))
 
 
 def _split(params):
@@ -813,7 +818,7 @@ def _levenberg_marquardt(model, x, y, sigma, p_ext, lo, hi):
         if settle(stop, each(lambda j: SingularJacobian(
                 "non-finite Jacobian at the starting point"))):
             return out
-        jac = jac[~stop]
+        jac = _drop_rows(jac, ~stop)
     s.a_mat, s.col_norms, s.scale = _gram(jac)
     s.grad = np.vecmat(s.r, jac)
     dead = s.col_norms == 0.0
@@ -874,7 +879,7 @@ def _levenberg_marquardt(model, x, y, sigma, p_ext, lo, hi):
         if any_(stop):
             if settle(stop, result("max_damping", it + 1, ~no_loss)):
                 break
-            j_ext, jac = j_ext[~stop], jac[~stop]
+            j_ext, jac = _drop_rows(j_ext, ~stop), _drop_rows(jac, ~stop)
         s.a_mat, s.col_norms, s.scale = _gram(jac)
         s.grad = np.vecmat(s.r, jac)
         if it >= 3:
@@ -1193,14 +1198,15 @@ def model_lorentzian_dip(baseline_terms: int = 1) -> ParametricModel:
         # half * half, not half ** 2: a scalar's pow may round differently
         # from an array's square, and a batch row must match a single curve
         h2 = half * half
-        # -depth h2 / ((nu - center)^2 + h2), built in one buffer
-        dip = nu - center
+        # -depth h2 / ((nu - center)^2 + h2), built in one buffer: an array
+        # even for a scalar nu, which gets a scalar back (dip[()])
+        dip = np.asarray(nu - center)
         dip *= dip
         dip += h2
         np.divide(-depth * h2, dip, out=dip)
         if n_base == 1:
             dip += terms[0]
-            return dip
+            return dip[()]
         out = terms[1] * nu
         out += terms[0]
         out += dip
@@ -1210,7 +1216,8 @@ def model_lorentzian_dip(baseline_terms: int = 1) -> ParametricModel:
         depth, center, fwhm = _split(params)[n_base:]
         half = fwhm / 2.0
         h2 = half * half
-        dx = nu - center
+        # an array even for a scalar nu: it takes denom^2 below
+        dx = np.asarray(nu - center)
         # each parameter's row written in place: the baseline's, then
         # -L = -h2 / denom, -depth L 2 dx / denom and -depth half dx^2 / denom^2,
         # with denom = dx^2 + h2
@@ -1218,7 +1225,8 @@ def model_lorentzian_dip(baseline_terms: int = 1) -> ParametricModel:
         rows[0] = 1.0
         if n_base == 2:
             rows[1] = nu
-        d_depth, d_center, d_fwhm = rows[n_base:]
+        # views of the rows, 0-d ones for a scalar nu
+        d_depth, d_center, d_fwhm = (rows[i, ...] for i in range(n_base, n_par))
         np.multiply(dx, dx, out=d_fwhm)
         denom = d_fwhm + h2
         np.divide(-h2, denom, out=d_depth)

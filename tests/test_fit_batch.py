@@ -237,3 +237,19 @@ def test_row_whose_jacobian_turns_non_finite_ends_as_alone(bad):
     assert_same_fit(got[-1], alone)
     for name, res in zip(names, got):
         assert_same_fit(res, SINGLES[name])
+
+
+@pytest.mark.parametrize("n_par, n_rows, n_points", [(5, 6, 41), (2, 3, 1), (4, 9, 36),
+                                                     (3, 2, 200)])
+def test_rows_left_after_a_drop_keep_their_gram_matrices(n_par, n_rows, n_points):
+    # rows kept when others leave mid-iteration stay parameter rows, so each
+    # one's J^T J rounds as its single fit's does
+    rng = np.random.default_rng(n_par * n_rows * n_points)
+    rows = fitting._param_rows((n_rows, n_points), n_par)
+    rows[...] = rng.standard_normal(rows.shape)
+    keep = np.arange(n_rows) % 2 == 0
+    kept = fitting._drop_rows(fitting._jacobian_view(rows), keep)
+    assert np.moveaxis(kept, -1, 0).flags.c_contiguous
+    for got, j in zip(fitting._gram(kept)[0], np.flatnonzero(keep)):
+        alone = fitting._jacobian_view(np.ascontiguousarray(rows[:, j]))
+        assert np.array_equal(got, fitting._gram(alone)[0])

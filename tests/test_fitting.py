@@ -213,6 +213,18 @@ class TestModels:
         assert model.evaluate(p, np.array([6.0]))[0] == pytest.approx(1.5)
         assert model.evaluate(p, np.array([4.0]))[0] == pytest.approx(1.5)
 
+    @pytest.mark.parametrize("terms", [1, 2])
+    def test_lorentzian_dip_takes_a_scalar_abscissa(self, terms):
+        # what a one-sample array gets, with a scalar value for a scalar nu
+        model = a.model_lorentzian_dip(terms)
+        p = np.array([2.0, 0.1, 1.0, 5.0, 2.0] if terms == 2 else [2.0, 1.0, 5.0, 2.0])
+        one = np.array([5.5])
+        value = model.evaluate(p, 5.5)
+        assert np.ndim(value) == 0 and value == model.evaluate(p, one)[0]
+        assert np.array_equal(model.jacobian(p, 5.5), model.jacobian(p, one)[0])
+        assert np.array_equal(model.curvature(p, 5.5, 0.3),
+                              model.curvature(p, one, np.array([0.3])))
+
     def test_lorentzian_dip_roundtrip_exact(self):
         model = a.model_lorentzian_dip()
         truth = np.array([2.0, 1.2, 3.0, 4.0])

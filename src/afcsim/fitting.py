@@ -358,8 +358,8 @@ def _columns(shape, *cols):
     """The ``shape + (len(cols),)`` Jacobian of these columns, each written
     into its own parameter row (see :func:`_param_rows`)."""
     rows = _param_rows(shape, len(cols))
-    for row, col in zip(rows, cols):
-        row[...] = col
+    for i, col in enumerate(cols):
+        rows[i] = col
     return _jacobian_view(rows)
 
 
@@ -428,17 +428,17 @@ def _residual(model, theta, x, y, sigma):
     return r, ext
 
 
-def _jacobians(model, s, theta, ext, rows):
+def _jacobians(model, s, theta, ext, out):
     """The model's Jacobian over the external parameters at ``ext``, and the
     residual's over the internal ones at ``theta``, for the rows of ``s``.
-    The second is written into ``rows``, parameter rows of the batch's
-    shape (see :func:`_param_rows`): the first divided by sigma, then taken
-    into the internal parameters in place."""
+    The second is written into ``out``, the Jacobian view of parameter rows
+    of the batch's shape (see :func:`_param_rows`): the first divided by
+    sigma, then taken into the internal parameters in place."""
     if model.jacobian is not None:
         j_ext = np.asarray(model.jacobian(ext, s.x), dtype=float)
     else:
         j_ext = _numeric_jacobian(model.evaluate, ext, s.x, s.h_floor)
-    jac = np.divide(j_ext, s.sigma[..., None], out=_jacobian_view(rows))
+    jac = np.divide(j_ext, s.sigma[..., None], out=out)
     return j_ext, model.transform._jac_internal_in_place(jac, theta, ext)
 
 
@@ -465,7 +465,7 @@ def _curvature(model, s):
             e = model.transform.to_external(t)
             inside = bool(((e >= s.lo) & (e <= s.hi)).all())
             if inside:
-                jac = _jacobians(model, s, t, e, _param_rows(s.x.shape, t.size))[1]
+                jac = _jacobians(model, s, t, e, _jacobian_view(_param_rows(s.x.shape, t.size)))[1]
                 ends.append((jac.T @ s.r, step))
             else:
                 ends.append((s.grad, 0.0))
@@ -722,7 +722,7 @@ def _levenberg_marquardt(model, x, y, sigma, p_ext, lo, hi):
     # the weighted Jacobian of every accepted point is written here, the
     # rows still running first: fresh memory at each point costs more than
     # the arithmetic
-    work = _param_rows(y.shape, n_par)
+    work = _jacobian_view(_param_rows(y.shape, n_par))
     jac = _jacobians(model, s, s.theta, s.ext, work)[1]
 
     def settle(mask, outcome):
@@ -871,7 +871,7 @@ def _levenberg_marquardt(model, x, y, sigma, p_ext, lo, hi):
         del s.theta_c, s.r_c, s.cost_c, s.ext_c, s.step_vec
         record()
         j_ext, jac = _jacobians(model, s, s.theta, s.ext,
-                                work[:, :len(s.cost)] if batched else work)
+                                work[:len(s.cost)] if batched else work)
         # checked before any product: inf * 0 in J^T J would warn.  No step
         # from a non-finite Jacobian can be trusted: end here, as the next
         # iteration's damping would, with every parameter undetermined

@@ -35,9 +35,9 @@ loop with no batch axis.  Each row keeps its own damping, curvature switch,
 stop rule and covariance, so a row's result is exactly the one
 :func:`fit_curve` gives on that row alone, bit for bit; a row that ends in
 :class:`MaxIterations` or :class:`SingularJacobian` holds that error and the
-others go on.  Rows leave the batch only when they finish.  The rows that
-stop together, by one rule and with the same lost columns, get their
-covariances from one stacked calculation; a single curve is its one-row case.
+others go on.  Rows leave the batch only when they finish.  The damped
+step, the Gauss-Newton decrement and the covariance each take one
+:func:`_solve` of all rows, the same LAPACK gesv per row as for one curve.
 A batched model and transform take parameters of shape ``(n_curves,
 n_params)`` and abscissae of shape ``(n_curves, n_points)`` and must compute
 each row exactly as the one-curve call on it: elementwise arithmetic per row,
@@ -389,36 +389,35 @@ def _gram(jac):
     return a_mat, np.sqrt(sq_norms), np.maximum(sq_norms, 1e-300)
 
 
-def _damped_step(a_mat, scale, lam, grad):
-    """Solve ``(a_mat + lam diag(scale)) delta = -grad`` with LAPACK gesv."""
-    damped = np.array(a_mat, order="F")
-    damped.ravel(order="K")[::scale.size + 1] += lam * scale
-    delta, info = dgesv(damped, -grad, overwrite_a=True, overwrite_b=True)[2:]
-    if info > 0:
-        raise SingularJacobian("Singular matrix")
-    return delta
+def _solve(a, rhs):
+    """The solution of ``a x = rhs``, and which systems are singular.
 
-
-def _damped_rows(a_mat, scale, lam, grad):
-    """:func:`_damped_step` on every row of a batch, and the rows whose
-    damped matrix is singular (``None`` if none is); their step is zero.
-    The rows go to LAPACK gesv as one stack, the routine a single fit calls,
-    so a row's step does not depend on the batch.  If a row is singular, the
-    rows are solved one by one to find which."""
-    damped = a_mat.copy()
-    damped.reshape(len(grad), -1)[:, ::scale.shape[1] + 1] += lam[:, None] * scale
+    ``a`` is one ``(n, n)`` system or a stack of them; ``rhs`` holds one
+    right-hand side per system (shape ``a.shape[:-1]``) or ``n`` of them
+    (shape ``a.shape``).  The singular systems come back as a mask over the
+    stack (``np.True_`` for one system), or ``None`` if none is; their
+    solution is zero.  One system goes to LAPACK gesv on a Fortran copy, a
+    stack to one ``np.linalg.solve``, the same gesv on each system, so a
+    system's solution does not depend on its stack; the systems are solved
+    one at a time only to find a stack's singular ones.  A 0 x 0 system has
+    an empty solution, as ``np.linalg.inv`` gives."""
+    if not a.shape[-1]:
+        return np.zeros(rhs.shape), None
+    if a.ndim == 2:
+        x, info = dgesv(a, rhs)[2:]
+        return (np.zeros(rhs.shape), np.True_) if info > 0 else (x, None)
+    vector = rhs.ndim < a.ndim
     try:
-        return np.linalg.solve(damped, -grad[..., None])[..., 0], None
+        x = np.linalg.solve(a, rhs[..., None] if vector else rhs)
+        return (x[..., 0] if vector else x), None
     except np.linalg.LinAlgError:
         pass
-    delta = np.zeros_like(grad)
-    singular = np.zeros(len(grad), dtype=bool)
-    for j in range(len(grad)):
-        try:
-            delta[j] = _damped_step(a_mat[j], scale[j], lam[j], grad[j])
-        except SingularJacobian:
-            singular[j] = True
-    return delta, (singular if singular.any() else None)
+    x = np.zeros(rhs.shape)
+    singular = np.zeros(a.shape[:-2], dtype=bool)
+    for i in np.ndindex(singular.shape):
+        x[i], lost = _solve(a[i], rhs[i])
+        singular[i] = lost is not None
+    return x, (singular if singular.any() else None)
 
 
 def _residual(model, theta, x, y, sigma):
@@ -529,13 +528,13 @@ def _damping_after(lam, rho, maximum):
 def _try_steps(model, s, h_mat, ops):
     """One accepted step per row of ``s``, as far as one exists.
 
-    Each row solves its damped system and, while the step goes uphill or
-    leaves the transform's domain, retries with stronger damping; ``s.lam``
-    and ``s.nu`` follow each row's own trials.  Rows that disagree are
-    retried alone.  Sets the trial point ``s.theta_c, s.r_c, s.cost_c,
-    s.ext_c``, the step ``s.step_vec`` and its gain ratio ``s.rho``.  Returns
-    ``None`` if every row took a step, else each row's outcome: 0 accepted, 1
-    damping exhausted, 2 singular damped matrix."""
+    The rows' damped systems take one :func:`_solve`.  While a row's step
+    goes uphill or leaves the transform's domain, it retries with stronger
+    damping; ``s.lam`` and ``s.nu`` follow each row's own trials.  Rows that
+    disagree are retried alone.  Sets the trial point ``s.theta_c, s.r_c,
+    s.cost_c, s.ext_c``, the step ``s.step_vec`` and its gain ratio
+    ``s.rho``.  Returns ``None`` if every row took a step, else each row's
+    outcome: 0 accepted, 1 damping exhausted, 2 singular damped matrix."""
     tr = model.transform
     batched = ops is _BATCH_OPS
     any_, all_, _, isfinite, maximum, minimum, scalar = ops
@@ -551,13 +550,11 @@ def _try_steps(model, s, h_mat, ops):
                 s.lam[sel], s.nu[sel]
             scale, lo, hi, h = s.scale[sel], s.lo[sel], s.hi[sel], h_mat[sel]
             x, y, sigma = s.x[sel], s.y[sel], s.sigma[sel]
-        if batched:
-            delta, singular = _damped_rows(h, scale, lam, grad)
-        else:
-            try:
-                delta, singular = _damped_step(h, scale, lam, grad), None
-            except SingularJacobian:
-                delta, singular = np.zeros_like(grad), np.True_
+        # the damped system (h + lam diag(scale)) delta = -grad
+        damped = h.copy()
+        diag = damped.reshape(h.shape[:-2] + (-1,))[..., ::h.shape[-1] + 1]
+        diag += (lam * scale.T).T
+        delta, singular = _solve(damped, -grad)
         ext_c = np.minimum(np.maximum(tr.to_external(theta + delta), lo), hi)
         try:
             theta_c = tr.to_internal(ext_c)
@@ -625,10 +622,11 @@ def _try_steps(model, s, h_mat, ops):
 def _fit_results(model, theta, ext, a_mat, cost, grad, col_norms, lost, stop_reason,
                  iterations, traces):
     """The :class:`FitResult` of every fit of a stack that stopped together
-    by ``stop_reason`` with the lost-column mask ``lost``, from one stacked
-    calculation from each fit's Gram matrix ``a_mat``.  Everything per fit
-    carries the stack's leading axis, or none for a single curve, which gets
-    a list of one; ``traces`` holds each fit's residual norms."""
+    by ``stop_reason`` with the lost-column mask ``lost``; the covariances
+    invert each fit's Gram matrix ``a_mat`` in one :func:`_solve`, with the
+    pseudo-inverse where it is singular.  Everything per fit carries the
+    stack's leading axis, or none for a single curve, which gets a list of
+    one; ``traces`` holds each fit's residual norms."""
     n_par = model.n_params
     cost = np.asarray(cost)
     if stop_reason in ("exact", "gtol"):
@@ -646,15 +644,10 @@ def _fit_results(model, theta, ext, a_mat, cost, grad, col_norms, lost, stop_rea
     # it), from the Gram matrix of the columns that still influence the model
     live = np.flatnonzero(~lost)
     a_live = a_mat[..., live[:, None], live] if lost.any() else a_mat
-    try:
-        inv_live = np.linalg.inv(a_live)
-    except np.linalg.LinAlgError:
-        inv_live = np.empty_like(a_live)
-        for i in np.ndindex(a_live.shape[:-2]):
-            try:
-                inv_live[i] = np.linalg.inv(a_live[i])
-            except np.linalg.LinAlgError:
-                inv_live[i] = np.linalg.pinv(a_live[i])
+    inv_live, singular = _solve(a_live, np.broadcast_to(np.eye(live.size), a_live.shape))
+    if singular is not None:
+        for i in map(tuple, np.argwhere(singular)):
+            inv_live[i] = np.linalg.pinv(a_live[i])
     if lost.any():
         cov_int = np.zeros(theta.shape + (n_par,))
         cov_int[..., live[:, None], live] = inv_live
@@ -792,15 +785,9 @@ def _levenberg_marquardt(model, x, y, sigma, p_ext, lo, hi):
         """Whether each row's Gauss-Newton decrement ``g^T (J^T J)^-1 g``,
         ``g = J^T r``, is at most ``_NEWTON_TOL * min(chi^2, 1)``; False
         where ``J^T J`` is singular."""
-        if batched:
-            delta, singular = _damped_rows(s.a_mat, s.scale, np.zeros(len(s.cost)), s.grad)
-            ok = -np.vecdot(s.grad, delta) <= _NEWTON_TOL * np.minimum(s.cost, 1.0)
-            return ok if singular is None else ok & ~singular
-        try:
-            delta = _damped_step(s.a_mat, s.scale, 0.0, s.grad)
-        except SingularJacobian:
-            return False
-        return float(-np.vecdot(s.grad, delta)) <= _NEWTON_TOL * min(s.cost, 1.0)
+        delta, singular = _solve(s.a_mat, -s.grad)
+        ok = -np.vecdot(s.grad, delta) <= _NEWTON_TOL * np.minimum(s.cost, 1.0)
+        return ok if singular is None else ok & ~singular
 
     def at_optimum(iterations):
         """Settle the rows whose point is an exact fit or meets ``gtol``,
@@ -1046,7 +1033,8 @@ def fit_curves(model: ParametricModel, x, y, sigma=None, init=None, bounds=None)
     ``sigma`` broadcast to that shape, ``init`` and both ``bounds`` to
     ``(n_curves, n_params)``; without ``init`` each row starts from the
     model's ``guess``.  The model and its transform must broadcast over the
-    leading axis (see the module docstring).
+    leading axis (see the module docstring), else the ``ValueError`` or
+    ``IndexError`` it raises becomes a :class:`NonPositiveInput`.
 
     Returns one entry per row: exactly the :class:`FitResult` that
     :func:`fit_curve` returns on that row alone, bit for bit, or the
@@ -1065,7 +1053,12 @@ def fit_curves(model: ParametricModel, x, y, sigma=None, init=None, bounds=None)
     except ValueError:
         raise NonPositiveInput("x must broadcast to the shape of y") from None
     sigma, p_ext, lo, hi = _checked(model, x, y, sigma, init, bounds)
-    return _levenberg_marquardt(model, x, y, sigma, p_ext, lo, hi)
+    try:
+        return _levenberg_marquardt(model, x, y, sigma, p_ext, lo, hi)
+    except (ValueError, IndexError) as exc:
+        raise NonPositiveInput(
+            f"the model ({', '.join(model.param_names)}) or its transform does not "
+            f"broadcast over a batch of curves: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

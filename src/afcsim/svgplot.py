@@ -35,8 +35,12 @@ def line_plot(curves, xlabel: str, ylabel: str, title: str = "") -> str:
     """Render one or more ``(x, y, label)`` curves to an SVG string."""
     xs = np.concatenate([np.asarray(c[0], dtype=float) for c in curves])
     ys = np.concatenate([np.asarray(c[1], dtype=float) for c in curves])
-    x_lo, x_hi = float(xs.min()), float(xs.max())
-    y_lo, y_hi = float(ys.min()), float(ys.max())
+    if xs.size:
+        x_lo, x_hi = float(xs.min()), float(xs.max())
+        y_lo, y_hi = float(ys.min()), float(ys.max())
+    else:
+        # no points in any curve: the axes alone, on unit ranges
+        x_lo = x_hi = y_lo = y_hi = 0.0
     if x_hi <= x_lo:
         x_hi = x_lo + 1.0
     if y_hi <= y_lo:

@@ -632,6 +632,107 @@ class TestCli:
         assert {p.name for p in out.iterdir()} == {
             "table1_backfill.csv", "table1_report.json", "table1_manifest.json"}
 
+    def test_reproduce_fig2_with_every_delay_dropped(self, tmp_path, capsys):
+        # at 50% noise and one repeat no hole clears the noise floor: each
+        # field's fit records why it could not run, and the plot is empty
+        cfg = cut_config(tmp_path / "unused")
+        cfg.fig2 = replace(cfg.fig2, noise_rel=0.5, repeats=1)
+        cfg_path = tmp_path / "cfg.toml"
+        cfg_path.write_text(ex.dump_config(cfg))
+        out = tmp_path / "out"
+        assert cli_main(["reproduce", "fig2", "--config", str(cfg_path),
+                         "--outdir", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert {p.name for p in out.iterdir()} == SCENARIO_FILES["fig2"] | {
+            "fig2_report.json", "fig2_manifest.json"}
+        report = strict_json((out / "fig2_report.json").read_text())
+        for field in ("350.0", "800.0"):
+            assert len(report["dropped_delays"][field]) == cfg.fig2.n_delays
+            assert report["double_exp_fits"][field] == {
+                "converged": False,
+                "stop_reason": "NonPositiveInput: need at least 4 points for 4 parameters, got 0"}
+        assert report["flipflop_fields_gauss"] == []
+        assert report["flipflop_fit"] is None
+        assert report["t_long_fitted_s"] == [None, None]
+        svg = (out / "fig2_decays.svg").read_text()
+        assert svg.count('<polyline points=""') == 2
+
+    def test_simulate_hole_decay(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.toml"
+        cfg_path.write_text(ex.dump_config(tiny_config(tmp_path)))
+
+        def run(*flags):
+            assert cli_main(["simulate", "hole-decay", "--field", "600G", "--config",
+                             str(cfg_path), "--outdir", str(tmp_path), *flags]) == 0
+            return strict_json(capsys.readouterr().out)
+
+        doc = run("--power", "2uW", "--detuning", "250MHz", "--seed", "7")
+        assert list(doc) == ["fields_gauss", "t_long_fitted_s", "t_short_fitted_s"]
+        assert doc["fields_gauss"] == [pytest.approx(600.0)]
+        report = strict_json((tmp_path / "fig2_report.json").read_text())
+        assert report["fields_gauss"] == doc["fields_gauss"]
+        # --seed reseeds the readout noise: the written decay curve changes
+        csv_7 = (tmp_path / "fig2_decay_600G.csv").read_bytes()
+        assert run("--seed", "7") == doc
+        assert (tmp_path / "fig2_decay_600G.csv").read_bytes() == csv_7
+        run("--seed", "8")
+        assert (tmp_path / "fig2_decay_600G.csv").read_bytes() != csv_7
+
+    def test_simulate_afc_flags_change_the_comb(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.toml"
+        cfg_path.write_text(ex.dump_config(cut_config(tmp_path)))
+
+        def run(*flags):
+            assert cli_main(["simulate", "afc", "--bandwidth", "0.2GHz", "--spacing", "50MHz",
+                             "--config", str(cfg_path), "--outdir", str(tmp_path),
+                             *flags]) == 0
+            return strict_json(capsys.readouterr().out)
+
+        base = run()
+        assert list(base) == ["d_peak", "d0", "spacing", "tooth_fwhm", "finesse", "bandwidth",
+                              "efficiency_percent"]
+        assert base["spacing"] == pytest.approx(50e6)
+        for flags in (["--no-tls"], ["--od", "1.0"], ["--power", "0.2mW"]):
+            assert run(*flags) != base, flags
+
+    def test_simulate_backfill(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.toml"
+        cfg_path.write_text(ex.dump_config(cut_config(tmp_path)))
+        assert cli_main(["simulate", "backfill", "--detuning", "0.6GHz", "--config",
+                         str(cfg_path), "--outdir", str(tmp_path)]) == 0
+        doc = strict_json(capsys.readouterr().out)
+        assert doc["detunings_ghz"] == [pytest.approx(0.6)]
+        assert len(doc["d0"]) == 1 and doc["d0"][0] >= 0
+        assert "control" not in doc
+
+    def test_simulate_pump_probe_probe_power(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.toml"
+        cfg_path.write_text(ex.dump_config(tiny_config(tmp_path)))
+
+        def run(*flags):
+            assert cli_main(["simulate", "pump-probe", "--pump-power", "20uW", "--config",
+                             str(cfg_path), "--outdir", str(tmp_path), *flags]) == 0
+            return strict_json(capsys.readouterr().out)
+
+        base = run()
+        doc = run("--probe-power", "1uW")
+        assert list(doc) == ["pump_powers_w", "pump_depth", "pump_fwhm_hz", "probe_depth",
+                             "probe_fwhm_hz"]
+        assert doc["probe_depth"] != base["probe_depth"]
+
+    def test_report_efficiency(self, tmp_path, capsys):
+        cfg = cut_config(tmp_path)
+        cfg_path = tmp_path / "cfg.toml"
+        cfg_path.write_text(ex.dump_config(cfg))
+        assert cli_main(["report", "efficiency", "--config", str(cfg_path),
+                         "--outdir", str(tmp_path)]) == 0
+        doc = strict_json(capsys.readouterr().out)
+        assert list(doc) == ["d_peak", "d0", "spacing", "tooth_fwhm", "finesse", "bandwidth",
+                             "efficiency_percent", "storage_time_s"]
+        assert doc["storage_time_s"] == pytest.approx(1.0 / cfg.efficiency.spacing)
+        assert 0 < doc["efficiency_percent"] < 100
+        assert (tmp_path / "efficiency_report.json").exists()
+
     def test_reproduce_missing_config_exits_nonzero(self, tmp_path, capsys):
         rc = cli_main(["reproduce", "table1", "--config",
                        str(tmp_path / "missing.toml"), "--outdir", str(tmp_path)])

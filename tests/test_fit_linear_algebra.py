@@ -10,7 +10,7 @@ import pytest
 
 import afcsim as a
 from afcsim.errors import SingularJacobian
-from afcsim.fitting import LogTransform, ParamTransform, ParametricModel, _damped_step
+from afcsim.fitting import LogTransform, ParamTransform, ParametricModel, _solve
 
 
 def assert_same_fit(got, want):
@@ -133,18 +133,55 @@ class TestDampedStep:
         for n_par in (1, 3, 5):
             jac = rng.standard_normal((30, n_par))
             a_mat = jac.T @ jac
-            kept = a_mat.copy()
             scale = np.maximum(np.diag(a_mat), 1e-300)
+            damped = a_mat + 1e-3 * np.diag(scale)
+            kept = damped.copy()
             grad = jac.T @ rng.standard_normal(30)
-            want = np.linalg.solve(a_mat + 1e-3 * np.diag(scale), -grad)
-            np.testing.assert_allclose(_damped_step(a_mat, scale, 1e-3, grad), want,
-                                       rtol=1e-12)
-            assert np.array_equal(a_mat, kept)
+            want = np.linalg.solve(damped, -grad)
+            delta, singular = _solve(damped, -grad)
+            np.testing.assert_allclose(delta, want, rtol=1e-12)
+            assert singular is None
+            assert np.array_equal(damped, kept)
 
-    def test_singular_system_raises(self):
+    def test_singular_system_is_reported(self):
         # two identical columns and no damping: the matrix has an exact zero pivot
-        with pytest.raises(SingularJacobian):
-            _damped_step(np.ones((2, 2)), np.ones(2), 0.0, np.ones(2))
+        delta, singular = _solve(np.ones((2, 2)), -np.ones(2))
+        assert singular and np.array_equal(delta, np.zeros(2))
+        # in a stack, only that system is singular, and the others are solved
+        # as they are alone
+        stack = np.stack([np.eye(2), np.ones((2, 2)), 2.0 * np.eye(2)])
+        rhs = np.ones((3, 2))
+        delta, singular = _solve(stack, rhs)
+        assert singular.tolist() == [False, True, False]
+        assert np.array_equal(delta, [[1.0, 1.0], [0.0, 0.0], [0.5, 0.5]])
+
+    def test_singular_damped_system_ends_a_fit_as_it_ends_a_batch_row(self):
+        # a residual curvature of 2^1000 in every entry swallows J^T J and the
+        # damping in rounding, so once the curvature switches on, the damped
+        # matrix is exactly singular
+        hole = a.model_lorentzian_dip(2)
+        model = dataclasses.replace(
+            hole, transform=ParamTransform(),
+            curvature=lambda p, x, w: np.full(np.shape(p)[:-1] + (5, 5), 2.0 ** 1000))
+        dip = gaussian_dip()
+        with pytest.raises(SingularJacobian, match="Singular matrix"):
+            a.fit_curve(model, **dip)
+        # beside a row that is still running when it turns singular
+        other = hole.evaluate(np.array([1.0, 0.01, 1.5, 0.3, 0.8]), dip["x"])
+        other += 1e-3 * np.random.default_rng(1).standard_normal(other.size)
+        other_init = np.array([1.0, 0.0, 1.4, 0.2, 1.0])
+        alone = a.fit_curve(model, dip["x"], other, sigma=dip["sigma"], init=other_init,
+                            bounds=dip["bounds"])
+        assert alone.iterations >= 4
+        rows = a.fit_curves(model, dip["x"], np.stack([dip["y"], other]), sigma=dip["sigma"],
+                            init=np.stack([dip["init"], other_init]), bounds=dip["bounds"])
+        assert type(rows[0]) is SingularJacobian and str(rows[0]) == "Singular matrix"
+        assert_same_fit(rows[1], alone)
+
+    def test_empty_system_has_an_empty_solution(self):
+        for a_mat in (np.empty((0, 0)), np.empty((3, 0, 0))):
+            x, singular = _solve(a_mat, np.broadcast_to(np.eye(0), a_mat.shape))
+            assert x.shape == a_mat.shape and singular is None
 
 
 def decay(bad=None, clean_calls=1):

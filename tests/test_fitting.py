@@ -192,6 +192,21 @@ class TestEngine:
         assert np.allclose(r1.params, r2.params, rtol=1e-9)
         assert np.allclose(r2.std_errors, 5.0 * r1.std_errors, rtol=1e-6)
 
+    def test_batch_of_a_single_curve_model_raises_named_error(self):
+        # the ordered-lifetimes transform unpacks one curve's parameters, and
+        # the flip-flop model's rate takes one curve's (Gamma_s, gamma_s)
+        t = np.geomspace(0.01, 5.0, 20)
+        decays = np.stack([np.exp(-t / 0.1) + np.exp(-t / 2.0),
+                           2.0 * np.exp(-t / 0.1) + np.exp(-t / 3.0)])
+        b = np.array([0.035, 0.06, 0.08])
+        rates = np.array([[1.0, 1 / 1.36, 1 / 2.44], [1.1, 0.7, 0.4]])
+        for model, x, y, names in (
+                (a.model_double_exponential(), t, decays, "a_short, t_short, a_long, t_long"),
+                (a.model_flipflop_field(), b, rates, "gamma_spin_static, gamma_spin_slope")):
+            with pytest.raises(NonPositiveInput, match=rf"^the model \({names}\) .* does not "
+                                                       "broadcast over a batch"):
+                a.fit_curves(model, x, y)
+
 
 class TestModels:
     def test_double_exp_values(self):

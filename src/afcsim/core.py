@@ -23,8 +23,6 @@ import math
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
-from scipy.constants import physical_constants
-from scipy.fft import irfft, next_fast_len, rfft
 
 from .errors import (
     InvalidRange,
@@ -34,9 +32,11 @@ from .errors import (
     TooManyBins,
 )
 
-MU_B = physical_constants["Bohr magneton"][0]      # J/T
-K_B = physical_constants["Boltzmann constant"][0]  # J/K
-PLANCK_H = physical_constants["Planck constant"][0]  # J s
+# CODATA 2022 (scipy.constants.physical_constants); K_B and PLANCK_H are
+# exact in the SI since 2019
+MU_B = 9.2740100657e-24  # J/T, Bohr magneton
+K_B = 1.380649e-23       # J/K, Boltzmann constant
+PLANCK_H = 6.62607015e-34  # J s, Planck constant
 
 MAX_BINS = 10_000_000
 
@@ -346,6 +346,21 @@ class AbsorptionSpectrum:
         return "\n".join(lines) + "\n"
 
 
+def _next_fast_len(n: int) -> int:
+    """The least ``2^a 3^b 5^c >= n`` for ``n >= 1``: the real FFT lengths
+    pocketfft transforms fastest (``scipy.fft.next_fast_len(n, real=True)``)."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # p35 times the least power of 2 that takes it to n or beyond
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def _convolve_padded(values: np.ndarray, kernel: np.ndarray, pad_mode: str) -> np.ndarray:
     """Convolve every row of ``values`` (along its last axis, ``n`` bins)
     with a centred kernel of ``2n - 1`` taps, one per grid offset, as if each
@@ -358,15 +373,16 @@ def _convolve_padded(values: np.ndarray, kernel: np.ndarray, pad_mode: str) -> n
     in closed form: output ``i`` gets the first value times the kernel's
     taps above ``n - 1 + i`` and the last value times its first ``i`` taps.
     A ``"constant"`` pad is zero and adds nothing.  A stack and each of its
-    rows alone use the same length, and pocketfft's batched transforms give
-    the same bits per row as its 1-D ones, so every row equals its
-    single-row call bit for bit.
+    rows alone use the same length, and numpy's pocketfft gives the same
+    bits per row of a batched transform as for the row alone, so every row
+    equals its single-row call bit for bit.
     """
     n = values.shape[-1]
     if kernel.size != 2 * n - 1:
         raise InvalidRange(f"kernel must have {2 * n - 1} taps for {n} bins, got {kernel.size}")
-    size = next_fast_len(2 * n - 1, True)
-    out = irfft(rfft(values, size) * rfft(kernel, size), size)[..., n - 1:2 * n - 1]
+    size = _next_fast_len(2 * n - 1)
+    out = np.fft.irfft(np.fft.rfft(values, size) * np.fft.rfft(kernel, size),
+                       size)[..., n - 1:2 * n - 1]
     if pad_mode == "edge":
         out[..., :-1] += values[..., :1] * np.cumsum(kernel[:n - 1:-1])[::-1]
         out[..., 1:] += values[..., -1:] * np.cumsum(kernel[:n - 1])

@@ -647,18 +647,26 @@ def _fit_results(model, theta, ext, a_mat, cost, grad, col_norms, lost, stop_rea
     inv_live, singular = _solve(a_live, np.broadcast_to(np.eye(live.size), a_live.shape))
     if singular is not None:
         for i in map(tuple, np.argwhere(singular)):
-            inv_live[i] = np.linalg.pinv(a_live[i])
+            # a Gram matrix of subnormal entries overflows its pseudo-inverse
+            with np.errstate(over="ignore", invalid="ignore"):
+                inv_live[i] = np.linalg.pinv(a_live[i])
     if lost.any():
         cov_int = np.zeros(theta.shape + (n_par,))
         cov_int[..., live[:, None], live] = inv_live
     else:
         cov_int = inv_live
+    # a lost coordinate is undetermined, and so is one whose row of the
+    # inverse is not finite; its row and column are zeroed so that it
+    # spreads no inf or NaN through the transform
+    unknown = lost | ~np.isfinite(cov_int).all(-1)
+    if unknown.any():
+        cov_int[unknown[..., :, None] | unknown[..., None, :]] = 0.0
     tr = model.transform
     j_tr = tr.jac_external(theta)
     cov_ext = j_tr @ cov_int @ j_tr.swapaxes(-1, -2)
-    if lost.any():
-        # external parameters that depend on a lost coordinate are undetermined
-        undetermined = np.broadcast_to((j_tr[..., lost] != 0.0).any(-1), theta.shape)
+    if unknown.any():
+        # external parameters that depend on an undetermined coordinate are undetermined
+        undetermined = ((j_tr != 0.0) & unknown[..., None, :]).any(-1)
         cov_ext[undetermined[..., :, None] | undetermined[..., None, :]] = np.nan
         diag = np.arange(n_par)
         cov_ext[..., diag, diag] = np.where(undetermined, np.inf, cov_ext[..., diag, diag])

@@ -35,9 +35,11 @@ scaling-and-squaring pass in numpy (Higham, SIAM J. Matrix Anal. Appl. 26,
 approximation of exp on (-inf, 0] (Trefethen, Weideman & Schmelzer,
 BIT 46, 2006), the approximation CRAM uses, one shifted solve per pole.  Each
 bin's total population only diffuses, so at each of the seven poles it comes
-from a tridiagonal solve, and the other three levels from one complex banded
-LAPACK solve: off from ``expm_multiply`` by at most 4e-13 in population on
-the scenarios' holes and combs.  The rule is held accurate where the
+from a tridiagonal solve (none when every bin's total is the same, as in an
+equilibrium state), and the other three levels from one complex banded
+LAPACK factorisation and solve, on a real band built once for all seven:
+off from ``expm_multiply`` by at most 4e-13 in population on the scenarios'
+holes and combs.  The rule is held accurate where the
 spectrum of ``tau A`` lies within 22.8 degrees of the negative real axis or
 within 0.5 of 0.  A guard checks the spectra of the 4x4 blocks, one
 per distinct pump rate, before the solves.  It needs no LAPACK: each block's
@@ -55,7 +57,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 from scipy.linalg.lapack import zgbtrf, zgbtrs, zgtsv
-from scipy.special import voigt_profile
 
 from .core import (
     CONSERVATION_ATOL,
@@ -328,7 +329,9 @@ def _feature_shape(nu: np.ndarray, center: float, width: float,
         raw = (np.arctan((nu - center + width / 2.0) / half_g)
                - np.arctan((nu - center - width / 2.0) / half_g)) / np.pi
         peak = 2.0 * np.arctan(width / gamma_h) / np.pi
-    else:  # gaussian
+    else:  # gaussian; imported here, since scipy.special is slow to load
+        from scipy.special import voigt_profile
+
         sigma = width / np.sqrt(8.0 * np.log(2.0))
         raw = voigt_profile(nu - center, sigma, gamma_h / 2.0)
         peak = voigt_profile(0.0, sigma, gamma_h / 2.0)
@@ -532,60 +535,80 @@ def _contour_expmv(relax: np.ndarray, pump: np.ndarray, rate: np.ndarray,
     through the scalar tridiagonal ``p - tau diff L``, whatever the pump
     does.  At each pole the totals ``t`` come from that system: the mean
     ``c`` of the input's totals ``s`` is a null vector of ``L``, so
-    ``t = c / p + (p - tau diff L)^-1 (s - c)``.  Putting ``g = t - z - h - e``
-    into the other three rows leaves a banded system on (z, h, e), with 3
-    sub- and 3 super-diagonals, the blocks of :func:`_reduced_blocks` and
+    ``t = c / p + (p - tau diff L)^-1 (s - c)``.  When every bin's total
+    equals ``c`` (as in an equilibrium state) the second term is exactly 0
+    and no tridiagonal solve is made.  Putting ``g = t - z - h - e`` into
+    the other three rows leaves a banded system on (z, h, e), with 3 sub-
+    and 3 super-diagonals, the blocks of :func:`_reduced_blocks` and
     ``tau m[:, g] t`` added to the right-hand side: one complex banded
     factorisation and solve per pole.  The result's g is its totals,
     ``c + sum_j Im(w_j (t_j - c / p_j))``, less its z, h and e.  A physical
     state's totals are 1 up to rounding, so their deviation from ``c`` is of
     rounding size, and so is the drift of each bin's total.
+
+    The banded matrix less ``p`` is real, and is built once per call as
+    the 7 rows of zgbtrf's band layout that hold it: ``(-tau B - tau diff
+    L)[r, c]`` at row ``3 + r - c``, column ``c``.  Each pole copies them
+    into rows 3-9 of one complex Fortran-ordered LU buffer and adds ``p`` to
+    its diagonal, row 6; rows 0-2 take zgbtrf's fill-in, which it does not
+    read on entry.  f2py copies nothing, and every solve runs in place.
     """
     n = rate.size
     xs = x.reshape(n, 4)
     total = xs.sum(axis=1)
     mean = total.mean()
     deviation = total - mean
+    uniform = not deviation.any()
     b_relax, b_pump = _reduced_blocks(relax, pump)
     # the diagonal of -tau diff L; off it, -tau diff
     diag = np.full(n, 2.0 * tau * diff)
     diag[[0, -1]] = tau * diff
-    # zgbtrf's band layout, 3 sub- and 3 super-diagonals: (p - tau B - tau diff
-    # L)[r, c] at row 6 + r - c, column c, and rows 0-2 take the LU fill-in.
-    # The band less p is filled once; each pole copies it into one
-    # Fortran-ordered buffer, so f2py copies nothing, and every solve runs in
-    # place in ``y``.
-    band = np.zeros((10, 3 * n), dtype=complex, order="F")
+    band = np.zeros((7, 3 * n), order="F")
     for row in range(3):
         for col in range(3):
-            band[6 + row - col, col::3] = -tau * (b_relax[row, col] + b_pump[row, col] * rate)
-    band[3, 3:] = band[9, :-3] = -tau * diff
-    band[6] += np.repeat(diag, 3)
-    lu = np.empty_like(band, order="F")
-    # the g column of each block, which carries the totals into (z, h, e)
-    lead = tau * (relax[1:, 0] + np.outer(rate, pump[1:, 0]))
+            entry = -tau * (b_relax[row, col] + b_pump[row, col] * rate)
+            if row == col:
+                entry += diag
+            band[3 + row - col, col::3] = entry
+    band[0, 3:] = band[6, :-3] = -tau * diff
+    lu = np.empty((10, 3 * n), dtype=complex, order="F")
+    # the g column of each block, which carries the totals into (z, h, e),
+    # and the input's (z, h, e), both complex so that no pole casts them
+    lead = (tau * (relax[1:, 0] + np.outer(rate, pump[1:, 0]))).astype(complex)
+    zhe = xs[:, 1:].astype(complex)
     y = np.empty(3 * n, dtype=complex)
     ys = y.reshape(n, 3)
     acc = np.zeros(3 * n)
+    term = np.empty(3 * n)
+    part = np.empty(3 * n)
     acc_total = np.full(n, mean)
     for p, w in zip(_P, _W):
-        off = np.full(n - 1, -tau * diff, dtype=complex)
-        *_, u, info = zgtsv(off, diag + p, off.copy(), deviation[:, None],
-                            overwrite_dl=1, overwrite_d=1, overwrite_du=1)
-        if info != 0:
-            raise SpectrumOutsideContour(f"pole {p:.4g} is an eigenvalue of the diffusion")
-        u = u[:, 0]
-        t = mean / p + u
-        lu[:] = band
+        if uniform:
+            t = mean / p
+        else:
+            # L is real and symmetric and Im p >= 1.19 at every pole, so
+            # p - tau diff L is never singular: a zero pivot is a fault
+            off = np.full(n - 1, -tau * diff, dtype=complex)
+            *_, u, info = zgtsv(off, diag + p, off.copy(), deviation[:, None],
+                                overwrite_dl=1, overwrite_d=1, overwrite_du=1)
+            if info != 0:
+                raise SpectrumOutsideContour(
+                    f"zero pivot in the totals' solve at pole {p:.4g} (tau diff {tau * diff:.4g})")
+            u = u[:, 0]
+            t = (mean / p + u)[:, None]
+            acc_total += w.real * u.imag + w.imag * u.real
+        lu[3:] = band
         lu[6] += p
         _, piv, info = zgbtrf(lu, 3, 3, overwrite_ab=1)
         if info != 0:
             raise SpectrumOutsideContour(f"pole {p:.4g} is an eigenvalue of the generator")
-        np.multiply(lead, t[:, None], out=ys)
-        ys += xs[:, 1:]
+        np.multiply(lead, t, out=ys)
+        ys += zhe
         zgbtrs(lu, 3, 3, y, piv, overwrite_b=1)
-        acc += w.real * y.imag + w.imag * y.real
-        acc_total += w.real * u.imag + w.imag * u.real
+        np.multiply(y.imag, w.real, out=term)
+        np.multiply(y.real, w.imag, out=part)
+        term += part
+        acc += term
     out = np.empty((n, 4))
     out[:, 1:] = acc.reshape(n, 3)
     out[:, 0] = acc_total - out[:, 1:].sum(axis=1)

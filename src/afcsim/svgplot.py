@@ -28,7 +28,8 @@ def _ticks(lo: float, hi: float, n: int = 5):
 
 
 def _fmt(v: float) -> str:
-    return f"{v:.6g}"
+    # + 0.0 turns -0.0, the first tick of an axis padded just below 0, into 0
+    return f"{v + 0.0:.6g}"
 
 
 def line_plot(curves, xlabel: str, ylabel: str, title: str = "") -> str:

@@ -77,6 +77,10 @@ class TestMakeGrid:
 
 
 class TestLevelStructure:
+    def test_constants_are_scipy_codata_values(self):
+        # core writes them as literals, so that importing it loads no scipy.constants
+        assert (core.MU_B, core.K_B, core.PLANCK_H) == (MU_B, K_B, H)
+
     def test_zeeman_zero_field(self):
         assert a.zeeman_splitting(0.0, 15.13) == 0.0
 
@@ -246,6 +250,12 @@ class TestAbsorptionSpectrum:
             assert np.array_equal(rows[1], got), n
             for row, one in zip(rows, stack):
                 assert np.array_equal(row, _convolve_padded(one, kernel, pad_mode)), n
+
+    def test_fft_length_is_scipys_next_fast_real_length(self):
+        from scipy.fft import next_fast_len
+
+        sizes = range(1, 30_001)
+        assert [core._next_fast_len(n) for n in sizes] == [next_fast_len(n, True) for n in sizes]
 
     def test_convolution_needs_one_tap_per_grid_offset(self):
         # a shorter kernel would need another FFT length and other edge tails

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import afcsim as a
 import afcsim.experiments as ex
+from afcsim import svgplot
 from afcsim.cli import build_parser, main as cli_main
 from afcsim.errors import CalibrationFailed, NoHoleFound, NonPositiveInput, UnsupportedFormat
 from afcsim.readout import CombMetrics, DecayCurve, HoleMetrics
@@ -220,6 +221,13 @@ class TestExport:
         assert "polyline" in text
         assert "detuning (Hz)" in text
         assert "optical depth" in text
+
+    def test_svg_axis_padded_below_zero_labels_zero_without_sign(self):
+        # the y axis is padded to start just below 0, so its first tick is
+        # ceil(lo / step) * step = -0.0
+        svg = svgplot.line_plot([([0.0, 1.0], [0.0, 1.0], "")], "x", "y")
+        assert ">-0<" not in svg
+        assert svg.count(">0<") == 2
 
     def test_deterministic_bytes(self, tmp_path):
         p1 = ex.export(self.spec, "svg", tmp_path / "a.svg")

@@ -178,6 +178,20 @@ class TestDampedStep:
         assert type(rows[0]) is SingularJacobian and str(rows[0]) == "Singular matrix"
         assert_same_fit(rows[1], alone)
 
+    def test_subnormal_gram_matrix_leaves_its_parameters_open_without_warning(self):
+        # two equal Jacobian columns of norm ~1e-160: J^T J is singular and
+        # subnormal, so its pseudo-inverse overflows
+        x = np.linspace(0.0, 1.0, 20)
+        model = ParametricModel(param_names=("s", "t"),
+                                evaluate=lambda p, x: (p[0] + p[1]) * 1e-161 * x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = a.fit_curve(model, x, np.sin(3.0 * x) + 0.5 * x, init=[1.0, 1.0])
+        assert res.stop_reason == "max_damping" and not res.converged
+        assert np.all(np.isinf(res.std_errors))
+        assert np.all(np.isinf(np.diag(res.covariance)))
+        assert np.all(np.isnan(res.covariance[[0, 1], [1, 0]]))
+
     def test_empty_system_has_an_empty_solution(self):
         for a_mat in (np.empty((0, 0)), np.empty((3, 0, 0))):
             x, singular = _solve(a_mat, np.broadcast_to(np.eye(0), a_mat.shape))

@@ -124,7 +124,8 @@ def test_every_error_is_raised_in_the_package():
 
 # each would add to every process's start-up time and memory
 HEAVY = ("scipy.signal", "scipy.stats", "scipy.optimize", "scipy.interpolate",
-         "scipy.integrate", "scipy.sparse", "scipy.ndimage", "scipy.spatial")
+         "scipy.integrate", "scipy.sparse", "scipy.ndimage", "scipy.spatial",
+         "scipy.constants", "scipy.fft", "scipy.special")
 
 
 def test_import_loads_no_heavy_scipy_subpackage():

@@ -570,6 +570,33 @@ class TestHeatKernel:
         want = idct(decay * dct(pops.sum(axis=1), norm="ortho"), norm="ortho")
         assert np.max(np.abs(got.reshape(n, 4).sum(axis=1) - want)) <= 1e-13
 
+    # fig4's tau diff again; from an equilibrium state every bin's total is
+    # the same number, so no tridiagonal solve is made, and moving one bin's
+    # total by 1e-12 makes one at each pole
+    @pytest.mark.parametrize("moved", [0.0, 1e-12])
+    def test_equilibrium_start_against_dense_expm(self, moved):
+        n, tau, diff = 40, 0.3, 3708.0 / 0.3
+        params = a.MaterialParams()
+        state = a.init_equilibrium_state(a.make_grid(0.0, n * 1e6, 1e6), params)
+        pops = np.stack([state.n_g, state.n_z, state.n_h, state.n_e], axis=1)
+        pops[n // 3, 1] += moved
+        totals = pops.sum(axis=1)
+        assert (totals == totals.mean()).all() == (moved == 0.0)
+        relax, pump = _rate_matrices(params, 20.0, 0.3)
+        rate = np.random.default_rng(3).uniform(0.0, 1e3, n)
+        got = _contour_expmv(relax, pump, rate, diff, tau, pops.ravel()).reshape(n, 4)
+        gen = (np.kron(np.eye(n), relax) + np.kron(np.diag(rate), pump)
+               + diff * np.kron(reflective_laplacian(n), np.eye(4)))
+        want = (expm(tau * gen) @ pops.ravel()).reshape(n, 4)
+        assert np.max(np.abs(got - want)) <= 1e-11
+        # each bin's total follows the heat kernel to rounding (it stays put
+        # when the totals are uniform)
+        decay = np.exp(-4.0 * tau * diff * np.sin(np.pi * np.arange(n) / (2 * n)) ** 2)
+        heat = idct(decay * dct(totals, norm="ortho"), norm="ortho")
+        assert np.max(np.abs(got.sum(axis=1) - heat)) <= 1e-15
+        if moved == 0.0:
+            assert np.max(np.abs(got.sum(axis=1) - totals)) <= 1e-15
+
 
 class TestEvolveSnapshots:
     def test_snapshots_are_independent_1d_arrays(self):
